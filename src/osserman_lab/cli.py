@@ -28,8 +28,6 @@ from .operators import check_hamiltonian
 from .solver import NumericalError, solve_dirichlet
 from .uniqueness import delta_s_oracle, two_solution_experiment
 
-WORKERS_ENV = "OSSERMAN_LAB_WORKERS"
-
 
 def _fmt(value) -> str:
     if isinstance(value, str):
@@ -79,7 +77,7 @@ def _emit(out: str, resolved: dict, summary: dict, quiet: bool):
 
 def _base_summary(command: str, seed: int, resolved: dict) -> dict:
     return {"command": command, "version": __version__, "seed": seed,
-            "workers": os.environ.get(WORKERS_ENV, ""), "parameters": resolved}
+            "parameters": resolved}
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +145,8 @@ def _cmd_solve(args, cfg, out: str, seed: int, quiet: bool) -> int:
     _write_csv(os.path.join(out, "field.csv"), header, rows)
     summary = _base_summary("solve", seed, cfg)
     summary.update({"passed": report.converged, "iterations": report.iterations,
-                    "final_residual": report.final_residual, "tau": report.tau,
+                    "final_residual": report.final_residual,
+                    "backtracks": report.backtracks,
                     "converged": report.converged})
     _emit(out, cfg, summary, quiet)
     return 0 if report.converged else 1

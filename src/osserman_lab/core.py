@@ -254,27 +254,6 @@ def cross_derivative(field: ScalarField) -> np.ndarray:
     return (d1p + d1m - d2p - d2m) / (4.0 * g.h ** 2)
 
 
-def upwind_gradient(field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone upwind gradient for Hamiltonians nondecreasing in |p|.
-
-    Per axis the larger of the two outward one-sided slopes is kept (with
-    its sign), floored at zero, so the resulting nodal function decreases
-    in the center value and increases in the neighbors. Returns the signed
-    upwind vector (n_interior, n) and its magnitude (n_interior,).
-    """
-    g = field.grid
-    uc = field.interior_values
-    p = np.zeros((g.n_interior, g.n))
-    for a in range(g.n):
-        um, up = _pair_values(field, a)
-        dplus = (up - uc) / g.h     # forward slope
-        dminus = (uc - um) / g.h    # backward slope
-        take_plus = (dplus >= -dminus) & (dplus > 0.0)
-        take_minus = (-dminus > dplus) & (dminus < 0.0)
-        p[:, a] = np.where(take_plus, dplus, np.where(take_minus, dminus, 0.0))
-    return p, np.linalg.norm(p, axis=1)
-
-
 def fd_derivatives(field: ScalarField, node: int):
     """Gradient and Hessian at interior node index ``node``.
 

@@ -2,31 +2,42 @@
 
     F(x, D^2 u) + H(x, Du) - |u|^{s-1} u = f(x)
 
-on ball grids, and a damped explicit pseudo-time Dirichlet solver.
+on ball grids, and a Newton (policy-iteration) Dirichlet solver.
 
 The Hessian slot uses per-direction second differences: in 1D the scalar
 Pucci formula Lam q+ - lam q-, in 2D the two-direction extremal combination
 over the axis frame and the rotated (diagonal) frame. The gradient slot is
 the Rouy-Tourin upwind gradient, oriented so the scheme stays monotone for
 Hamiltonians that are nondecreasing in |p|. The zero-order term is strictly
-decreasing in u, which the damped iteration respects.
+decreasing in u.
+
+The residual is piecewise smooth: each node picks a policy (the Pucci
+coefficient of every second difference, the active 2D frame, the upwind
+slope of every axis). Newton's method with the exact Jacobian of the active
+policy is Howard's algorithm (Bokanowski-Maroso-Zidani, SINUM 47, 2009),
+globalized by backtracking on the sup residual. Convergence is judged by
+the residual alone, so the discrete solution does not depend on the path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import spsolve
 
 from .core import BallGrid, ScalarField, build_ball_grid
 from .operators import HamiltonianH, OperatorF
 
-CLAMP = 1e12
+ARMIJO = 1e-4      # sufficient-decrease constant of the line search
+ALPHA_MIN = 2.0 ** -30  # a step shorter than this stalls the solve
+_FD_REL = 1e-6     # relative step of the central differences of F and H
 
 
 class NumericalError(RuntimeError):
-    """Blow-up (clamp hit) or NaN during an iteration."""
+    """NaN/Inf in the residual of the starting state."""
 
 
 @dataclass(frozen=True)
@@ -49,71 +60,144 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """``iterations`` Newton steps were taken; ``residual_history[i]`` is the
+    sup residual before step i and ``final_residual`` the one after the
+    last. ``backtracks`` counts the line-search halvings of all steps."""
+
     iterations: int
     final_residual: float
     residual_history: np.ndarray
-    tau: float
+    backtracks: int
     converged: bool
+
+
+class _Policy(NamedTuple):
+    """The branches the residual took at every interior node: for Pucci F
+    the coefficient of each second difference (0 off the active 2D frame),
+    for any other F the Hessian it was handed; the upwind gradient p and,
+    per axis, the slope it took (+1 forward, -1 backward, 0 neither)."""
+
+    weights: Optional[np.ndarray]  # (ni, n_dirs // 2)
+    X: Optional[np.ndarray]        # (ni, n, n)
+    p: np.ndarray                  # (ni, n)
+    side: np.ndarray               # (ni, n)
 
 
 def _rhs_values(problem: ProblemSpec, grid: BallGrid) -> np.ndarray:
     if isinstance(problem.f, ScalarField):
-        if problem.f.grid is not grid and len(problem.f.grid.nodes) != len(grid.nodes):
+        fgrid = problem.f.grid
+        if fgrid is not grid and not np.array_equal(fgrid.nodes, grid.nodes):
             raise ValueError("rhs field lives on a different grid")
         return problem.f.interior_values.copy()
     return np.asarray([float(problem.f(x)) for x in grid.interior_nodes])
 
 
+def _spacings2(grid: BallGrid) -> np.ndarray:
+    """Squared spacing of each stencil direction pair: h^2 on the axes,
+    2 h^2 on the diagonals."""
+    pairs = len(grid.directions) // 2
+    return grid.h ** 2 * np.where(np.arange(pairs) < grid.n, 1.0, 2.0)
+
+
 def _interior_residual(problem: ProblemSpec, grid: BallGrid, vals: np.ndarray,
                        f_vals: np.ndarray):
-    """Residual at all interior nodes plus the local gradient/value bounds
-    the pseudo-time step needs. Returns (residual, pmag, local_sup)."""
+    """Residual at all interior nodes and the policy that produced it."""
     h, n = grid.h, grid.n
     ni = grid.n_interior
     uc = vals[:ni]
     unb = vals[grid.neighbors]  # (ni, n_dirs), (minus, plus) pairs
 
-    d2 = unb[:, ::2] + unb[:, 1::2] - 2.0 * uc[:, None]
-    d2[:, :n] /= h * h
-    d2[:, n:] /= 2.0 * h * h
+    d2 = (unb[:, ::2] + unb[:, 1::2] - 2.0 * uc[:, None]) / _spacings2(grid)
 
     ell = problem.ellipticity
     tag = problem.F.tag
+    weights = X = None
     if tag in ("pucci_plus", "pucci_minus"):
-        pos = np.clip(d2, 0.0, None)
-        neg = np.clip(d2, None, 0.0)
-        per = ell.Lam * pos + ell.lam * neg if tag == "pucci_plus" \
-            else ell.lam * pos + ell.Lam * neg
+        plus = tag == "pucci_plus"
+        up, down = (ell.Lam, ell.lam) if plus else (ell.lam, ell.Lam)
+        weights = np.where(d2 > 0.0, up, down)
+        per = weights * d2
         if n == 1:
             Fv = per[:, 0]
         else:
             frames = np.stack([per[:, 0] + per[:, 1], per[:, 2] + per[:, 3]])
-            Fv = frames.max(axis=0) if tag == "pucci_plus" else frames.min(axis=0)
+            diag = frames[1] > frames[0] if plus else frames[1] < frames[0]
+            Fv = np.where(diag, frames[1], frames[0])
+            weights[:, 2:] *= diag[:, None]
+            weights[:, :2] *= ~diag[:, None]
     else:
         X = np.zeros((ni, n, n))
         for a in range(n):
             X[:, a, a] = d2[:, a]
         if n == 2:
-            uxy = (vals[grid.neighbors[:, 5]] + vals[grid.neighbors[:, 4]]
-                   - vals[grid.neighbors[:, 7]] - vals[grid.neighbors[:, 6]]) \
-                / (4.0 * h * h)
-            X[:, 0, 1] = uxy
-            X[:, 1, 0] = uxy
+            # 4-point cross derivative (u_{++} + u_{--} - u_{+-} - u_{-+}) / 4h^2
+            X[:, 0, 1] = X[:, 1, 0] = 0.5 * (d2[:, 2] - d2[:, 3])
         Fv = problem.F(grid.interior_nodes, X)
 
-    p = np.empty((ni, n))
-    for a in range(n):
-        dplus = (unb[:, 2 * a + 1] - uc) / h
-        dminus = (uc - unb[:, 2 * a]) / h
-        take_plus = (dplus >= -dminus) & (dplus > 0.0)
-        take_minus = (-dminus > dplus) & (dminus < 0.0)
-        p[:, a] = np.where(take_plus, dplus, np.where(take_minus, dminus, 0.0))
-    pmag = np.linalg.norm(p, axis=1)
+    dplus = (unb[:, 1::2][:, :n] - uc[:, None]) / h
+    dminus = (uc[:, None] - unb[:, ::2][:, :n]) / h
+    side = np.where((dplus >= -dminus) & (dplus > 0.0), 1,
+                    np.where((-dminus > dplus) & (dminus < 0.0), -1, 0))
+    p = np.where(side == 1, dplus, np.where(side == -1, dminus, 0.0))
     Hv = problem.H(grid.interior_nodes, p)
 
     res = Fv + Hv - np.abs(uc) ** (problem.s - 1.0) * uc - f_vals
-    local_sup = np.maximum(np.abs(uc), np.abs(unb).max(axis=1))
-    return res, pmag, local_sup
+    return res, _Policy(weights, X, p, side)
+
+
+def _central_slopes(fn: Callable, x: np.ndarray, Z: np.ndarray, units) -> np.ndarray:
+    """Central differences of fn(x, Z) along each unit perturbation of Z,
+    shape (len(Z), len(units))."""
+    step = _FD_REL * (1.0 + np.abs(Z).reshape(len(Z), -1).max(axis=1))
+    eps = step.reshape((-1,) + (1,) * (Z.ndim - 1))
+    return np.stack([(fn(x, Z + eps * E) - fn(x, Z - eps * E)) / (2.0 * step)
+                     for E in units], axis=1)
+
+
+def _jacobian_table(problem: ProblemSpec, grid: BallGrid, vals: np.ndarray,
+                    policy: _Policy) -> np.ndarray:
+    """Jacobian of the residual for a fixed policy, as an (ni, 1 + n_dirs)
+    table: column 0 is d res_i / d u_i, column 1 + d the derivative with
+    respect to the neighbour in stencil direction d."""
+    h, n = grid.h, grid.n
+    ni = grid.n_interior
+    x = grid.interior_nodes
+    weights = policy.weights
+    if weights is None:
+        eye = np.eye(n)
+        gF = _central_slopes(problem.F, x, policy.X,
+                             [np.outer(eye[a], eye[a]) for a in range(n)]
+                             + ([1.0 - eye] if n == 2 else []))
+        weights = gF if n == 1 else np.column_stack(
+            [gF[:, :2], 0.5 * gF[:, 2], -0.5 * gF[:, 2]])
+    coef = weights / _spacings2(grid)
+
+    table = np.empty((ni, 1 + len(grid.directions)))
+    table[:, 1::2] = table[:, 2::2] = coef
+    table[:, 0] = -2.0 * coef.sum(axis=1)
+
+    gH = _central_slopes(problem.H, x, policy.p, np.eye(n)) / h
+    table[:, 2:2 * n + 1:2] += np.where(policy.side == 1, gH, 0.0)
+    table[:, 1:2 * n:2] -= np.where(policy.side == -1, gH, 0.0)
+    table[:, 0] -= (policy.side * gH).sum(axis=1)
+
+    table[:, 0] -= problem.s * np.abs(vals[:ni]) ** (problem.s - 1.0)
+    return table
+
+
+def _jacobian_pattern(grid: BallGrid):
+    """Empty CSC Jacobian over the interior nodes (int32 indices) and, for
+    each stored entry, its flat position in the ``_jacobian_table``
+    layout. Boundary neighbours carry data, not unknowns, and are dropped."""
+    ni = grid.n_interior
+    cols = np.column_stack([np.arange(ni), grid.neighbors])
+    slot = np.flatnonzero(cols.ravel() < ni)
+    rows, cols = slot // cols.shape[1], cols.ravel()[slot]
+    order = np.lexsort((rows, cols))
+    indptr = np.searchsorted(cols[order], np.arange(ni + 1)).astype(np.int32)
+    J = csc_matrix((np.zeros(len(slot)), rows[order].astype(np.int32), indptr),
+                   shape=(ni, ni))
+    return J, slot[order]
 
 
 def discretize_residual(problem: ProblemSpec, field: ScalarField, node: int) -> float:
@@ -121,17 +205,14 @@ def discretize_residual(problem: ProblemSpec, field: ScalarField, node: int) -> 
     grid = field.grid
     if node < 0 or node >= grid.n_interior:
         raise ValueError("node must be an interior node index")
-    f_vals = _rhs_values(problem, grid)
-    res, _, _ = _interior_residual(problem, grid, field.values, f_vals)
-    return float(res[node])
+    return float(residual_field(problem, field)[node])
 
 
 def residual_field(problem: ProblemSpec, field: ScalarField) -> np.ndarray:
     """Discrete residual at every interior node."""
     grid = field.grid
     f_vals = _rhs_values(problem, grid)
-    res, _, _ = _interior_residual(problem, grid, field.values, f_vals)
-    return res
+    return _interior_residual(problem, grid, field.values, f_vals)[0]
 
 
 def _initial_guess(grid: BallGrid, boundary: Callable,
@@ -155,56 +236,56 @@ def _initial_guess(grid: BallGrid, boundary: Callable,
 def solve_dirichlet(problem: ProblemSpec, grid: BallGrid, boundary: Callable,
                     tol: float, max_iter: int,
                     initial: Optional[np.ndarray] = None):
-    """Damped explicit iteration u <- u + tau * residual.
+    """Newton's method on the discrete equations, at most ``max_iter`` steps.
 
-    The per-node step tau = h^2 / (2 n Lam + 2 n h (gamma1 + 2 gamma_m G^{m-1})
-    + h^2 s U^{s-1}) uses local bounds G (upwind gradient) and U (stencil sup
-    of |u|), re-estimated every iteration, keeping the update monotone.
+    Each step solves J d = -res with the exact Jacobian J of the policy
+    active at the current iterate, then halves the step length alpha until
+    sup|res(u + alpha d)| < (1 - 1e-4 alpha) sup|res(u)|. The solve
+    converges when sup|res| <= tol; a step shorter than ALPHA_MIN ends it
+    unconverged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    h, n = grid.h, grid.n
-    ell = problem.ellipticity
-    m, g1, gm = problem.H.m, problem.H.gamma1, problem.H.gamma_m
-    s = problem.s
+    ni = grid.n_interior
     f_vals = _rhs_values(problem, grid)
     g_proj = np.asarray([float(boundary(x)) for x in grid.projections])
 
     vals = np.empty(len(grid.nodes))
-    vals[grid.n_interior:] = g_proj
+    vals[ni:] = g_proj
     if initial is not None:
-        vals[: grid.n_interior] = np.asarray(initial, dtype=float)
+        vals[:ni] = np.asarray(initial, dtype=float)
     else:
-        vals[: grid.n_interior] = _initial_guess(grid, boundary, g_proj)
+        vals[:ni] = _initial_guess(grid, boundary, g_proj)
 
-    base = 2.0 * n * ell.Lam
+    res, policy = _interior_residual(problem, grid, vals, f_vals)
+    sup_res = float(np.abs(res).max())
+    if not np.isfinite(sup_res):
+        raise NumericalError("NaN/Inf residual at the starting state")
+    J, slot = _jacobian_pattern(grid)
     history = []
-    converged = False
-    iterations = 0
-    tau_min = 0.0
-    for it in range(max_iter):
-        res, pmag, local_sup = _interior_residual(problem, grid, vals, f_vals)
-        sup_res = float(np.abs(res).max())
-        if not np.isfinite(sup_res):
-            raise NumericalError("NaN/Inf residual during iteration")
-        history.append(sup_res)
-        iterations = it
-        if sup_res <= tol:
-            converged = True
+    backtracks = 0
+    while sup_res > tol and len(history) < max_iter:
+        J.data[:] = _jacobian_table(problem, grid, vals, policy).ravel()[slot]
+        step = spsolve(J, -res)
+        alpha = 1.0
+        trial = vals.copy()
+        while alpha >= ALPHA_MIN:
+            trial[:ni] = vals[:ni] + alpha * step
+            res_t, policy_t = _interior_residual(problem, grid, trial, f_vals)
+            sup_t = float(np.abs(res_t).max())
+            if sup_t < (1.0 - ARMIJO * alpha) * sup_res:
+                break
+            alpha *= 0.5
+            backtracks += 1
+        else:
             break
-        denom = base + 2.0 * n * h * (g1 + 2.0 * gm * pmag ** (m - 1.0)) \
-            + h * h * s * local_sup ** (s - 1.0)
-        tau = h * h / denom
-        tau_min = float(tau.min())
-        vals[: grid.n_interior] += tau * res
-        if np.abs(vals[: grid.n_interior]).max() > CLAMP:
-            raise NumericalError("nodal value exceeded the overflow clamp")
+        history.append(sup_res)
+        vals, res, policy, sup_res = trial, res_t, policy_t, sup_t
 
     field = ScalarField(grid=grid, values=vals)
-    report = SolveReport(iterations=iterations,
-                         final_residual=history[-1] if history else 0.0,
+    report = SolveReport(iterations=len(history), final_residual=sup_res,
                          residual_history=np.asarray(history),
-                         tau=tau_min, converged=converged)
+                         backtracks=backtracks, converged=sup_res <= tol)
     return field, report
 
 

@@ -5,10 +5,14 @@ import pytest
 
 from osserman_lab.core import build_ball_grid, field_with_boundary, sample_field
 from osserman_lab.operators import (EllipticityPair, hamiltonian_library,
-                                    laplacian_operator, pucci_plus_operator)
+                                    laplacian_operator, negate_hamiltonian,
+                                    pucci_minus_operator, pucci_plus_operator,
+                                    weighted_trace_operator)
 from osserman_lab.solver import (NumericalError, ProblemSpec, SolveReport,
-                                 discretize_residual, mms_convergence,
-                                 residual_field, solve_dirichlet)
+                                 _interior_residual, _jacobian_pattern,
+                                 _jacobian_table, discretize_residual,
+                                 mms_convergence, residual_field,
+                                 solve_dirichlet)
 
 
 def _laplace_problem(s=2.0, f=lambda x: 0.0, H=None):
@@ -180,3 +184,87 @@ def test_2d_pucci_quadratic_first_order():
     # cut-cell boundary error dominates and scales like h
     assert errs[0.025] <= 0.5 * errs[0.1]
     assert errs[0.025] <= 1.5 * 0.025
+
+
+def test_rhs_field_must_live_on_the_grid():
+    g = build_ball_grid(0.0, 1.0, 0.1, 1)
+    shifted = build_ball_grid(0.5, 1.0, 0.1, 1)
+    assert len(shifted.nodes) == len(g.nodes)
+    u = sample_field(g, lambda x: 0.0)
+    on_shifted = _laplace_problem(f=sample_field(shifted, lambda x: 1.0))
+    with pytest.raises(ValueError):
+        residual_field(on_shifted, u)
+    # a separately built grid with identical nodes is the same grid
+    rebuilt = _laplace_problem(
+        f=sample_field(build_ball_grid(0.0, 1.0, 0.1, 1), lambda x: 1.0))
+    assert np.all(residual_field(rebuilt, u) == -1.0)
+
+
+_ELL = EllipticityPair(0.5, 2.0)
+_OPERATORS = {
+    "pucci_plus": lambda n: pucci_plus_operator(_ELL),
+    "pucci_minus": lambda n: pucci_minus_operator(_ELL),
+    "laplacian": lambda n: laplacian_operator(),
+    "weighted_trace": lambda n: weighted_trace_operator([0.7, 1.6][:n]),
+}
+_HAMILTONIANS = {
+    "prototype_m1": lambda n: hamiltonian_library(
+        "prototype", c1=0.5, cm=1.0, m=1.0, n=n),
+    "prototype_m2": lambda n: hamiltonian_library(
+        "prototype", c1={"c0": 0.5, "amp": 0.2}, cm=1.0, m=2.0, n=n),
+    "two_power": lambda n: hamiltonian_library(
+        "two_power", c=1.0, a=0.5, m=1.8, l=1.5, n=n),
+    "rational_factor": lambda n: hamiltonian_library("rational_factor", n=n),
+    "zero": lambda n: hamiltonian_library("zero", n=n),
+    "negated_prototype": lambda n: negate_hamiltonian(
+        hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=n)),
+}
+
+
+@pytest.mark.parametrize("h_tag", sorted(_HAMILTONIANS))
+@pytest.mark.parametrize("f_tag", sorted(_OPERATORS))
+@pytest.mark.parametrize("n", [1, 2])
+def test_policy_jacobian_matches_finite_differences(n, f_tag, h_tag):
+    problem = ProblemSpec(F=_OPERATORS[f_tag](n), H=_HAMILTONIANS[h_tag](n),
+                          s=2.5, f=lambda x: 0.3)
+    g = build_ball_grid([0.0] * n, 1.0, 0.2, n)
+    ni = g.n_interior
+    f_vals = np.full(ni, 0.3)
+    rng = np.random.default_rng(2024 + 7 * n)
+    J, slot = _jacobian_pattern(g)
+    for _ in range(3):
+        # a random smooth state, a few plane waves: no polynomial part, whose
+        # equal-sign second differences would tie the two 2D frames exactly
+        waves = 3.0 * rng.standard_normal((3, n))
+        phases = rng.uniform(0.0, 2.0 * np.pi, 3)
+        vals = rng.uniform(-1.0, 1.0) \
+            + np.sin(g.nodes @ waves.T + phases).sum(axis=1)
+        res, policy = _interior_residual(problem, g, vals, f_vals)
+        J.data[:] = _jacobian_table(problem, g, vals, policy).ravel()[slot]
+        dense = np.empty((ni, ni))
+        for j in range(ni):
+            step = 1e-7 * (1.0 + abs(vals[j]))
+            bumped = vals.copy()
+            bumped[j] += step
+            res_j, pol_j = _interior_residual(problem, g, bumped, f_vals)
+            # away from policy ties: the bump leaves every branch in place
+            assert np.array_equal(pol_j.side, policy.side)
+            if policy.weights is not None:
+                assert np.array_equal(pol_j.weights, policy.weights)
+            dense[:, j] = (res_j - res) / step
+        np.testing.assert_allclose(J.toarray(), dense, rtol=1e-5,
+                                   atol=1e-5 * np.abs(dense).max())
+
+
+def test_cold_large_ball_solve_takes_few_newton_steps():
+    # the acceptance expanding-ball problem at its largest radius, cold
+    H = hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=1)
+    problem = ProblemSpec(F=pucci_plus_operator(EllipticityPair(1.0, 1.0)),
+                          H=H, s=3.0, f=lambda x: 0.0)
+    g = build_ball_grid(0.0, 8.0, 0.02, 1)
+    sol, report = solve_dirichlet(problem, g, lambda x: 100.0, tol=1e-8,
+                                  max_iter=40)
+    assert report.converged
+    assert report.iterations <= 40
+    assert len(report.residual_history) == report.iterations
+    assert np.abs(residual_field(problem, sol)).max() <= 1e-8
