@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BallGrid, SymMatrix
-from .operators import CheckReport, pucci_batch
+from .operators import CheckReport, pucci_batch, tilde_gamma  # tilde_gamma is re-exported
 
 
 def exponent_mu(s: float, m: float) -> float:
@@ -116,6 +116,7 @@ def verify_barrier_inequality(spec: BarrierSpec, grid: BallGrid) -> CheckReport:
     """Sweep the closed-form residual over a grid strictly inside B_R.
 
     Margin is -max residual; the inequality holds iff it stays >= -1e-9.
+    extra["residuals"] holds the residual at every interior node.
     """
     if grid.radius >= spec.R:
         raise ValueError("grid ball must lie strictly inside B_R")
@@ -125,21 +126,7 @@ def verify_barrier_inequality(spec: BarrierSpec, grid: BallGrid) -> CheckReport:
     return CheckReport(condition="barrier_inequality", samples=len(res),
                        worst_margin=float(-res[k]),
                        witness={"x": pts[k].tolist(), "residual": float(res[k])},
-                       extra={"max_residual": float(res[k])})
-
-
-def tilde_gamma(gamma_m: float, m: float, c_lower: float) -> float:
-    """gamma_m + (m-1)^{m-1} gamma_m^m / (m^m c_lower^{m-1})."""
-    if m <= 1.0:
-        raise ValueError("tilde gamma requires m > 1")
-    if gamma_m < 0.0:
-        raise ValueError("gamma_m must be nonnegative")
-    if gamma_m == 0.0:
-        return 0.0
-    if c_lower <= 0.0:
-        raise ValueError("c_lower must be positive")
-    return gamma_m + (m - 1.0) ** (m - 1.0) * gamma_m ** m \
-        / (m ** m * c_lower ** (m - 1.0))
+                       extra={"max_residual": float(res[k]), "residuals": res})
 
 
 def uniqueness_scaling(theta: float, s: float, m: float, b: float,

@@ -29,21 +29,24 @@ from .solver import NumericalError, solve_dirichlet
 from .uniqueness import delta_s_oracle, two_solution_experiment
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
+def _write_csv(path: str, header, columns):
+    """Write one CSV table given column by column.
 
-
-def _write_csv(path: str, header, rows):
+    Each column's format follows from its dtype, decided once: floats as
+    "%.17g", integers as "%d", booleans as true/false, anything else as
+    text.
+    """
+    formats, cells = [], []
+    for col in columns:
+        col = np.asarray(col)
+        if col.dtype.kind == "b":
+            col = np.where(col, "true", "false")
+        formats.append({"f": "%.17g", "i": "%d", "u": "%d"}.get(col.dtype.kind, "%s"))
+        cells.append(col.tolist())
+    line = ",".join(formats) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % row for row in zip(*cells))
 
 
 def _jsonable(obj):
@@ -116,12 +119,11 @@ def _cmd_verify_barrier(args, cfg, out: str, seed: int, quiet: bool) -> int:
     grid = build_ball_grid([0.0] * params["n"], 0.999 * params["R"],
                            params["h"], params["n"])
     report = verify_barrier_inequality(spec, grid)
-    from .barrier import barrier_residuals
-    res = barrier_residuals(spec, grid.interior_nodes)
-    rows = [(i, *grid.interior_nodes[i], res[i]) for i in range(len(res))]
+    res = report.extra["residuals"]
     header = ["node"] + [f"x{a}" for a in range(params["n"])] + ["residual"]
     os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "residuals.csv"), header, rows)
+    _write_csv(os.path.join(out, "residuals.csv"), header,
+               [np.arange(len(res)), *grid.interior_nodes.T, res])
     summary = _base_summary("verify-barrier", seed, params)
     summary.update({"passed": report.passed, "max_residual": report.extra["max_residual"],
                     "worst_margin": report.worst_margin, "nodes": report.samples,
@@ -139,10 +141,10 @@ def _cmd_solve(args, cfg, out: str, seed: int, quiet: bool) -> int:
     tol = _number(sec, "tol", "solve", default=1e-8)
     max_iter = int(_number(sec, "max_iter", "solve", default=200000.0))
     field, report = solve_dirichlet(problem, grid, boundary, tol, max_iter)
-    rows = [(i, *grid.nodes[i], field.values[i]) for i in range(len(grid.nodes))]
     header = ["node"] + [f"x{a}" for a in range(grid.n)] + ["value"]
     os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "field.csv"), header, rows)
+    _write_csv(os.path.join(out, "field.csv"), header,
+               [np.arange(len(grid.nodes)), *grid.nodes.T, field.values])
     summary = _base_summary("solve", seed, cfg)
     summary.update({"passed": report.converged, "iterations": report.iterations,
                     "final_residual": report.final_residual,
@@ -169,10 +171,9 @@ def _cmd_entire(args, cfg, out: str, seed: int, quiet: bool) -> int:
     run_a = construct_entire(problem, k_max, fam_a, tol, h, max_iter,
                              center=[0.0] * n)
     os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "stabilization.csv"),
-               ["k", "k_next", "j", "sup_diff"],
-               [(r["k"], r["k_next"], r["j"], r["sup_diff"])
-                for r in run_a.stabilization])
+    header = ["k", "k_next", "j", "sup_diff"]
+    _write_csv(os.path.join(out, "stabilization.csv"), header,
+               [[r[key] for r in run_a.stabilization] for key in header])
     summary = _base_summary("entire", seed, cfg)
     passed = not run_a.flagged
     if "boundary2" in sec:
@@ -181,13 +182,13 @@ def _cmd_entire(args, cfg, out: str, seed: int, quiet: bool) -> int:
                                  center=[0.0] * n)
         passed = passed and not run_b.flagged
         table = separation_table(run_a, run_b, sep_radius)
-        _write_csv(os.path.join(out, "separation.csv"), ["k", "separation"],
-                   [(r["k"], r["separation"]) for r in table])
+        radii = [r["k"] for r in table]
         seps = [r["separation"] for r in table]
-        summary["separation"] = {"radii": [r["k"] for r in table], "values": seps}
+        _write_csv(os.path.join(out, "separation.csv"), ["k", "separation"],
+                   [radii, seps])
+        summary["separation"] = {"radii": radii, "values": seps}
         try:
-            summary["fitted_decay_exponent"] = fit_decay_exponent(
-                [r["k"] for r in table], seps)
+            summary["fitted_decay_exponent"] = fit_decay_exponent(radii, seps)
         except ValueError:
             summary["fitted_decay_exponent"] = None
     summary["passed"] = passed
@@ -216,13 +217,14 @@ def _cmd_uniqueness(args, cfg, out: str, seed: int, quiet: bool) -> int:
                                     separation_radius=_number(
                                         sec, "separation_radius", "uniqueness",
                                         default=1.0))
+    radii = [r["k"] for r in table]
+    seps = [r["separation"] for r in table]
     os.makedirs(out, exist_ok=True)
     _write_csv(os.path.join(out, "separation.csv"), ["k", "separation"],
-               [(r["k"], r["separation"]) for r in table])
+               [radii, seps])
     summary = _base_summary("uniqueness", seed, cfg)
     summary.update({"passed": True,
-                    "separation": {"radii": [r["k"] for r in table],
-                                   "values": [r["separation"] for r in table]}})
+                    "separation": {"radii": radii, "values": seps}})
     _emit(out, cfg, summary, quiet)
     return 0
 
@@ -239,18 +241,16 @@ def _cmd_check_hamiltonian(args, cfg, out: str, seed: int, quiet: bool) -> int:
     samples = int(_number(sec, "samples", "check", default=1000000.0))
     conditions = [condition] if condition else list(H.claims)
     rng = np.random.default_rng(seed)
-    rows, passed = [], True
-    for cond in conditions:
-        report = check_hamiltonian(H, cond, samples, rng=rng)
-        rows.append((cond, report.samples, report.worst_margin,
-                     report.passed))
-        passed = passed and report.passed
+    reports = [check_hamiltonian(H, cond, samples, rng=rng) for cond in conditions]
+    passed = all(r.passed for r in reports)
     os.makedirs(out, exist_ok=True)
     _write_csv(os.path.join(out, "margins.csv"),
-               ["condition", "samples", "worst_margin", "passed"], rows)
+               ["condition", "samples", "worst_margin", "passed"],
+               [conditions, [r.samples for r in reports],
+                [r.worst_margin for r in reports], [r.passed for r in reports]])
     summary = _base_summary("check-hamiltonian", seed, cfg)
     summary.update({"passed": passed,
-                    "margins": {r[0]: r[2] for r in rows}})
+                    "margins": {c: r.worst_margin for c, r in zip(conditions, reports)}})
     _emit(out, cfg, summary, quiet)
     return 0 if passed else 1
 

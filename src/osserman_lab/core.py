@@ -124,28 +124,26 @@ def build_ball_grid(center, R: float, h: float, n: int) -> BallGrid:
     if center.shape != (n,):
         raise GridError(f"center must have shape ({n},)")
 
-    dirs = _DIRECTIONS_1D if n == 1 else _DIRECTIONS_2D
+    # Everything happens on the box [-m, m]^n of lattice offsets, addressed
+    # by C-order flat index, so sorted flat indices are sorted lattice
+    # tuples. Interior offsets satisfy |i| <= m - 1, so a stencil step from
+    # an interior node stays inside the box and is a fixed flat offset.
     m = int(np.ceil(R / h)) + 1
-    axes = [np.arange(-m, m + 1)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lattice_all = np.stack([g.ravel() for g in mesh], axis=1)
-    radii = h * np.sqrt((lattice_all.astype(float) ** 2).sum(axis=1))
-    interior_mask = radii < R
+    side = 2 * m + 1
+    squares = np.arange(-m, m + 1) ** 2
+    sq = squares if n == 1 else squares[:, None] + squares[None, :]
+    inside = (h * np.sqrt(sq.astype(float)) < R).ravel()
+    steps = np.array(_DIRECTIONS_1D if n == 1 else _DIRECTIONS_2D) \
+        @ side ** np.arange(n)[::-1]
+    interior = np.flatnonzero(inside)
+    stencil = interior[:, None] + steps[None, :]
+    layer = np.zeros_like(inside)
+    layer[stencil] = True
+    order = np.concatenate([interior, np.flatnonzero(layer & ~inside)])
+    index = np.empty(inside.size, dtype=np.int64)
+    index[order] = np.arange(len(order))
 
-    interior_set = {tuple(p) for p in lattice_all[interior_mask]}
-    boundary_set = set()
-    for p in interior_set:
-        for d in dirs:
-            q = tuple(p[i] + d[i] for i in range(n))
-            if q not in interior_set:
-                boundary_set.add(q)
-
-    interior = sorted(interior_set)
-    boundary = sorted(boundary_set)
-    if not interior:
-        raise GridError("no interior nodes")
-
-    lattice = np.array(interior + boundary, dtype=int).reshape(-1, n)
+    lattice = np.stack(np.unravel_index(order, (side,) * n), axis=1) - m
     nodes = center[None, :] + h * lattice.astype(float)
     n_interior = len(interior)
 
@@ -153,12 +151,7 @@ def build_ball_grid(center, R: float, h: float, n: int) -> BallGrid:
     vecs = bpts - center[None, :]
     norms = np.linalg.norm(vecs, axis=1)
     projections = center[None, :] + R * vecs / norms[:, None]
-
-    index = {tuple(p): i for i, p in enumerate(lattice)}
-    neighbors = np.empty((n_interior, len(dirs)), dtype=np.int64)
-    for i, p in enumerate(interior):
-        for k, d in enumerate(dirs):
-            neighbors[i, k] = index[tuple(p[j] + d[j] for j in range(n))]
+    neighbors = index[stencil]
 
     return BallGrid(
         center=center,

@@ -52,8 +52,19 @@ def function_family(fn: Callable) -> Callable:
     return family
 
 
-def _lattice_index(grid: BallGrid) -> dict:
-    return {tuple(p): i for i, p in enumerate(grid.lattice[: grid.n_interior])}
+def _shared_interior(a: BallGrid, b: BallGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (ia, ib) of the interior nodes of a and b that sit on
+    the same lattice offset, in a's node order.
+
+    Each offset row becomes one integer key, its C-order index in a box
+    that holds both lattices, so matching is one sorted intersection.
+    """
+    la, lb = a.lattice[: a.n_interior], b.lattice[: b.n_interior]
+    span = int(max(np.abs(la).max(), np.abs(lb).max()))
+    weights = (2 * span + 1) ** np.arange(la.shape[1])[::-1]
+    _, ia, ib = np.intersect1d((la + span) @ weights, (lb + span) @ weights,
+                               assume_unique=True, return_indices=True)
+    return ia, ib
 
 
 def _warm_start(grid: BallGrid, prev: Optional[ScalarField]) -> Optional[np.ndarray]:
@@ -61,17 +72,11 @@ def _warm_start(grid: BallGrid, prev: Optional[ScalarField]) -> Optional[np.ndar
     lattices overlap; leave None to fall back on radial interpolation."""
     if prev is None:
         return None
-    small = _lattice_index(prev.grid)
-    vals = np.zeros(grid.n_interior)
-    filled = np.zeros(grid.n_interior, dtype=bool)
-    for i, p in enumerate(grid.lattice[: grid.n_interior]):
-        j = small.get(tuple(p))
-        if j is not None:
-            vals[i] = prev.values[j]
-            filled[i] = True
-    if not filled.all():
-        # new rim nodes start from the mean of the already-known values
-        vals[~filled] = float(vals[filled].mean()) if filled.any() else 0.0
+    ia, ib = _shared_interior(grid, prev.grid)
+    known = prev.values[ib]
+    # new rim nodes start from the mean of the already-known values
+    vals = np.full(grid.n_interior, float(known.mean()) if len(known) else 0.0)
+    vals[ia] = known
     return vals
 
 
@@ -85,19 +90,11 @@ def sup_difference(a: ScalarField, b: ScalarField, radius: float,
     if center is None:
         center = ga.center
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    idx_b = _lattice_index(gb)
-    best = 0.0
-    found = False
-    pts = ga.interior_nodes
-    dist = np.linalg.norm(pts - center[None, :], axis=1)
-    for i in np.nonzero(dist < radius)[0]:
-        j = idx_b.get(tuple(ga.lattice[i]))
-        if j is not None:
-            found = True
-            best = max(best, abs(float(a.values[i]) - float(b.values[j])))
-    if not found:
+    ia, ib = _shared_interior(ga, gb)
+    near = np.linalg.norm(ga.nodes[ia] - center[None, :], axis=1) < radius
+    if not near.any():
         raise ValueError("no shared nodes in the requested ball")
-    return best
+    return float(np.abs(a.values[ia[near]] - b.values[ib[near]]).max())
 
 
 def construct_entire(problem: ProblemSpec, k_max: int, boundary_family: Callable,

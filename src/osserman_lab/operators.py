@@ -210,6 +210,29 @@ def weighted_trace_operator(weights: Sequence[float],
     return OperatorF(evaluator=ev, ellipticity=declared, tag="weighted_trace")
 
 
+_CHUNK = 200_000
+
+
+def _chunked_sweep(samples: int, draw: Callable) -> tuple[float, dict]:
+    """Smallest margin over `samples` random draws taken in chunks of
+    200,000, and its witness.
+
+    ``draw(count)`` makes the next `count` samples and returns
+    (margins, data), data mapping names to per-sample arrays; the witness
+    holds each data[name][k] as a list for the sample k of the smallest
+    margin. Chunks are drawn in order, so one RNG gives one result.
+    """
+    worst = np.inf
+    witness: dict = {}
+    for start in range(0, samples, _CHUNK):
+        margins, data = draw(min(_CHUNK, samples - start))
+        k = int(np.argmin(margins))
+        if margins[k] < worst:
+            worst = float(margins[k])
+            witness = {key: np.asarray(val[k]).tolist() for key, val in data.items()}
+    return worst, witness
+
+
 def check_uniform_ellipticity(F: OperatorF, samples: int, rng=None,
                               n: int = 2, scale: float = 1.0) -> CheckReport:
     """Randomized check of the Pucci-envelope form of uniform ellipticity:
@@ -219,10 +242,8 @@ def check_uniform_ellipticity(F: OperatorF, samples: int, rng=None,
         raise ValueError("samples >= 1 required")
     rng = np.random.default_rng(rng)
     ell = F.ellipticity
-    worst = np.inf
-    witness: dict = {}
-    for start in range(0, samples, 200_000):
-        count = min(200_000, samples - start)
+
+    def draw(count):
         x = rng.uniform(-10.0, 10.0, (count, n))
         X = rng.standard_normal((count, n, n)) * scale
         Y = rng.standard_normal((count, n, n)) * scale
@@ -232,11 +253,9 @@ def check_uniform_ellipticity(F: OperatorF, samples: int, rng=None,
         eigs = _batch_eigs(Y - X)
         upper = pucci_batch(eigs, ell.lam, ell.Lam, "+") - diff
         lower = diff - pucci_batch(eigs, ell.lam, ell.Lam, "-")
-        margins = np.minimum(upper, lower)
-        k = int(np.argmin(margins))
-        if margins[k] < worst:
-            worst = float(margins[k])
-            witness = {"x": x[k].tolist(), "X": X[k].tolist(), "Y": Y[k].tolist()}
+        return np.minimum(upper, lower), {"x": x, "X": X, "Y": Y}
+
+    worst, witness = _chunked_sweep(samples, draw)
     return CheckReport(condition="uniform_ellipticity", samples=samples,
                        worst_margin=worst, witness=witness)
 
@@ -455,10 +474,12 @@ def _sample_sigma(rng, count: int, sigma0: float) -> np.ndarray:
     return 1.0 - (1.0 - sigma0) * 10.0 ** (-u)
 
 
-def tilde_gamma_value(gamma_m: float, m: float, c_lower: float) -> float:
+def tilde_gamma(gamma_m: float, m: float, c_lower: float) -> float:
     """gamma_m + (m-1)^{m-1} gamma_m^m / (m^m c_lower^{m-1}); 0 when gamma_m=0."""
     if m <= 1.0:
         raise ValueError("tilde gamma requires m > 1")
+    if gamma_m < 0.0:
+        raise ValueError("gamma_m must be nonnegative")
     if gamma_m == 0.0:
         return 0.0
     if c_lower <= 0.0:
@@ -482,12 +503,12 @@ def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
         raise ValueError("samples >= 1 required")
     if condition in ("convexity_type", "sublinearization") and H.convexity is None:
         raise MetadataError(f"{H.tag} carries no convexity constants")
+    if condition == "sublinearization" and H.m <= 1.0:
+        raise MetadataError("sublinearization requires m > 1")
     rng = np.random.default_rng(rng)
     m, g1, gm = H.m, H.gamma1, H.gamma_m
-    worst = np.inf
-    witness: dict = {}
-    for start in range(0, samples, 200_000):
-        count = min(200_000, samples - start)
+
+    def draw(count):
         x = rng.uniform(-10.0, 10.0, (count, n))
         p = _sample_vectors(rng, count, n)
         q = _sample_vectors(rng, count, n)
@@ -513,20 +534,16 @@ def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
             data = {"x": x, "p": p, "sigma": sigma}
         else:  # sublinearization
             c_lower, A, sigma0 = H.convexity
-            if m <= 1.0:
-                raise MetadataError("sublinearization requires m > 1")
-            tg = tilde_gamma_value(gm, m, c_lower) if gm > 0 else 0.0
+            tg = tilde_gamma(gm, m, c_lower) if gm > 0 else 0.0
             sigma = _sample_sigma(rng, count, sigma0)
             quantity = H(x, p + q) - sigma * H(x, p / sigma[:, None])
             bound = tg * (1.0 - sigma) ** (1.0 - m) * qn ** m + g1 * qn \
                 + (1.0 - sigma) * A
             margins = bound - quantity
             data = {"x": x, "p": p, "q": q, "sigma": sigma}
+        return margins, data
 
-        k = int(np.argmin(margins))
-        if margins[k] < worst:
-            worst = float(margins[k])
-            witness = {key: np.asarray(val[k]).tolist() for key, val in data.items()}
+    worst, witness = _chunked_sweep(samples, draw)
     return CheckReport(condition=condition, samples=samples,
                        worst_margin=worst, witness=witness)
 
@@ -547,9 +564,8 @@ def empirical_increment_constant(m: float, samples: int, rng=None, n: int = 2) -
     """Empirical C(m) with |p+q|^m - |p|^m <= C (|p|^{m-1}+|q|^{m-1}) |q|,
     found by maximizing the ratio over random pairs."""
     rng = np.random.default_rng(rng)
-    best = 0.0
-    for start in range(0, samples, 200_000):
-        count = min(200_000, samples - start)
+
+    def draw(count):
         p = _sample_vectors(rng, count, n)
         q = _sample_vectors(rng, count, n)
         qn = np.linalg.norm(q, axis=1)
@@ -557,6 +573,7 @@ def empirical_increment_constant(m: float, samples: int, rng=None, n: int = 2) -
         pn = np.linalg.norm(p, axis=1)
         num = np.linalg.norm(p + q, axis=1) ** m - pn ** m
         den = (pn ** (m - 1.0) + qn ** (m - 1.0)) * qn
-        ratio = num[ok] / den[ok]
-        best = max(best, float(ratio.max()))
-    return best
+        # margin -ratio: the sweep's smallest margin is minus the largest ratio
+        return -(num[ok] / den[ok]), {}
+
+    return max(0.0, -_chunked_sweep(samples, draw)[0])

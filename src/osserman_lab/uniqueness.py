@@ -14,8 +14,8 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .barrier import tilde_gamma
-from .operators import CheckReport, HamiltonianH, MetadataError, pucci, _sample_vectors
+from .operators import (CheckReport, HamiltonianH, MetadataError, pucci,
+                        tilde_gamma, _chunked_sweep, _sample_vectors)
 from .core import SymMatrix
 from .entire import construct_entire, function_family, separation_table
 from .solver import ProblemSpec
@@ -168,10 +168,8 @@ def sublinearization_inequality_check(H: HamiltonianH, sigma_range, samples: int
         raise MetadataError("sublinearization requires m > 1")
     tg = tilde_gamma(H.gamma_m, H.m, c_lower) if H.gamma_m > 0 else 0.0
     rng = np.random.default_rng(rng)
-    worst = np.inf
-    witness: dict = {}
-    for start in range(0, samples, 200_000):
-        count = min(200_000, samples - start)
+
+    def draw(count):
         x = rng.uniform(-10.0, 10.0, (count, n))
         p = _sample_vectors(rng, count, n)
         q = _sample_vectors(rng, count, n)
@@ -180,11 +178,9 @@ def sublinearization_inequality_check(H: HamiltonianH, sigma_range, samples: int
         quantity = H(x, p + q) - sigma * H(x, p / sigma[:, None])
         margins = tg * (1.0 - sigma) ** (1.0 - H.m) * qn ** H.m \
             + H.gamma1 * qn + (1.0 - sigma) * A - quantity
-        k = int(np.argmin(margins))
-        if margins[k] < worst:
-            worst = float(margins[k])
-            witness = {"x": x[k].tolist(), "p": p[k].tolist(),
-                       "q": q[k].tolist(), "sigma": float(sigma[k])}
+        return margins, {"x": x, "p": p, "q": q, "sigma": sigma}
+
+    worst, witness = _chunked_sweep(samples, draw)
     return CheckReport(condition="sublinearization", samples=samples,
                        worst_margin=worst, witness=witness)
 

@@ -1,9 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from osserman_lab.cli import main
+from osserman_lab.cli import _write_csv, main
 
 
 def _write_cfg(tmp_path, name, cfg):
@@ -15,6 +16,43 @@ def _write_cfg(tmp_path, name, cfg):
 def _read_summary(out):
     with open(os.path.join(out, "summary.json")) as fh:
         return json.load(fh)
+
+
+def _cell(value) -> str:
+    """Per-cell CSV formatting the column-wise writer must reproduce."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return "%d" % int(value)
+    return "%.17g" % float(value)
+
+
+def test_write_csv_matches_per_cell_formatting(tmp_path):
+    floats = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                       0.1, -1.0 / 3.0, np.inf, 2.0 ** 60])
+    rows = len(floats)
+    columns = [
+        np.arange(rows),
+        floats,
+        list(floats[::-1]),
+        np.array([2 ** 63 - 1, -2 ** 63] * 4 + [0], dtype=np.int64),
+        [2 ** 64 - 1] * rows,
+        [10 ** 30 + i for i in range(rows)],
+        np.arange(rows) % 2 == 0,
+        [i % 3 == 0 for i in range(rows)],
+        ["pucci_plus", "a b", "50%", "", "x", "y", "z", "-0", "true"],
+        np.arange(-4, 5, dtype=np.float32) / np.float32(3.0),
+    ]
+    header = [f"c{k}" for k in range(len(columns))]
+    path = tmp_path / "t.csv"
+    _write_csv(str(path), header, columns)
+    want = ",".join(header) + "\n" + "".join(
+        ",".join(_cell(col[i]) for col in columns) + "\n" for i in range(rows))
+    assert path.read_bytes() == want.encode()
+    _write_csv(str(path), ["k", "v"], [[], []])
+    assert path.read_bytes() == b"k,v\n"
 
 
 SOLVE_CFG = {

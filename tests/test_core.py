@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from osserman_lab.core import (BallGrid, GridError, ScalarField, SymMatrix,
                                build_ball_grid, fd_derivatives, norm,
@@ -37,6 +39,52 @@ def test_boundary_projections_on_sphere():
     g = build_ball_grid([0.3, -0.2], 1.7, 0.11, 2)
     radii = np.linalg.norm(g.projections - g.center[None, :], axis=1)
     assert np.abs(radii - g.radius).max() <= 1e-12 * g.radius
+
+
+def _reference_ball_grid(center, R, h, n):
+    """The ball grid built point by point from sets and dicts of lattice
+    tuples: interior offsets sorted, then the sorted stencil layer around
+    them, neighbours looked up by tuple."""
+    dirs = [(-1,), (1,)] if n == 1 else [
+        (-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1), (-1, 1), (1, -1)]
+    m = int(np.ceil(R / h)) + 1
+    box = np.stack([g.ravel() for g in np.meshgrid(
+        *[np.arange(-m, m + 1)] * n, indexing="ij")], axis=1)
+    radii = h * np.sqrt((box.astype(float) ** 2).sum(axis=1))
+    interior = sorted({tuple(p) for p in box[radii < R]})
+    inside = set(interior)
+    boundary = sorted({tuple(a + b for a, b in zip(p, d))
+                       for p in interior for d in dirs} - inside)
+    lattice = np.array(interior + boundary, dtype=int).reshape(-1, n)
+    center = np.asarray(center, dtype=float)
+    nodes = center[None, :] + h * lattice.astype(float)
+    vecs = nodes[len(interior):] - center[None, :]
+    projections = center[None, :] + R * vecs / np.linalg.norm(
+        vecs, axis=1)[:, None]
+    index = {tuple(p): i for i, p in enumerate(lattice)}
+    neighbors = np.array([[index[tuple(a + b for a, b in zip(p, d))]
+                           for d in dirs] for p in interior], dtype=np.int64)
+    return lattice, nodes, projections, neighbors, len(interior)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2]),
+       center=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+       R=st.floats(0.05, 5.0),
+       cells=st.floats(2.0, 30.0))
+@example(n=2, center=[0.0, 0.0], R=1.0, cells=2.0)
+@example(n=1, center=[0.3, 0.0], R=1.0, cells=2.0)
+def test_build_ball_grid_matches_set_based_reference(n, center, R, cells):
+    center = center[:n]
+    h = R / cells
+    g = build_ball_grid(center, R, h, n)
+    lattice, nodes, projections, neighbors, n_interior = \
+        _reference_ball_grid(center, R, h, n)
+    assert g.n_interior == n_interior
+    for got, want in ((g.lattice, lattice), (g.nodes, nodes),
+                      (g.projections, projections), (g.neighbors, neighbors)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_full_stencil_and_determinism():

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from osserman_lab.barrier import barrier_constants
 from osserman_lab.core import ScalarField, build_ball_grid, norm, sample_field
-from osserman_lab.entire import (check_local_bound, constant_family,
+from osserman_lab.entire import (_warm_start, check_local_bound,
+                                 constant_family,
                                  construct_entire, continuum_oracle_1d,
                                  fit_abp_constant, fit_decay_exponent,
                                  function_family, growth_profile, local_bound,
@@ -59,6 +62,52 @@ def test_sup_difference_requires_matching_lattices():
         sup_difference(a, c, 0.5)
     with pytest.raises(ValueError):
         sup_difference(a, b, 1e-6, center=[0.55])
+
+
+def _dict_matches(a, b):
+    """(i, j) pairs of interior nodes of a and b on the same lattice offset,
+    found through a dict keyed by lattice tuples."""
+    index = {tuple(p): j for j, p in enumerate(b.lattice[: b.n_interior])}
+    return [(i, index[tuple(p)]) for i, p in enumerate(a.lattice[: a.n_interior])
+            if tuple(p) in index]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2]),
+       center=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+       h=st.floats(0.05, 0.4),
+       radii=st.lists(st.floats(1.0, 2.5), min_size=2, max_size=2),
+       sub=st.floats(0.1, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_lattice_matching_agrees_with_dict_match(n, center, h, radii, sub, seed):
+    center = np.asarray(center[:n])
+    ga, gb = (build_ball_grid(center, r, h, n) for r in radii)
+    rng = np.random.default_rng(seed)
+    a = ScalarField(grid=ga, values=rng.standard_normal(len(ga.nodes)))
+    b = ScalarField(grid=gb, values=rng.standard_normal(len(gb.nodes)))
+    pairs = _dict_matches(ga, gb)
+    near = [(i, j) for i, j in pairs
+            if np.linalg.norm(ga.nodes[i] - center) < sub]
+    want = max(abs(a.values[i] - b.values[j]) for i, j in near)
+    assert sup_difference(a, b, sub) == want
+
+    # warm start of b's grid from a: matched nodes copied, the rest set to
+    # the mean of the copied values
+    want = np.zeros(gb.n_interior)
+    filled = np.zeros(gb.n_interior, dtype=bool)
+    for j, i in _dict_matches(gb, ga):
+        want[j] = a.values[i]
+        filled[j] = True
+    want[~filled] = want[filled].mean()
+    assert np.array_equal(_warm_start(gb, a), want)
+
+
+def test_sup_difference_rejects_other_center_or_spacing():
+    a = sample_field(build_ball_grid([0.0, 0.0], 1.0, 0.1, 2), lambda x: x[0])
+    moved = sample_field(build_ball_grid([0.05, 0.0], 1.0, 0.1, 2), lambda x: x[0])
+    finer = sample_field(build_ball_grid([0.0, 0.0], 1.0, 0.05, 2), lambda x: x[0])
+    for other in (moved, finer):
+        with pytest.raises(ValueError, match="share spacing and center"):
+            sup_difference(a, other, 0.5)
 
 
 def test_decay_exponent_matches_barrier_exponent_for_m1():

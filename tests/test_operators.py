@@ -13,7 +13,7 @@ from osserman_lab.operators import (Coeff, EllipticityPair, HamiltonianH,
                                     pucci, pucci_bruteforce,
                                     pucci_bruteforce_sweep,
                                     pucci_minus_operator, pucci_plus_operator,
-                                    tilde_gamma_value, weighted_trace_operator)
+                                    tilde_gamma, weighted_trace_operator)
 
 ELL = EllipticityPair(1.0, 2.0)
 
@@ -218,13 +218,13 @@ def test_negate_hamiltonian():
 
 
 def test_tilde_gamma_value():
-    assert tilde_gamma_value(1.0, 2.0, 1.0) == pytest.approx(1.25)
-    assert tilde_gamma_value(2.0, 2.0, 1.0) == pytest.approx(3.0)
-    assert tilde_gamma_value(0.0, 1.5, 0.0) == 0.0
+    assert tilde_gamma(1.0, 2.0, 1.0) == pytest.approx(1.25)
+    assert tilde_gamma(2.0, 2.0, 1.0) == pytest.approx(3.0)
+    assert tilde_gamma(0.0, 1.5, 0.0) == 0.0
     with pytest.raises(ValueError):
-        tilde_gamma_value(1.0, 1.0, 1.0)
+        tilde_gamma(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        tilde_gamma_value(1.0, 2.0, 0.0)
+        tilde_gamma(1.0, 2.0, 0.0)
 
 
 def test_interpolation_inequality():
