@@ -9,13 +9,13 @@ sphere (first-order cut-cell). Dimension is restricted to n in {1, 2}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-# Stencil directions come in (minus, plus) pairs. In 2D the two diagonals
-# are part of the stencil: the solver's rotated extremal pair and the
-# 4-point cross derivative both need them.
+# Stencil directions come in (minus, plus) pairs, the axes first. In 2D the
+# two diagonals are part of the stencil: Pucci's rotated frame and the
+# 4-point mixed derivative both need them.
 _DIRECTIONS_1D = ((-1,), (1,))
 _DIRECTIONS_2D = (
     (-1, 0), (1, 0),
@@ -200,68 +200,39 @@ def field_with_boundary(grid: BallGrid, interior, boundary_fn: Callable) -> Scal
     return ScalarField(grid=grid, values=vals)
 
 
-def _pair_values(field: ScalarField, axis_pair: int):
-    g = field.grid
-    um = field.values[g.neighbors[:, 2 * axis_pair]]
-    up = field.values[g.neighbors[:, 2 * axis_pair + 1]]
-    return um, up
+def spacings2(grid: BallGrid) -> np.ndarray:
+    """Squared spacing of each stencil direction pair: h^2 on the axes,
+    2 h^2 on the diagonals."""
+    pairs = len(grid.directions) // 2
+    return grid.h ** 2 * np.where(np.arange(pairs) < grid.n, 1.0, 2.0)
 
 
-def second_differences(field: ScalarField) -> np.ndarray:
-    """Per-direction second differences at all interior nodes.
-
-    Shape (n_pairs, n_interior). Axis pairs come first, then (in 2D) the
-    two diagonal directions with spacing h*sqrt(2).
-    """
-    g = field.grid
-    uc = field.interior_values
-    n_pairs = len(g.directions) // 2
-    out = np.empty((n_pairs, g.n_interior))
-    for k in range(n_pairs):
-        um, up = _pair_values(field, k)
-        spacing2 = g.h ** 2 if k < g.n else 2.0 * g.h ** 2
-        out[k] = (up - 2.0 * uc + um) / spacing2
-    return out
-
-
-def central_gradient(field: ScalarField) -> np.ndarray:
-    """Central first differences, shape (n_interior, n)."""
-    g = field.grid
-    out = np.empty((g.n_interior, g.n))
-    for a in range(g.n):
-        um, up = _pair_values(field, a)
-        out[:, a] = (up - um) / (2.0 * g.h)
-    return out
-
-
-def cross_derivative(field: ScalarField) -> np.ndarray:
-    """4-point centered mixed derivative u_xy (2D only)."""
-    g = field.grid
-    if g.n != 2:
-        raise ValueError("cross derivative requires n=2")
-    v = field.values
-    d1m = v[g.neighbors[:, 4]]
-    d1p = v[g.neighbors[:, 5]]
-    d2m = v[g.neighbors[:, 6]]
-    d2p = v[g.neighbors[:, 7]]
-    return (d1p + d1m - d2p - d2m) / (4.0 * g.h ** 2)
+def second_differences(grid: BallGrid, values: np.ndarray) -> np.ndarray:
+    """Second differences of nodal ``values`` along every stencil direction
+    pair at all interior nodes, shape (n_interior, n_pairs): the axes first,
+    then (in 2D) the two diagonals with spacing h*sqrt(2)."""
+    unb = values[grid.neighbors]
+    uc = values[: grid.n_interior]
+    return (unb[:, ::2] + unb[:, 1::2] - 2.0 * uc[:, None]) / spacings2(grid)
 
 
 def fd_derivatives(field: ScalarField, node: int):
     """Gradient and Hessian at interior node index ``node``.
 
-    Central differences throughout; in 2D the mixed derivative uses the
-    standard 4-point formula on the diagonal neighbors.
+    Central differences throughout; in 2D the mixed derivative is the
+    4-point formula (u_{++} + u_{--} - u_{+-} - u_{-+}) / 4h^2, half the
+    difference of the two diagonal second differences.
     """
     g = field.grid
     if node < 0 or node >= g.n_interior:
         raise ValueError("node must be an interior node index")
-    grad = central_gradient(field)[node]
-    d2 = second_differences(field)[:, node]
+    nb = field.values[g.neighbors[node, : 2 * g.n]]
+    grad = (nb[1::2] - nb[::2]) / (2.0 * g.h)
+    d2 = second_differences(g, field.values)[node]
     if g.n == 1:
         hess = SymMatrix(n=1, upper=(float(d2[0]),))
     else:
-        uxy = float(cross_derivative(field)[node])
+        uxy = float(0.5 * (d2[2] - d2[3]))
         hess = SymMatrix(n=2, upper=(float(d2[0]), uxy, float(d2[1])))
     return grad, hess
 

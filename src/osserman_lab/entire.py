@@ -8,7 +8,6 @@ live on nested sublattices and can be compared node-by-node.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -18,6 +17,11 @@ from .barrier import barrier_constants, exponent_mu
 from .core import BallGrid, ScalarField, build_ball_grid, norm
 from .operators import CheckReport
 from .solver import ProblemSpec, solve_dirichlet
+
+TAIL_DISCARD = 2  # leading radii fit_decay_exponent drops before its tail fit
+ABP_SAFETY = 2.0  # factor on the calibration maximum in fit_abp_constant
+DELTA_HAT = 1.0   # ABP smallness: ||f^-||_{L^n(B_2r)} * diam(B_2r) < DELTA_HAT
+R_MAX = 0.5       # largest radius the local bound is stated for
 
 
 @dataclass(frozen=True)
@@ -98,10 +102,11 @@ def sup_difference(a: ScalarField, b: ScalarField, radius: float,
 
 
 def construct_entire(problem: ProblemSpec, k_max: int, boundary_family: Callable,
-                     tol: float, h: float, max_iter: int, center=None,
-                     warm_start: bool = True) -> EntireRun:
-    """Solve the Dirichlet problem on B_k for k = 1..k_max and record the
-    stabilization table sup_{B_j}|u_k - u_{k+1}| for j < k."""
+                     tol: float, h: float, max_iter: int,
+                     center=None) -> EntireRun:
+    """Solve the Dirichlet problem on B_k for k = 1..k_max, each solve
+    warm-started from the previous radius, and record the stabilization
+    table sup_{B_j}|u_k - u_{k+1}| for j < k."""
     if k_max < 1:
         raise ValueError("k_max >= 1 required")
     n = 1
@@ -114,9 +119,8 @@ def construct_entire(problem: ProblemSpec, k_max: int, boundary_family: Callable
     prev = None
     for k in range(1, k_max + 1):
         grid = build_ball_grid(center, float(k), h, n)
-        initial = _warm_start(grid, prev) if warm_start else None
         sol, rep = solve_dirichlet(problem, grid, boundary_family(k), tol,
-                                   max_iter, initial=initial)
+                                   max_iter, initial=_warm_start(grid, prev))
         fields.append(sol)
         reports.append(rep)
         if not rep.converged:
@@ -146,12 +150,12 @@ def separation_table(run_a: EntireRun, run_b: EntireRun,
     return rows
 
 
-def fit_decay_exponent(radii: Sequence[float], values: Sequence[float],
-                       discard: int = 2) -> float:
+def fit_decay_exponent(radii: Sequence[float], values: Sequence[float]) -> float:
     """Least-squares slope of log(value) vs log(radius), sign-flipped so a
-    decay C/k^e yields +e. The first `discard` radii are dropped (tail fit)."""
-    r = np.asarray(radii, dtype=float)[discard:]
-    v = np.asarray(values, dtype=float)[discard:]
+    decay C/k^e yields +e. The first TAIL_DISCARD radii are dropped (tail
+    fit)."""
+    r = np.asarray(radii, dtype=float)[TAIL_DISCARD:]
+    v = np.asarray(values, dtype=float)[TAIL_DISCARD:]
     keep = v > 0
     if keep.sum() < 2:
         raise ValueError("need at least two positive tail values to fit")
@@ -265,26 +269,25 @@ def _negative_part_norm(f_field: ScalarField, center, radius: float) -> float:
 
 
 def local_bound(r: float, center, f_field: ScalarField, params: dict,
-                C_emp: float = 0.0, delta_hat: float = 1.0,
-                r_max: float = 0.5, c0_scale: float = 1.0) -> float:
+                C_emp: float = 0.0, c0_scale: float = 1.0) -> float:
     """The Lemma-style bound sup_{B_r} phi_{2r} + C_emp r ||f^-||_{L^n(B_2r)}.
 
     The barrier part uses gamma = 2^{m-1} gamma_m, delta = 1, R = 2r, giving
     sup_{|x|=r} phi_{2r} = C_{2r} (2/3)^mu r^{-mu}. c0_scale rescales the
     barrier term (falsification knob). params needs s, m, n, Lam, gamma1,
-    gamma_m.
+    gamma_m. Requires r <= R_MAX and ||f^-|| * diam(B_2r) < DELTA_HAT.
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    if r > r_max:
-        raise ValueError(f"r={r} exceeds the smallness threshold r_max={r_max}")
+    if r > R_MAX:
+        raise ValueError(f"r={r} exceeds the smallness threshold r_max={R_MAX}")
     s, m, n = params["s"], params["m"], params["n"]
     spec = barrier_constants(s=s, m=m, n=n, Lam=params["Lam"],
                              gamma1=params["gamma1"],
                              gamma=2.0 ** (m - 1.0) * params["gamma_m"],
                              delta=1.0, R=2.0 * r)
     fn_norm = _negative_part_norm(f_field, center, 2.0 * r)
-    if fn_norm * 4.0 * r >= delta_hat:
+    if fn_norm * 4.0 * r >= DELTA_HAT:
         raise ValueError("ABP smallness violated: ||f^-|| * diam >= delta_hat")
     barrier_term = c0_scale * spec.C_R * (2.0 / 3.0) ** spec.mu * r ** (-spec.mu)
     return barrier_term + C_emp * r * fn_norm
@@ -292,13 +295,13 @@ def local_bound(r: float, center, f_field: ScalarField, params: dict,
 
 def fit_abp_constant(problem_factory: Callable, const_values: Sequence[float],
                      r: float, h: float, tol: float, max_iter: int,
-                     n: int = 1, safety: float = 2.0) -> float:
+                     n: int = 1) -> float:
     """Empirical ABP constant from a calibration set of f = -const problems.
 
     problem_factory(f) must return a ProblemSpec sharing F, H, s. For each
     constant c > 0 the Dirichlet problem on B_2r with zero boundary is
-    solved and sup_{B_r} u^+ / (r ||f^-||) recorded; the fit is the safety
-    factor times the calibration maximum.
+    solved and sup_{B_r} u^+ / (r ||f^-||) recorded; the fit is ABP_SAFETY
+    times the calibration maximum.
     """
     center = np.zeros(n)
     grid = build_ball_grid(center, 2.0 * r, h, n)
@@ -315,11 +318,10 @@ def fit_abp_constant(problem_factory: Callable, const_values: Sequence[float],
         fn = norm(ScalarField(grid=grid, values=np.full(len(grid.nodes), c)),
                   kind="lp", p=n, center=center, radius=2.0 * r)
         best = max(best, sup_plus / (r * fn))
-    return safety * best
+    return ABP_SAFETY * best
 
 
 def check_local_bound(run: EntireRun, r: float, center, C_emp: float,
-                      delta_hat: float = 1.0, r_max: float = 0.5,
                       c0_scale: float = 1.0) -> CheckReport:
     """Margin = local_bound - sup_{B_r(center)}|u_k| for every solution in
     the run whose ball covers B_2r(center)."""
@@ -341,7 +343,7 @@ def check_local_bound(run: EntireRun, r: float, center, C_emp: float,
     params = {"s": problem.s, "m": H.m, "n": grid.n, "Lam": ell.Lam,
               "gamma1": H.gamma1, "gamma_m": H.gamma_m}
     bound = local_bound(r, center, f_field, params, C_emp=C_emp,
-                        delta_hat=delta_hat, r_max=r_max, c0_scale=c0_scale)
+                        c0_scale=c0_scale)
     worst = np.inf
     witness: dict = {}
     for k, f in covered:

@@ -51,11 +51,15 @@ class OperatorF:
     """Second-order operator (x, X) -> real, normalized so F(x, 0) = 0.
 
     The evaluator is vectorized: x has shape (N, n), X has shape (N, n, n).
+    ``stencil(x, d2)`` is F's monotone discretization: given the (N, n_pairs)
+    second differences along the stencil direction pairs (the n axes, then
+    in 2D the two diagonals), it returns nonnegative weights of the same
+    shape with F_h = sum(weights * d2, axis=1).
     """
 
     evaluator: Callable
     ellipticity: EllipticityPair
-    tag: str
+    stencil: Callable
 
     def __call__(self, x, X):
         return self.evaluator(np.asarray(x, dtype=float), np.asarray(X, dtype=float))
@@ -113,13 +117,13 @@ def pucci_batch(eigs: np.ndarray, lam: float, Lam: float, extremal: str = "+") -
     return lam * pos + Lam * neg
 
 
-def _admissible_coeffs_2d(rng, samples: int, lam: float, Lam: float,
-                          endpoint_bias: float = 0.5):
+def _admissible_coeffs_2d(rng, samples: int, lam: float, Lam: float):
     """Random admissible A = Q diag(d1,d2) Q^T reduced to quadratic-form
-    coefficients: Tr(AX) = M @ (x11, x12, x22) for upper-triangle X."""
+    coefficients: Tr(AX) = M @ (x11, x12, x22) for upper-triangle X. Each
+    eigenvalue is snapped to lam or Lam with probability 1/2."""
     theta = rng.uniform(0.0, np.pi, samples)
     d = rng.uniform(lam, Lam, (samples, 2))
-    snap = rng.random((samples, 2)) < endpoint_bias
+    snap = rng.random((samples, 2)) < 0.5
     ends = np.where(rng.random((samples, 2)) < 0.5, lam, Lam)
     d = np.where(snap, ends, d)
     c, s = np.cos(theta), np.sin(theta)
@@ -179,22 +183,54 @@ def _batch_eigs(X: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(X)
 
 
+def _pucci_stencil(ell: EllipticityPair, plus: bool) -> Callable:
+    """Lam or lam on each second difference by its sign; in 2D only the
+    frame (axes or diagonals) with the larger (P+) or smaller (P-) sum
+    keeps its weights."""
+    up, down = (ell.Lam, ell.lam) if plus else (ell.lam, ell.Lam)
+
+    def stencil(x, d2):
+        weights = np.where(d2 > 0.0, up, down)
+        if d2.shape[1] == 1:
+            return weights
+        per = weights * d2
+        axes, diagonals = per[:, 0] + per[:, 1], per[:, 2] + per[:, 3]
+        diag = diagonals > axes if plus else diagonals < axes
+        weights[:, 2:] *= diag[:, None]
+        weights[:, :2] *= ~diag[:, None]
+        return weights
+    return stencil
+
+
+def _axis_stencil(w) -> Callable:
+    """Fixed weights w on the axes and none on the diagonals: the stencil of
+    the linear F = sum_i w_i X_ii."""
+    def stencil(x, d2):
+        weights = np.zeros_like(d2)
+        weights[:, : min(d2.shape[1], 2)] = w  # the n axis pairs come first
+        return weights
+    return stencil
+
+
 def pucci_plus_operator(ell: EllipticityPair) -> OperatorF:
     def ev(x, X):
         return pucci_batch(_batch_eigs(X), ell.lam, ell.Lam, "+")
-    return OperatorF(evaluator=ev, ellipticity=ell, tag="pucci_plus")
+    return OperatorF(evaluator=ev, ellipticity=ell,
+                     stencil=_pucci_stencil(ell, plus=True))
 
 
 def pucci_minus_operator(ell: EllipticityPair) -> OperatorF:
     def ev(x, X):
         return pucci_batch(_batch_eigs(X), ell.lam, ell.Lam, "-")
-    return OperatorF(evaluator=ev, ellipticity=ell, tag="pucci_minus")
+    return OperatorF(evaluator=ev, ellipticity=ell,
+                     stencil=_pucci_stencil(ell, plus=False))
 
 
 def laplacian_operator() -> OperatorF:
     def ev(x, X):
         return np.trace(np.asarray(X, dtype=float), axis1=-2, axis2=-1)
-    return OperatorF(evaluator=ev, ellipticity=EllipticityPair(1.0, 1.0), tag="laplacian")
+    return OperatorF(evaluator=ev, ellipticity=EllipticityPair(1.0, 1.0),
+                     stencil=_axis_stencil(1.0))
 
 
 def weighted_trace_operator(weights: Sequence[float],
@@ -207,7 +243,7 @@ def weighted_trace_operator(weights: Sequence[float],
     def ev(x, X):
         diag = np.diagonal(np.asarray(X, dtype=float), axis1=-2, axis2=-1)
         return diag @ w
-    return OperatorF(evaluator=ev, ellipticity=declared, tag="weighted_trace")
+    return OperatorF(evaluator=ev, ellipticity=declared, stencil=_axis_stencil(w))
 
 
 _CHUNK = 200_000

@@ -4,19 +4,19 @@
 
 on ball grids, and a Newton (policy-iteration) Dirichlet solver.
 
-The Hessian slot uses per-direction second differences: in 1D the scalar
-Pucci formula Lam q+ - lam q-, in 2D the two-direction extremal combination
-over the axis frame and the rotated (diagonal) frame. The gradient slot is
-the Rouy-Tourin upwind gradient, oriented so the scheme stays monotone for
+F is discretized by its own stencil: nonnegative weights on the second
+differences along the stencil direction pairs (the axes, and in 2D the
+diagonals), so F_h = sum(weights * d2). The gradient slot is the
+Rouy-Tourin upwind gradient, oriented so the scheme stays monotone for
 Hamiltonians that are nondecreasing in |p|. The zero-order term is strictly
 decreasing in u.
 
-The residual is piecewise smooth: each node picks a policy (the Pucci
-coefficient of every second difference, the active 2D frame, the upwind
-slope of every axis). Newton's method with the exact Jacobian of the active
-policy is Howard's algorithm (Bokanowski-Maroso-Zidani, SINUM 47, 2009),
-globalized by backtracking on the sup residual. Convergence is judged by
-the residual alone, so the discrete solution does not depend on the path.
+The residual is piecewise smooth: each node picks a policy (F's stencil
+weights, the upwind slope of every axis). Newton's method with the exact
+Jacobian of the active policy is Howard's algorithm (Bokanowski-Maroso-
+Zidani, SINUM 47, 2009), globalized by backtracking on the sup residual.
+Convergence is judged by the residual alone, so the discrete solution does
+not depend on the path.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 
-from .core import BallGrid, ScalarField, build_ball_grid
+from .core import BallGrid, ScalarField, build_ball_grid, second_differences, spacings2
 from .operators import HamiltonianH, OperatorF
 
 ARMIJO = 1e-4      # sufficient-decrease constant of the line search
 ALPHA_MIN = 2.0 ** -30  # a step shorter than this stalls the solve
-_FD_REL = 1e-6     # relative step of the central differences of F and H
+_FD_REL = 1e-6     # relative step of the central differences of H
 
 
 class NumericalError(RuntimeError):
@@ -72,15 +72,13 @@ class SolveReport:
 
 
 class _Policy(NamedTuple):
-    """The branches the residual took at every interior node: for Pucci F
-    the coefficient of each second difference (0 off the active 2D frame),
-    for any other F the Hessian it was handed; the upwind gradient p and,
-    per axis, the slope it took (+1 forward, -1 backward, 0 neither)."""
+    """The branches the residual took at every interior node: F's stencil
+    weight on each second difference; the upwind gradient p and, per axis,
+    the slope it took (+1 forward, -1 backward, 0 neither)."""
 
-    weights: Optional[np.ndarray]  # (ni, n_dirs // 2)
-    X: Optional[np.ndarray]        # (ni, n, n)
-    p: np.ndarray                  # (ni, n)
-    side: np.ndarray               # (ni, n)
+    weights: np.ndarray  # (ni, n_dirs // 2)
+    p: np.ndarray        # (ni, n)
+    side: np.ndarray     # (ni, n)
 
 
 def _rhs_values(problem: ProblemSpec, grid: BallGrid) -> np.ndarray:
@@ -92,66 +90,34 @@ def _rhs_values(problem: ProblemSpec, grid: BallGrid) -> np.ndarray:
     return np.asarray([float(problem.f(x)) for x in grid.interior_nodes])
 
 
-def _spacings2(grid: BallGrid) -> np.ndarray:
-    """Squared spacing of each stencil direction pair: h^2 on the axes,
-    2 h^2 on the diagonals."""
-    pairs = len(grid.directions) // 2
-    return grid.h ** 2 * np.where(np.arange(pairs) < grid.n, 1.0, 2.0)
-
-
 def _interior_residual(problem: ProblemSpec, grid: BallGrid, vals: np.ndarray,
                        f_vals: np.ndarray):
     """Residual at all interior nodes and the policy that produced it."""
     h, n = grid.h, grid.n
-    ni = grid.n_interior
-    uc = vals[:ni]
-    unb = vals[grid.neighbors]  # (ni, n_dirs), (minus, plus) pairs
+    x = grid.interior_nodes
+    uc = vals[: grid.n_interior]
+    d2 = second_differences(grid, vals)
+    weights = problem.F.stencil(x, d2)
+    Fv = (weights * d2).sum(axis=1)
 
-    d2 = (unb[:, ::2] + unb[:, 1::2] - 2.0 * uc[:, None]) / _spacings2(grid)
-
-    ell = problem.ellipticity
-    tag = problem.F.tag
-    weights = X = None
-    if tag in ("pucci_plus", "pucci_minus"):
-        plus = tag == "pucci_plus"
-        up, down = (ell.Lam, ell.lam) if plus else (ell.lam, ell.Lam)
-        weights = np.where(d2 > 0.0, up, down)
-        per = weights * d2
-        if n == 1:
-            Fv = per[:, 0]
-        else:
-            frames = np.stack([per[:, 0] + per[:, 1], per[:, 2] + per[:, 3]])
-            diag = frames[1] > frames[0] if plus else frames[1] < frames[0]
-            Fv = np.where(diag, frames[1], frames[0])
-            weights[:, 2:] *= diag[:, None]
-            weights[:, :2] *= ~diag[:, None]
-    else:
-        X = np.zeros((ni, n, n))
-        for a in range(n):
-            X[:, a, a] = d2[:, a]
-        if n == 2:
-            # 4-point cross derivative (u_{++} + u_{--} - u_{+-} - u_{-+}) / 4h^2
-            X[:, 0, 1] = X[:, 1, 0] = 0.5 * (d2[:, 2] - d2[:, 3])
-        Fv = problem.F(grid.interior_nodes, X)
-
-    dplus = (unb[:, 1::2][:, :n] - uc[:, None]) / h
-    dminus = (uc[:, None] - unb[:, ::2][:, :n]) / h
+    unb = vals[grid.neighbors[:, : 2 * n]]  # axis (minus, plus) pairs
+    dplus = (unb[:, 1::2] - uc[:, None]) / h
+    dminus = (uc[:, None] - unb[:, ::2]) / h
     side = np.where((dplus >= -dminus) & (dplus > 0.0), 1,
                     np.where((-dminus > dplus) & (dminus < 0.0), -1, 0))
     p = np.where(side == 1, dplus, np.where(side == -1, dminus, 0.0))
-    Hv = problem.H(grid.interior_nodes, p)
+    Hv = problem.H(x, p)
 
     res = Fv + Hv - np.abs(uc) ** (problem.s - 1.0) * uc - f_vals
-    return res, _Policy(weights, X, p, side)
+    return res, _Policy(weights, p, side)
 
 
-def _central_slopes(fn: Callable, x: np.ndarray, Z: np.ndarray, units) -> np.ndarray:
-    """Central differences of fn(x, Z) along each unit perturbation of Z,
-    shape (len(Z), len(units))."""
-    step = _FD_REL * (1.0 + np.abs(Z).reshape(len(Z), -1).max(axis=1))
-    eps = step.reshape((-1,) + (1,) * (Z.ndim - 1))
-    return np.stack([(fn(x, Z + eps * E) - fn(x, Z - eps * E)) / (2.0 * step)
-                     for E in units], axis=1)
+def _hamiltonian_slopes(H: HamiltonianH, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Central differences of H(x, p) along each axis of p, shape (ni, n)."""
+    step = _FD_REL * (1.0 + np.abs(p).max(axis=1))
+    eps = step[:, None]
+    return np.stack([(H(x, p + eps * e) - H(x, p - eps * e)) / (2.0 * step)
+                     for e in np.eye(p.shape[1])], axis=1)
 
 
 def _jacobian_table(problem: ProblemSpec, grid: BallGrid, vals: np.ndarray,
@@ -161,22 +127,13 @@ def _jacobian_table(problem: ProblemSpec, grid: BallGrid, vals: np.ndarray,
     respect to the neighbour in stencil direction d."""
     h, n = grid.h, grid.n
     ni = grid.n_interior
-    x = grid.interior_nodes
-    weights = policy.weights
-    if weights is None:
-        eye = np.eye(n)
-        gF = _central_slopes(problem.F, x, policy.X,
-                             [np.outer(eye[a], eye[a]) for a in range(n)]
-                             + ([1.0 - eye] if n == 2 else []))
-        weights = gF if n == 1 else np.column_stack(
-            [gF[:, :2], 0.5 * gF[:, 2], -0.5 * gF[:, 2]])
-    coef = weights / _spacings2(grid)
+    coef = policy.weights / spacings2(grid)
 
     table = np.empty((ni, 1 + len(grid.directions)))
     table[:, 1::2] = table[:, 2::2] = coef
     table[:, 0] = -2.0 * coef.sum(axis=1)
 
-    gH = _central_slopes(problem.H, x, policy.p, np.eye(n)) / h
+    gH = _hamiltonian_slopes(problem.H, grid.interior_nodes, policy.p) / h
     table[:, 2:2 * n + 1:2] += np.where(policy.side == 1, gH, 0.0)
     table[:, 1:2 * n:2] -= np.where(policy.side == -1, gH, 0.0)
     table[:, 0] -= (policy.side * gH).sum(axis=1)

@@ -1,21 +1,20 @@
 """Oracles and experiments around uniqueness: the delta(s) constant of
 |u|^{s-1}u - |v|^{s-1}v > delta(s)(u-v)^s, the closed-form non-uniqueness
-family u = alpha e^{+-sqrt(2) x_i} + 1 for s = m = 2, the sublinearization
-inequality with gamma-tilde, and the extremal inequality satisfied by
-w_sigma = u - sigma v.
+family u = alpha e^{+-sqrt(2) x_i} + 1 for s = m = 2, and the extremal
+inequality satisfied by w_sigma = u - sigma v. The sublinearization
+inequality itself is checked by operators.check_hamiltonian.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .operators import (CheckReport, HamiltonianH, MetadataError, pucci,
-                        tilde_gamma, _chunked_sweep, _sample_vectors)
+from .operators import CheckReport, MetadataError, pucci, tilde_gamma
 from .core import SymMatrix
 from .entire import construct_entire, function_family, separation_table
 from .solver import ProblemSpec
@@ -151,38 +150,6 @@ def delta_s_oracle(s: float, samples: int = 20000) -> float:
     res = minimize_scalar(h, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-13})
     return float(min(res.fun, h(grid).min()))
-
-
-def sublinearization_inequality_check(H: HamiltonianH, sigma_range, samples: int,
-                                      rng=None, n: int = 2) -> CheckReport:
-    """Appendix inequality at x = y over a caller-chosen sigma range:
-    gamma-tilde (1-sigma)^{1-m}|q|^m + gamma1 |q| + (1-sigma) A
-    >= H(x, p+q) - sigma H(x, p/sigma)."""
-    if H.convexity is None:
-        raise MetadataError(f"{H.tag} carries no convexity constants")
-    c_lower, A, sigma0 = H.convexity
-    lo, hi = float(sigma_range[0]), float(sigma_range[1])
-    if not (sigma0 <= lo < hi < 1.0):
-        raise ValueError("sigma range must lie inside (sigma0, 1)")
-    if H.m <= 1.0:
-        raise MetadataError("sublinearization requires m > 1")
-    tg = tilde_gamma(H.gamma_m, H.m, c_lower) if H.gamma_m > 0 else 0.0
-    rng = np.random.default_rng(rng)
-
-    def draw(count):
-        x = rng.uniform(-10.0, 10.0, (count, n))
-        p = _sample_vectors(rng, count, n)
-        q = _sample_vectors(rng, count, n)
-        sigma = rng.uniform(lo, hi, count)
-        qn = np.linalg.norm(q, axis=1)
-        quantity = H(x, p + q) - sigma * H(x, p / sigma[:, None])
-        margins = tg * (1.0 - sigma) ** (1.0 - H.m) * qn ** H.m \
-            + H.gamma1 * qn + (1.0 - sigma) * A - quantity
-        return margins, {"x": x, "p": p, "q": q, "sigma": sigma}
-
-    worst, witness = _chunked_sweep(samples, draw)
-    return CheckReport(condition="sublinearization", samples=samples,
-                       worst_margin=worst, witness=witness)
 
 
 def _classical_residual(problem: ProblemSpec, field, x) -> float:

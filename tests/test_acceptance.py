@@ -286,9 +286,8 @@ def test_criterion_8_sharpness_control():
                                        tol, 5_000_000,
                                        initial=fld.values(g.interior_nodes))
             assert rep.converged, (alpha, k)
-            ia = {tuple(p): i
-                  for i, p in enumerate(g.lattice[: g.n_interior])}
-            vals.append(float(sol.values[ia[(0,)]]))
+            origin = np.flatnonzero(g.lattice[: g.n_interior, 0] == 0)[0]
+            vals.append(float(sol.values[origin]))
         centers[alpha] = vals
     seps = [abs(a - b) for a, b in zip(centers[0.0], centers[1.0])]
     ok = min(seps) >= 0.9

@@ -310,7 +310,8 @@ def test_continuum_oracle_refuses_what_it_does_not_cover():
         continuum_oracle_1d(problem, 1.0, lambda x: float(x[0]))
     x_dependent = OperatorF(
         evaluator=lambda x, X: (1.0 + x[:, 0] ** 2) * X[:, 0, 0],
-        ellipticity=EllipticityPair(1.0, 2.0), tag="custom")
+        ellipticity=EllipticityPair(1.0, 2.0),
+        stencil=lambda x, d2: (1.0 + x[:, :1] ** 2) * np.ones_like(d2))
     with pytest.raises(ValueError):
         continuum_oracle_1d(ProblemSpec(F=x_dependent, H=problem.H, s=3.0,
                                         f=problem.f), 1.0, 1.0)

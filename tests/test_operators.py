@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osserman_lab.core import SymMatrix
 from osserman_lab.operators import (Coeff, EllipticityPair, HamiltonianH,
@@ -95,7 +97,45 @@ def test_uniform_ellipticity_pucci_and_laplacian():
     for F in (pucci_plus_operator(ELL), pucci_minus_operator(ELL),
               laplacian_operator()):
         rep = check_uniform_ellipticity(F, samples=20_000, rng=0)
-        assert rep.passed, (F.tag, rep.worst_margin)
+        assert rep.passed, (F.ellipticity, rep.worst_margin)
+
+
+# library F -> how its discrete value picks among the frames' values
+# (axes first, then in 2D the diagonals): P+ the max, P- the min, and a
+# linear F the axis frame
+_LIBRARY_F = {
+    "pucci_plus": (lambda ell, n: pucci_plus_operator(ell), np.max),
+    "pucci_minus": (lambda ell, n: pucci_minus_operator(ell), np.min),
+    "laplacian": (lambda ell, n: laplacian_operator(), None),
+    "weighted_trace": (lambda ell, n: weighted_trace_operator(
+        [ell.lam, ell.Lam][:n]), None),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(tag=st.sampled_from(sorted(_LIBRARY_F)), n=st.sampled_from([1, 2]),
+       lam=st.floats(0.1, 10.0), ratio=st.floats(1.0, 10.0), data=st.data())
+def test_stencil_is_monotone_and_matches_F_on_the_active_frame(tag, n, lam,
+                                                               ratio, data):
+    make, pick = _LIBRARY_F[tag]
+    F = make(EllipticityPair(lam, lam * ratio), n)
+    pairs = 1 if n == 1 else 4
+    d2 = np.array(data.draw(st.lists(
+        st.lists(st.floats(-1e6, 1e6), min_size=pairs, max_size=pairs),
+        min_size=1, max_size=6)))
+    x = np.zeros((len(d2), n))
+    weights = F.stencil(x, d2)
+    assert weights.shape == d2.shape
+    assert np.all(weights >= 0.0)
+    Fh = (weights * d2).sum(axis=1)
+    frames = [d2[:, :n]] + ([d2[:, 2:]] if n == 2 else [])
+    values = np.stack([F(x, np.eye(n) * fr[:, None, :]) for fr in frames])
+    want = values[0] if pick is None else pick(values, axis=0)
+    if n == 1:
+        assert np.array_equal(Fh, want)
+    else:
+        np.testing.assert_allclose(Fh, want, rtol=1e-12,
+                                   atol=1e-12 * (1.0 + np.abs(d2).max()))
 
 
 def test_uniform_ellipticity_detects_wrong_pair():

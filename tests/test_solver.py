@@ -249,8 +249,7 @@ def test_policy_jacobian_matches_finite_differences(n, f_tag, h_tag):
             res_j, pol_j = _interior_residual(problem, g, bumped, f_vals)
             # away from policy ties: the bump leaves every branch in place
             assert np.array_equal(pol_j.side, policy.side)
-            if policy.weights is not None:
-                assert np.array_equal(pol_j.weights, policy.weights)
+            assert np.array_equal(pol_j.weights, policy.weights)
             dense[:, j] = (res_j - res) / step
         np.testing.assert_allclose(J.toarray(), dense, rtol=1e-5,
                                    atol=1e-5 * np.abs(dense).max())

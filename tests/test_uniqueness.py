@@ -9,7 +9,6 @@ from osserman_lab.solver import ProblemSpec
 from osserman_lab.uniqueness import (ClosedFormField, CounterexampleField,
                                      counterexample_residual, delta_s_oracle,
                                      extremal_difference_check,
-                                     sublinearization_inequality_check,
                                      two_solution_experiment)
 
 SQRT2 = math.sqrt(2.0)
@@ -76,25 +75,6 @@ def test_counterexample_residual_validates_input():
         counterexample_residual(u, np.zeros((3, 2)), "u")
     with pytest.raises(ValueError):
         counterexample_residual(u, np.zeros((3, 1)), "w")
-
-
-def test_sublinearization_check_passes_for_library_members():
-    for H in (hamiltonian_library("zero"),
-              hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0),
-              hamiltonian_library("two_power", c=1.0, a=0.5, m=2.0, l=1.5)):
-        rep = sublinearization_inequality_check(H, (0.6, 0.999), 50_000, rng=0)
-        assert rep.passed, (H.tag, rep.worst_margin)
-
-
-def test_sublinearization_check_validation():
-    H = hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0)
-    with pytest.raises(ValueError):
-        sublinearization_inequality_check(H, (0.3, 0.9), 100, rng=0)
-    with pytest.raises(ValueError):
-        sublinearization_inequality_check(H, (0.9, 0.6), 100, rng=0)
-    H1 = hamiltonian_library("prototype", c1=1.0, cm=1.0, m=1.0)
-    with pytest.raises(MetadataError):
-        sublinearization_inequality_check(H1, (0.6, 0.9), 100, rng=0)
 
 
 def test_extremal_difference_margins():
