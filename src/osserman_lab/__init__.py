@@ -7,7 +7,7 @@ structure conditions behind uniqueness.
 
 __version__ = "0.1.0"
 
-from .core import BallGrid, ScalarField, SymMatrix, build_ball_grid, fd_derivatives, norm
+from .core import BallGrid, ScalarField, build_ball_grid, fd_derivatives, norm
 from .operators import (
     CheckReport,
     EllipticityPair,
@@ -31,7 +31,6 @@ __all__ = [
     "two_solution_experiment",
     "BallGrid",
     "ScalarField",
-    "SymMatrix",
     "build_ball_grid",
     "fd_derivatives",
     "norm",

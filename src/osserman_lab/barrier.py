@@ -9,12 +9,11 @@ uniqueness experiments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BallGrid, SymMatrix
+from .core import BallGrid
 from .operators import CheckReport, pucci_batch, tilde_gamma  # tilde_gamma is re-exported
 
 
@@ -78,7 +77,8 @@ def _radial_parts(spec: BarrierSpec, r: np.ndarray):
 
 
 def barrier_eval(spec: BarrierSpec, x):
-    """Value, gradient and Hessian of phi_R at a point with |x| < R.
+    """Value, gradient (n,) and Hessian (n, n) of phi_R at a point with
+    |x| < R.
 
     The Hessian is phi'' on the radial direction and phi'/r on the
     tangential ones; at the center it degenerates to phi''(0) I.
@@ -90,11 +90,11 @@ def barrier_eval(spec: BarrierSpec, x):
     value, dvalue, ddvalue, dv_r = (float(t[0]) for t in _radial_parts(spec, np.array([r])))
     n = len(x)
     if r == 0.0:
-        return value, np.zeros(n), SymMatrix.from_matrix(dv_r * np.eye(n))
+        return value, np.zeros(n), dv_r * np.eye(n)
     xhat = x / r
     grad = dvalue * xhat
     hess = ddvalue * np.outer(xhat, xhat) + dv_r * (np.eye(n) - np.outer(xhat, xhat))
-    return value, grad, SymMatrix.from_matrix(hess)
+    return value, grad, hess
 
 
 def barrier_residuals(spec: BarrierSpec, points: np.ndarray) -> np.ndarray:

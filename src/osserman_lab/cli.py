@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -21,7 +20,8 @@ import numpy as np
 from . import __version__
 from .barrier import barrier_constants, verify_barrier_inequality
 from .config import (ConfigError, build_boundary, build_grid, build_problem,
-                     build_hamiltonian, load_config, _number)
+                     build_hamiltonian, check_operator_dimension, load_config,
+                     _number)
 from .core import build_ball_grid
 from .entire import construct_entire, fit_decay_exponent, function_family, separation_table
 from .operators import check_hamiltonian
@@ -136,6 +136,7 @@ def _cmd_verify_barrier(args, cfg, out: str, seed: int, quiet: bool) -> int:
 def _cmd_solve(args, cfg, out: str, seed: int, quiet: bool) -> int:
     problem = build_problem(cfg)
     grid = build_grid(cfg)
+    check_operator_dimension(cfg, grid.n)
     boundary = build_boundary(cfg.get("boundary", {"tag": "constant", "value": 0.0}))
     sec = cfg.get("solve", {})
     tol = _number(sec, "tol", "solve", default=1e-8)
@@ -164,6 +165,7 @@ def _cmd_entire(args, cfg, out: str, seed: int, quiet: bool) -> int:
     tol = _number(sec, "tol", "entire", default=1e-8)
     max_iter = int(_number(sec, "max_iter", "entire", default=2000000.0))
     n = int(_number(sec, "n", "entire", default=1.0))
+    check_operator_dimension(cfg, n)
     sep_radius = _number(sec, "separation_radius", "entire", default=1.0)
     fam_a = function_family(build_boundary(sec.get("boundary",
                                                    {"tag": "constant", "value": 0.0}),
@@ -199,6 +201,7 @@ def _cmd_entire(args, cfg, out: str, seed: int, quiet: bool) -> int:
 
 def _cmd_uniqueness(args, cfg, out: str, seed: int, quiet: bool) -> int:
     problem = build_problem(cfg)
+    check_operator_dimension(cfg, 1)  # two_solution_experiment solves in 1D
     sec = cfg.get("uniqueness")
     if not isinstance(sec, dict):
         raise ConfigError("uniqueness", "missing uniqueness section")

@@ -6,12 +6,12 @@ grids, boundary data and right-hand sides.
 from __future__ import annotations
 
 import json
-import math
 from typing import Callable
 
 import numpy as np
 
 from .core import build_ball_grid
+from .entire import radial_power_rhs
 from .operators import (EllipticityPair, HamiltonianH, OperatorF,
                         hamiltonian_library, laplacian_operator,
                         negate_hamiltonian, pucci_minus_operator,
@@ -93,6 +93,7 @@ def build_hamiltonian(section: dict, path: str = "problem.hamiltonian") -> Hamil
 
 
 def build_f(section: dict, path: str = "problem.f") -> Callable:
+    """The right-hand side f as a data callable on (N, n) points."""
     tag = _require(section, "tag", path)
     if tag == "zero":
         return lambda x: 0.0
@@ -103,15 +104,16 @@ def build_f(section: dict, path: str = "problem.f") -> Callable:
         rho = _number(section, "rho", path)
         if rho < 0:
             raise ConfigError(f"{path}.rho", "rho must be nonnegative")
-        return lambda x: -(1.0 + float(np.linalg.norm(np.atleast_1d(x))) ** rho)
+        return radial_power_rhs(rho)
     if tag == "mms_cos":
         # rhs manufactured so u*(x) = cos(x_0) solves Lap u + |Du|^2 - |u|^2 u = f
-        return lambda x: (-math.cos(x[0]) + math.sin(x[0]) ** 2
-                          - math.cos(x[0]) ** 3)
+        return lambda x: (-np.cos(x[:, 0]) + np.sin(x[:, 0]) ** 2
+                          - np.cos(x[:, 0]) ** 3)
     raise ConfigError(f"{path}.tag", f"unknown rhs tag {tag!r}")
 
 
 def build_boundary(section: dict, path: str = "boundary") -> Callable:
+    """Dirichlet data g as a data callable on (N, n) points."""
     tag = _require(section, "tag", path)
     if tag == "constant":
         value = _number(section, "value", path)
@@ -127,8 +129,18 @@ def build_boundary(section: dict, path: str = "boundary") -> Callable:
             raise ConfigError(path, str(exc))
         return fld.boundary_function(negated=bool(section.get("negated", False)))
     if tag == "cos":
-        return lambda x: math.cos(x[0])
+        return lambda x: np.cos(x[:, 0])
     raise ConfigError(f"{path}.tag", f"unknown boundary tag {tag!r}")
+
+
+def check_operator_dimension(cfg: dict, n: int) -> None:
+    """Reject weighted_trace weights that are not one per axis of the
+    dimension-n grids; ``cfg`` must have passed build_problem."""
+    section = cfg["problem"]["operator"]
+    if section["tag"] == "weighted_trace" and len(section["weights"]) != n:
+        raise ConfigError("problem.operator.weights",
+                          f"need {n} weights, one per axis, got "
+                          f"{len(section['weights'])}")
 
 
 def build_problem(cfg: dict) -> ProblemSpec:

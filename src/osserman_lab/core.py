@@ -30,50 +30,6 @@ class GridError(ValueError):
 
 
 @dataclass(frozen=True)
-class SymMatrix:
-    """Symmetric n x n matrix stored by its upper triangle (row-major)."""
-
-    n: int
-    upper: tuple
-
-    @staticmethod
-    def from_matrix(mat) -> "SymMatrix":
-        mat = np.asarray(mat, dtype=float)
-        n = mat.shape[0]
-        entries = tuple(mat[i, j] for i in range(n) for j in range(i, n))
-        return SymMatrix(n=n, upper=entries)
-
-    @staticmethod
-    def zero(n: int) -> "SymMatrix":
-        return SymMatrix(n=n, upper=tuple(0.0 for _ in range(n * (n + 1) // 2)))
-
-    def matrix(self) -> np.ndarray:
-        mat = np.zeros((self.n, self.n))
-        k = 0
-        for i in range(self.n):
-            for j in range(i, self.n):
-                mat[i, j] = self.upper[k]
-                mat[j, i] = self.upper[k]
-                k += 1
-        return mat
-
-    def trace(self) -> float:
-        mat = self.matrix()
-        return float(np.trace(mat))
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues; closed form for n <= 2."""
-        if self.n == 1:
-            return np.array([self.upper[0]])
-        if self.n == 2:
-            a, b, c = self.upper  # [[a, b], [b, c]]
-            mean = 0.5 * (a + c)
-            rad = np.hypot(0.5 * (a - c), b)
-            return np.array([mean - rad, mean + rad])
-        return np.linalg.eigvalsh(self.matrix())
-
-
-@dataclass(frozen=True)
 class BallGrid:
     """Lattice discretization of an open ball.
 
@@ -186,18 +142,30 @@ class ScalarField:
         return self.values[: self.grid.n_interior]
 
 
+def evaluate(fn: Callable, points) -> np.ndarray:
+    """Values of the data callable ``fn`` (a right-hand side f, boundary
+    data g or exact solution u*) at (N, n) ``points``, shape (N,).
+
+    ``fn`` is called once on the whole array and returns one value per
+    point, or a single number for constant data. Any other shape raises
+    ValueError: a pointwise ``lambda x: x[0]`` on an (N, 1) array returns
+    shape (1,), which would otherwise broadcast to wrong values.
+    """
+    points = np.asarray(points, dtype=float)
+    values = np.array(fn(points), dtype=float)
+    if values.ndim == 0:
+        return np.full(len(points), float(values))
+    if values.shape != (len(points),):
+        raise ValueError(f"data callable returned shape {values.shape} for "
+                         f"{len(points)} points; expected ({len(points)},) "
+                         f"or a single number")
+    return values
+
+
 def sample_field(grid: BallGrid, fn: Callable) -> ScalarField:
-    """Sample ``fn`` at every node coordinate (boundary at lattice points)."""
-    return ScalarField(grid=grid, values=np.asarray(
-        [float(fn(x)) for x in grid.nodes], dtype=float))
-
-
-def field_with_boundary(grid: BallGrid, interior, boundary_fn: Callable) -> ScalarField:
-    """Interior values plus Dirichlet data taken at the sphere projections."""
-    vals = np.empty(len(grid.nodes))
-    vals[: grid.n_interior] = interior
-    vals[grid.n_interior:] = [float(boundary_fn(x)) for x in grid.projections]
-    return ScalarField(grid=grid, values=vals)
+    """Sample the data callable ``fn`` at every node coordinate (boundary
+    at lattice points)."""
+    return ScalarField(grid=grid, values=evaluate(fn, grid.nodes))
 
 
 def spacings2(grid: BallGrid) -> np.ndarray:
@@ -217,7 +185,7 @@ def second_differences(grid: BallGrid, values: np.ndarray) -> np.ndarray:
 
 
 def fd_derivatives(field: ScalarField, node: int):
-    """Gradient and Hessian at interior node index ``node``.
+    """Gradient (n,) and Hessian (n, n) at interior node index ``node``.
 
     Central differences throughout; in 2D the mixed derivative is the
     4-point formula (u_{++} + u_{--} - u_{+-} - u_{-+}) / 4h^2, half the
@@ -230,11 +198,9 @@ def fd_derivatives(field: ScalarField, node: int):
     grad = (nb[1::2] - nb[::2]) / (2.0 * g.h)
     d2 = second_differences(g, field.values)[node]
     if g.n == 1:
-        hess = SymMatrix(n=1, upper=(float(d2[0]),))
-    else:
-        uxy = float(0.5 * (d2[2] - d2[3]))
-        hess = SymMatrix(n=2, upper=(float(d2[0]), uxy, float(d2[1])))
-    return grad, hess
+        return grad, d2[:1, None]
+    uxy = 0.5 * (d2[2] - d2[3])
+    return grad, np.array([[d2[0], uxy], [uxy, d2[1]]])
 
 
 def _subdomain_mask(grid: BallGrid, center, radius: float) -> np.ndarray:

@@ -14,7 +14,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .barrier import barrier_constants, exponent_mu
-from .core import BallGrid, ScalarField, build_ball_grid, norm
+from .core import (BallGrid, ScalarField, build_ball_grid, evaluate, norm,
+                   sample_field)
 from .operators import CheckReport
 from .solver import ProblemSpec, solve_dirichlet
 
@@ -164,11 +165,11 @@ def fit_decay_exponent(radii: Sequence[float], values: Sequence[float]) -> float
 
 
 def _boundary_constant(boundary, k: float) -> float:
-    """The single Dirichlet value of a number or of a callable g(x) that
+    """The single Dirichlet value of a number or of a data callable g that
     agrees at both ends of (-k, k)."""
     if not callable(boundary):
         return float(boundary)
-    a, b = float(boundary(np.array([-k]))), float(boundary(np.array([k])))
+    a, b = evaluate(boundary, [[-k], [k]]).tolist()
     if a != b:
         raise ValueError(f"continuum oracle needs constant Dirichlet data, "
                          f"got {a} and {b} at the two ends")
@@ -205,20 +206,17 @@ def continuum_oracle_1d(problem: ProblemSpec, k: float, boundary) -> Callable:
     The finite-difference construction on B_k is checked against this
     oracle. In 1D an x-independent F is A q+ - B q-, so the equation is
     solved for u'' = F^{-1}(f + |u|^{s-1}u - H(x, u')). `boundary` is a
-    number or a callable g(x) equal at both ends. The initial guess is the
+    number or a data callable g equal at both ends. The initial guess is the
     Keller-Osserman layer of A u'' = |u|^{s-1}u through the boundary value.
     Returns a vectorized evaluator points -> u(points).
 
     Raises ValueError outside what the oracle covers (non-constant data, an
-    F it cannot invert, an f given as a grid field) and RuntimeError when
-    solve_bvp does not converge.
+    F it cannot invert) and RuntimeError when solve_bvp does not converge.
     """
     from scipy.integrate import solve_bvp  # kept out of `import osserman_lab`
 
     if k <= 0:
         raise ValueError("k must be positive")
-    if isinstance(problem.f, ScalarField):
-        raise ValueError("continuum oracle needs f as a callable")
     g = _boundary_constant(boundary, k)
     A, B = _invert_1d_operator(problem.F, np.linspace(-k, k, 5)[:, None])
     s, H, f = problem.s, problem.H, problem.f
@@ -226,8 +224,7 @@ def continuum_oracle_1d(problem: ProblemSpec, k: float, boundary) -> Callable:
     def rhs(x, y):
         u, p = y
         pts = x[:, None]
-        fx = np.array([float(f(xi)) for xi in pts])
-        t = fx + np.abs(u) ** (s - 1.0) * u - H(pts, p[:, None])
+        t = evaluate(f, pts) + np.abs(u) ** (s - 1.0) * u - H(pts, p[:, None])
         return np.vstack([p, np.where(t >= 0.0, t / A, t / B)])
 
     def bc(ya, yb):
@@ -335,11 +332,7 @@ def check_local_bound(run: EntireRun, r: float, center, C_emp: float,
     if not covered:
         raise ValueError("no solution in the run covers B_2r(center)")
     grid = covered[-1][1].grid
-    if isinstance(problem.f, ScalarField):
-        f_field = problem.f
-    else:
-        f_field = ScalarField(grid=grid, values=np.asarray(
-            [float(problem.f(x)) for x in grid.nodes]))
+    f_field = sample_field(grid, problem.f)
     params = {"s": problem.s, "m": H.m, "n": grid.n, "Lam": ell.Lam,
               "gamma1": H.gamma1, "gamma_m": H.gamma_m}
     bound = local_bound(r, center, f_field, params, C_emp=C_emp,
@@ -376,6 +369,11 @@ def rho_threshold_closed_form(s: float, m: float) -> float:
     return 2.0 * (s - m) / (s * (m - 1.0))
 
 
+def radial_power_rhs(rho: float) -> Callable:
+    """The data callable f(x) = -(1 + |x|^rho)."""
+    return lambda x: -(1.0 + np.linalg.norm(x, axis=1) ** rho)
+
+
 def growth_profile(problem: ProblemSpec, radii: Sequence[int], rho: float,
                    h: float, tol: float, max_iter: int) -> dict:
     """Shell maxima of (u^+)^s / |x|^{mu s rho / 2} for f = -(1 + |x|^rho).
@@ -391,11 +389,7 @@ def growth_profile(problem: ProblemSpec, radii: Sequence[int], rho: float,
         raise ValueError("growth profile requires s > m")
     mu = exponent_mu(s, m)
     expo = mu * s * rho / 2.0
-
-    def f(x):
-        return -(1.0 + float(np.linalg.norm(np.atleast_1d(x))) ** rho)
-
-    prob = ProblemSpec(F=problem.F, H=problem.H, s=s, f=f)
+    prob = ProblemSpec(F=problem.F, H=problem.H, s=s, f=radial_power_rhs(rho))
     run = construct_entire(prob, int(max(radii)), constant_family(0.0),
                            tol, h, max_iter)
     u = run.fields[-1]

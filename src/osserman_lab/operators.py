@@ -13,8 +13,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import SymMatrix
-
 MARGIN_TOL = 1e-9
 _PMAX = 1e3  # sampling range for gradient magnitudes (log-uniform)
 
@@ -96,16 +94,12 @@ class HamiltonianH:
 # Pucci operators
 # ---------------------------------------------------------------------------
 
-def pucci(X: SymMatrix, ell: EllipticityPair, extremal: str = "+") -> float:
-    """Closed-form Pucci extremal operator from the eigenvalues of X."""
-    eigs = X.eigenvalues()
-    pos = eigs[eigs > 0].sum()
-    neg = eigs[eigs < 0].sum()
-    if extremal == "+":
-        return float(ell.Lam * pos + ell.lam * neg)
-    if extremal == "-":
-        return float(ell.lam * pos + ell.Lam * neg)
-    raise ValueError("extremal must be '+' or '-'")
+def pucci(X, ell: EllipticityPair, extremal: str = "+") -> float:
+    """Pucci extremal operator of one symmetric (n, n) matrix X, from its
+    eigenvalues."""
+    if extremal not in ("+", "-"):
+        raise ValueError("extremal must be '+' or '-'")
+    return float(pucci_batch(_batch_eigs(X), ell.lam, ell.Lam, extremal))
 
 
 def pucci_batch(eigs: np.ndarray, lam: float, Lam: float, extremal: str = "+") -> np.ndarray:
@@ -134,24 +128,27 @@ def _admissible_coeffs_2d(rng, samples: int, lam: float, Lam: float):
     return np.stack([m11, m12, m22], axis=1)
 
 
-def pucci_bruteforce(X: SymMatrix, ell: EllipticityPair, samples: int,
+def pucci_bruteforce(X, ell: EllipticityPair, samples: int,
                      rng=None, extremal: str = "+") -> float:
-    """Monte-Carlo sup/inf of Tr(AX) over admissible A = Q D Q^T.
+    """Monte-Carlo sup/inf of Tr(AX) over admissible A = Q D Q^T for one
+    symmetric (n, n) matrix X.
 
     A lower bound on P+ (upper bound on P-) that converges as samples grow.
     """
     if samples < 1:
         raise ValueError("samples >= 1 required")
     rng = np.random.default_rng(rng)
-    if X.n == 2:
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    if n == 2:
         M = _admissible_coeffs_2d(rng, samples, ell.lam, ell.Lam)
-        vals = M @ np.array(X.upper)
+        vals = M @ X[np.triu_indices(2)]
     else:
-        mats = rng.standard_normal((samples, X.n, X.n))
+        mats = rng.standard_normal((samples, n, n))
         Q, _ = np.linalg.qr(mats)
-        d = rng.uniform(ell.lam, ell.Lam, (samples, X.n))
+        d = rng.uniform(ell.lam, ell.Lam, (samples, n))
         A = np.einsum("sik,sk,sjk->sij", Q, d, Q)
-        vals = np.einsum("sij,ji->s", A, X.matrix())
+        vals = np.einsum("sij,ji->s", A, X)
     return float(vals.max() if extremal == "+" else vals.min())
 
 

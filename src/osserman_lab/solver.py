@@ -22,13 +22,14 @@ not depend on the path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 
-from .core import BallGrid, ScalarField, build_ball_grid, second_differences, spacings2
+from .core import (BallGrid, ScalarField, build_ball_grid, evaluate,
+                   second_differences, spacings2)
 from .operators import HamiltonianH, OperatorF
 
 ARMIJO = 1e-4      # sufficient-decrease constant of the line search
@@ -42,12 +43,13 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Equation data for F(x,D^2 u) + H(x,Du) - |u|^{s-1}u = f."""
+    """Equation data for F(x,D^2 u) + H(x,Du) - |u|^{s-1}u = f, with f a
+    data callable on (N, n) points (see ``core.evaluate``)."""
 
     F: OperatorF
     H: HamiltonianH
     s: float
-    f: Union[Callable, ScalarField]
+    f: Callable
 
     def __post_init__(self):
         if self.s <= 1.0:
@@ -79,15 +81,6 @@ class _Policy(NamedTuple):
     weights: np.ndarray  # (ni, n_dirs // 2)
     p: np.ndarray        # (ni, n)
     side: np.ndarray     # (ni, n)
-
-
-def _rhs_values(problem: ProblemSpec, grid: BallGrid) -> np.ndarray:
-    if isinstance(problem.f, ScalarField):
-        fgrid = problem.f.grid
-        if fgrid is not grid and not np.array_equal(fgrid.nodes, grid.nodes):
-            raise ValueError("rhs field lives on a different grid")
-        return problem.f.interior_values.copy()
-    return np.asarray([float(problem.f(x)) for x in grid.interior_nodes])
 
 
 def _interior_residual(problem: ProblemSpec, grid: BallGrid, vals: np.ndarray,
@@ -157,18 +150,10 @@ def _jacobian_pattern(grid: BallGrid):
     return J, slot[order]
 
 
-def discretize_residual(problem: ProblemSpec, field: ScalarField, node: int) -> float:
-    """Discrete residual at one interior node."""
-    grid = field.grid
-    if node < 0 or node >= grid.n_interior:
-        raise ValueError("node must be an interior node index")
-    return float(residual_field(problem, field)[node])
-
-
 def residual_field(problem: ProblemSpec, field: ScalarField) -> np.ndarray:
     """Discrete residual at every interior node."""
     grid = field.grid
-    f_vals = _rhs_values(problem, grid)
+    f_vals = evaluate(problem.f, grid.interior_nodes)
     return _interior_residual(problem, grid, field.values, f_vals)[0]
 
 
@@ -179,14 +164,11 @@ def _initial_guess(grid: BallGrid, boundary: Callable,
     gbar = float(np.mean(g_proj))
     vecs = grid.interior_nodes - grid.center[None, :]
     r = np.linalg.norm(vecs, axis=1)
-    vals = np.empty(grid.n_interior)
-    for i in range(grid.n_interior):
-        if r[i] == 0.0:
-            vals[i] = gbar
-        else:
-            proj = grid.center + grid.radius * vecs[i] / r[i]
-            t = r[i] / grid.radius
-            vals[i] = (1.0 - t) * gbar + t * float(boundary(proj))
+    vals = np.full(grid.n_interior, gbar)
+    off = r > 0.0
+    proj = grid.center + grid.radius * vecs[off] / r[off, None]
+    t = r[off] / grid.radius
+    vals[off] = (1.0 - t) * gbar + t * evaluate(boundary, proj)
     return vals
 
 
@@ -194,6 +176,8 @@ def solve_dirichlet(problem: ProblemSpec, grid: BallGrid, boundary: Callable,
                     tol: float, max_iter: int,
                     initial: Optional[np.ndarray] = None):
     """Newton's method on the discrete equations, at most ``max_iter`` steps.
+    ``boundary`` is a data callable (see ``core.evaluate``), taken at the
+    boundary nodes' projections onto the sphere.
 
     Each step solves J d = -res with the exact Jacobian J of the policy
     active at the current iterate, then halves the step length alpha until
@@ -204,8 +188,8 @@ def solve_dirichlet(problem: ProblemSpec, grid: BallGrid, boundary: Callable,
     if tol <= 0:
         raise ValueError("tol must be positive")
     ni = grid.n_interior
-    f_vals = _rhs_values(problem, grid)
-    g_proj = np.asarray([float(boundary(x)) for x in grid.projections])
+    f_vals = evaluate(problem.f, grid.interior_nodes)
+    g_proj = evaluate(boundary, grid.projections)
 
     vals = np.empty(len(grid.nodes))
     vals[ni:] = g_proj
@@ -255,7 +239,7 @@ def mms_convergence(problem: ProblemSpec, u_star: Callable, center, R: float,
     for h in h_list:
         grid = build_ball_grid(center, R, h, n)
         sol, report = solve_dirichlet(problem, grid, u_star, tol, max_iter)
-        exact = np.asarray([float(u_star(x)) for x in grid.interior_nodes])
+        exact = evaluate(u_star, grid.interior_nodes)
         err = float(np.abs(sol.interior_values - exact).max())
         row = {"h": h, "sup_error": err, "converged": report.converged,
                "order": float("nan")}

@@ -14,8 +14,8 @@ from typing import Callable, Protocol
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .core import evaluate
 from .operators import CheckReport, MetadataError, pucci, tilde_gamma
-from .core import SymMatrix
 from .entire import construct_entire, function_family, separation_table
 from .solver import ProblemSpec
 
@@ -23,11 +23,12 @@ SQRT2 = math.sqrt(2.0)
 
 
 class SmoothField(Protocol):
-    """Closed-form field with exact derivatives."""
+    """Closed-form field with exact derivatives at one point x: the
+    gradient has shape (n,), the Hessian (n, n)."""
 
     def value(self, x) -> float: ...
     def gradient(self, x) -> np.ndarray: ...
-    def hessian(self, x) -> SymMatrix: ...
+    def hessian(self, x) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,8 @@ class ClosedFormField:
     def gradient(self, x) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.gradient_fn(np.atleast_1d(x)), dtype=float))
 
-    def hessian(self, x) -> SymMatrix:
-        h = self.hessian_fn(np.atleast_1d(x))
-        return h if isinstance(h, SymMatrix) else SymMatrix.from_matrix(h)
+    def hessian(self, x) -> np.ndarray:
+        return np.asarray(self.hessian_fn(np.atleast_1d(x)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -84,15 +84,16 @@ class CounterexampleField:
         g[self.axis] = s * SQRT2 * self.alpha * self._exp(x)[0]
         return g
 
-    def hessian(self, x) -> SymMatrix:
+    def hessian(self, x) -> np.ndarray:
         mat = np.zeros((self.n, self.n))
         mat[self.axis, self.axis] = 2.0 * self.alpha * self._exp(x)[0]
-        return SymMatrix.from_matrix(mat)
+        return mat
 
     def boundary_function(self, negated: bool = False) -> Callable:
+        """The field (or its negative) as a data callable on (N, n) points."""
         if negated:
-            return lambda x: -self.value(x)
-        return lambda x: self.value(x)
+            return lambda x: -self.values(x)
+        return self.values
 
 
 def counterexample_residual(field: CounterexampleField, points,
@@ -152,13 +153,13 @@ def delta_s_oracle(s: float, samples: int = 20000) -> float:
     return float(min(res.fun, h(grid).min()))
 
 
-def _classical_residual(problem: ProblemSpec, field, x) -> float:
+def _classical_residual(problem: ProblemSpec, field, x, fx: float) -> float:
+    """F + H - |u|^{s-1}u - f of a SmoothField at x, given fx = f(x)."""
     val = field.value(x)
     grad = field.gradient(x)
     hess = field.hessian(x)
-    Fv = float(problem.F(np.atleast_2d(x), hess.matrix()[None, :, :])[0])
+    Fv = float(problem.F(np.atleast_2d(x), hess[None, :, :])[0])
     Hv = float(problem.H(np.atleast_2d(x), grad[None, :])[0])
-    fx = float(problem.f(np.atleast_1d(x)))
     return Fv + Hv - abs(val) ** (problem.s - 1.0) * val - fx
 
 
@@ -186,31 +187,31 @@ def extremal_difference_check(u, v, sigma: float, problem: ProblemSpec,
     ell = problem.ellipticity
     s = problem.s
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    f_vals = evaluate(problem.f, pts)
 
     worst = np.inf
     witness: dict = {}
     elementary_worst = np.inf
     checked = 0
-    for x in pts:
+    for x, fx in zip(pts, f_vals.tolist()):
         scale = 1.0 + v.value(x) ** 2
-        res_v = _classical_residual(problem, v, x)
+        res_v = _classical_residual(problem, v, x, fx)
         if abs(res_v) > 1e-9 * scale:
             raise ValueError("v is not a classical solution at a sample point")
-        res_u = _classical_residual(problem, u, x)
+        res_u = _classical_residual(problem, u, x, fx)
         if res_u < -1e-9 * (1.0 + u.value(x) ** 2):
             continue  # u not a subsolution here; the lemma is silent
         checked += 1
         uv, vv = u.value(x), v.value(x)
         wgrad = u.gradient(x) - sigma * v.gradient(x)
-        whess = SymMatrix.from_matrix(
-            u.hessian(x).matrix() - sigma * v.hessian(x).matrix())
+        whess = u.hessian(x) - sigma * v.hessian(x)
         wn = float(np.linalg.norm(wgrad))
         vs = sigma * vv
         lhs = pucci(whess, ell, "+") + H.gamma1 * wn \
             + (1.0 - sigma) ** (1.0 - H.m) * tg * wn ** H.m \
             - (_signed_power(np.array(uv), s) - _signed_power(np.array(vs), s)) \
             + (sigma - sigma ** s) * _signed_power(np.array(vv), s)
-        rhs = (1.0 - sigma) * (float(problem.f(x)) - A)
+        rhs = (1.0 - sigma) * (fx - A)
         margin = float(lhs - rhs)
         elementary_worst = min(elementary_worst,
                                (s - 1.0) * (1.0 - sigma) - (sigma - sigma ** s))

@@ -217,3 +217,26 @@ def test_uniqueness_command(tmp_path):
     assert rc == 0
     summary = _read_summary(out)
     assert summary["separation"]["values"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("command, n, section", [
+    ("solve", 2, {"grid": {"n": 2, "radius": 1.0, "h": 0.25}}),
+    ("entire", 1, {"entire": {"k_max": 2, "h": 0.25, "n": 1}}),
+    ("uniqueness", 1, {"uniqueness": {
+        "radii": [1], "h": 0.25,
+        "boundary_pair": [{"tag": "constant", "value": 0.0},
+                          {"tag": "constant", "value": 1.0}]}}),
+])
+def test_weighted_trace_needs_one_weight_per_axis(tmp_path, capsys, command,
+                                                  n, section):
+    problem = {"s": 3.0,
+               "operator": {"tag": "weighted_trace", "weights": [1.0] * (n + 1)},
+               "hamiltonian": {"tag": "zero", "n": n}}
+    bad = _write_cfg(tmp_path, "bad.json", {"problem": problem, **section})
+    assert main([command, "--config", bad, "--out", str(tmp_path / "bad"),
+                 "--quiet"]) == 2
+    assert "problem.operator.weights" in capsys.readouterr().err
+    problem["operator"]["weights"] = [1.0, 2.0][:n]
+    good = _write_cfg(tmp_path, "good.json", {"problem": problem, **section})
+    assert main([command, "--config", good, "--out", str(tmp_path / "good"),
+                 "--quiet"]) == 0

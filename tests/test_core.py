@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from osserman_lab.core import (BallGrid, GridError, ScalarField, SymMatrix,
-                               build_ball_grid, fd_derivatives, norm,
+from osserman_lab.config import build_boundary, build_f
+from osserman_lab.core import (BallGrid, GridError, ScalarField,
+                               build_ball_grid, evaluate, fd_derivatives, norm,
                                sample_field)
+from osserman_lab.operators import _batch_eigs
 
 
 def test_1d_grid_h_half():
@@ -95,15 +99,59 @@ def test_full_stencil_and_determinism():
     assert a.neighbors.min() >= 0 and a.neighbors.max() < len(a.nodes)
 
 
-def test_symmatrix_eigenvalues_closed_form():
+def test_batch_eigs_closed_form():
     rng = np.random.default_rng(7)
     for _ in range(200):
         mat = rng.standard_normal((2, 2))
         mat = mat + mat.T
-        sm = SymMatrix.from_matrix(mat)
-        assert np.allclose(sm.eigenvalues(), np.linalg.eigvalsh(mat),
+        assert np.allclose(_batch_eigs(mat), np.linalg.eigvalsh(mat),
                            rtol=1e-12, atol=1e-12)
-    assert SymMatrix.zero(2).trace() == 0.0
+
+
+def test_evaluate_returns_one_value_per_point():
+    pts = build_ball_grid([0.0, 0.0], 1.0, 0.25, 2).nodes
+    assert evaluate(lambda x: x[:, 0] * x[:, 1], pts).shape == (len(pts),)
+    const = evaluate(lambda x: 2.0, pts)
+    assert const.shape == (len(pts),) and np.all(const == 2.0)
+
+
+def test_evaluate_rejects_pointwise_callables():
+    # On (N, 1) points x[0] is the first point, shape (1,): it must not
+    # broadcast to N copies of one value.
+    g = build_ball_grid(0.0, 1.0, 0.25, 1)
+    assert len(g.nodes) > 1
+    with pytest.raises(ValueError):
+        evaluate(lambda x: x[0], g.nodes)
+    with pytest.raises(ValueError):
+        sample_field(g, lambda x: x[0])
+
+
+def _exp_family(x, sign):
+    return sign * (0.5 * math.exp(-math.sqrt(2.0) * x[1]) + 1.0)
+
+
+_EXP_FAMILY = {"tag": "exp_family", "alpha": 0.5, "sign": "-", "axis": 1, "n": 2}
+
+
+@pytest.mark.parametrize("build, section, closed", [
+    (build_f, {"tag": "zero"}, lambda x: 0.0),
+    (build_f, {"tag": "constant", "value": -2.5}, lambda x: -2.5),
+    (build_f, {"tag": "radial_power", "rho": 1.5},
+     lambda x: -(1.0 + math.hypot(*x) ** 1.5)),
+    (build_f, {"tag": "mms_cos"},
+     lambda x: -math.cos(x[0]) + math.sin(x[0]) ** 2 - math.cos(x[0]) ** 3),
+    (build_boundary, {"tag": "constant", "value": 3.0}, lambda x: 3.0),
+    (build_boundary, _EXP_FAMILY, lambda x: _exp_family(x, 1.0)),
+    (build_boundary, {**_EXP_FAMILY, "negated": True},
+     lambda x: _exp_family(x, -1.0)),
+    (build_boundary, {"tag": "cos"}, lambda x: math.cos(x[0])),
+], ids=["f-zero", "f-constant", "f-radial_power", "f-mms_cos", "g-constant",
+        "g-exp_family", "g-exp_family-negated", "g-cos"])
+def test_config_data_callables_match_closed_form(build, section, closed):
+    points = build_ball_grid([0.3, -0.2], 1.0, 0.25, 2).nodes
+    got = evaluate(build(section), points)
+    want = [closed(x) for x in points]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 def test_scalar_field_rejects_nonfinite():
@@ -121,7 +169,7 @@ def test_fd_constant_field():
     f = sample_field(g, lambda x: 5.0)
     grad, hess = fd_derivatives(f, 0)
     assert np.allclose(grad, 0.0)
-    assert np.allclose(hess.matrix(), 0.0)
+    assert np.allclose(hess, 0.0)
 
 
 def test_fd_exact_on_quadratics():
@@ -134,32 +182,32 @@ def test_fd_exact_on_quadratics():
         c = rng.standard_normal()
 
         def quad(x):
-            return 0.5 * x @ A @ x + b @ x + c
+            return 0.5 * np.einsum("ij,jk,ik->i", x, A, x) + x @ b + c
 
         f = sample_field(g, quad)
         center = int(np.argmin(np.linalg.norm(g.interior_nodes, axis=1)))
         grad, hess = fd_derivatives(f, center)
         assert np.abs(grad - b).max() <= 1e-10
-        assert np.abs(hess.matrix() - A).max() <= 1e-10
+        assert np.abs(hess - A).max() <= 1e-10
 
 
 def test_fd_x_squared_at_origin():
     g = build_ball_grid(0.0, 1.0, 0.1, 1)
-    f = sample_field(g, lambda x: x[0] ** 2)
+    f = sample_field(g, lambda x: x[:, 0] ** 2)
     node = int(np.argmin(np.abs(g.interior_nodes.ravel())))
     grad, hess = fd_derivatives(f, node)
     assert abs(grad[0]) <= 1e-12
-    assert abs(hess.upper[0] - 2.0) <= 1e-12
+    assert abs(hess[0, 0] - 2.0) <= 1e-12
 
 
 def test_fd_second_order_on_cos():
     errs = []
     for h in (0.1, 0.05):
         g = build_ball_grid(0.0, 1.0, h, 1)
-        f = sample_field(g, lambda x: np.cos(x[0]))
+        f = sample_field(g, lambda x: np.cos(x[:, 0]))
         node = int(np.argmin(np.abs(g.interior_nodes.ravel())))
         _, hess = fd_derivatives(f, node)
-        errs.append(abs(hess.upper[0] + 1.0))
+        errs.append(abs(hess[0, 0] + 1.0))
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
 
@@ -176,7 +224,7 @@ def test_norm_zero_and_sup():
     z = sample_field(g, lambda x: 0.0)
     assert norm(z, kind="sup") == 0.0
     assert norm(z, kind="lp", p=1) == 0.0
-    f = sample_field(g, lambda x: x[0])
+    f = sample_field(g, lambda x: x[:, 0])
     assert np.isclose(norm(f, kind="sup"), 0.9)
 
 

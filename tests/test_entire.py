@@ -54,9 +54,9 @@ def test_sup_difference_requires_matching_lattices():
     g1 = build_ball_grid(0.0, 1.0, 0.1, 1)
     g2 = build_ball_grid(0.0, 2.0, 0.1, 1)
     g3 = build_ball_grid(0.0, 1.0, 0.2, 1)
-    a = sample_field(g1, lambda x: x[0])
-    b = sample_field(g2, lambda x: 2.0 * x[0])
-    c = sample_field(g3, lambda x: x[0])
+    a = sample_field(g1, lambda x: x[:, 0])
+    b = sample_field(g2, lambda x: 2.0 * x[:, 0])
+    c = sample_field(g3, lambda x: x[:, 0])
     assert sup_difference(a, b, 0.5) == pytest.approx(0.4)
     with pytest.raises(ValueError):
         sup_difference(a, c, 0.5)
@@ -102,9 +102,9 @@ def test_lattice_matching_agrees_with_dict_match(n, center, h, radii, sub, seed)
 
 
 def test_sup_difference_rejects_other_center_or_spacing():
-    a = sample_field(build_ball_grid([0.0, 0.0], 1.0, 0.1, 2), lambda x: x[0])
-    moved = sample_field(build_ball_grid([0.05, 0.0], 1.0, 0.1, 2), lambda x: x[0])
-    finer = sample_field(build_ball_grid([0.0, 0.0], 1.0, 0.05, 2), lambda x: x[0])
+    a = sample_field(build_ball_grid([0.0, 0.0], 1.0, 0.1, 2), lambda x: x[:, 0])
+    moved = sample_field(build_ball_grid([0.05, 0.0], 1.0, 0.1, 2), lambda x: x[:, 0])
+    finer = sample_field(build_ball_grid([0.0, 0.0], 1.0, 0.05, 2), lambda x: x[:, 0])
     for other in (moved, finer):
         with pytest.raises(ValueError, match="share spacing and center"):
             sup_difference(a, other, 0.5)
@@ -289,7 +289,7 @@ def test_fd_solution_converges_to_continuum_oracle():
     problem = ProblemSpec(
         F=pucci_minus_operator(EllipticityPair(0.5, 2.0)),
         H=hamiltonian_library("prototype", c1=0.0, cm=1.0, m=1.5, n=1),
-        s=2.5, f=lambda x: -1.0 + 0.5 * math.sin(x[0]))
+        s=2.5, f=lambda x: -1.0 + 0.5 * np.sin(x[:, 0]))
     for g in (-5.0, 3.0):
         oracle = continuum_oracle_1d(problem, 2.0, g)
         errs = []
@@ -307,7 +307,7 @@ def test_fd_solution_converges_to_continuum_oracle():
 def test_continuum_oracle_refuses_what_it_does_not_cover():
     problem = _cubic_problem(hamiltonian_library("zero", n=1))
     with pytest.raises(ValueError):
-        continuum_oracle_1d(problem, 1.0, lambda x: float(x[0]))
+        continuum_oracle_1d(problem, 1.0, lambda x: x[:, 0])
     x_dependent = OperatorF(
         evaluator=lambda x, X: (1.0 + x[:, 0] ** 2) * X[:, 0, 0],
         ellipticity=EllipticityPair(1.0, 2.0),

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osserman_lab.core import SymMatrix
 from osserman_lab.operators import (Coeff, EllipticityPair, HamiltonianH,
                                     MetadataError, check_hamiltonian,
                                     check_uniform_ellipticity,
@@ -22,14 +21,14 @@ ELL = EllipticityPair(1.0, 2.0)
 
 def _rand_sym(rng, n):
     mat = rng.standard_normal((n, n))
-    return SymMatrix.from_matrix(mat + mat.T)
+    return mat + mat.T
 
 
 def test_pucci_closed_form_examples():
-    X = SymMatrix.from_matrix(np.diag([1.0, -1.0]))
+    X = np.diag([1.0, -1.0])
     assert pucci(X, ELL, "+") == pytest.approx(2.0 * 1.0 + 1.0 * (-1.0))
     assert pucci(X, ELL, "-") == pytest.approx(1.0 * 1.0 + 2.0 * (-1.0))
-    eye = SymMatrix.from_matrix(np.eye(2))
+    eye = np.eye(2)
     assert pucci(eye, ELL, "+") == pytest.approx(4.0)
     assert pucci(eye, ELL, "-") == pytest.approx(2.0)
     with pytest.raises(ValueError):
@@ -42,15 +41,12 @@ def test_pucci_duality_homogeneity_subadditivity():
         for _ in range(100):
             X = _rand_sym(rng, n)
             Y = _rand_sym(rng, n)
-            negX = SymMatrix.from_matrix(-X.matrix())
-            assert pucci(X, ELL, "-") == pytest.approx(-pucci(negX, ELL, "+"),
+            assert pucci(X, ELL, "-") == pytest.approx(-pucci(-X, ELL, "+"),
                                                        abs=1e-10)
             t = float(rng.uniform(0.1, 10.0))
-            tX = SymMatrix.from_matrix(t * X.matrix())
-            assert pucci(tX, ELL, "+") == pytest.approx(t * pucci(X, ELL, "+"),
-                                                        rel=1e-10)
-            XY = SymMatrix.from_matrix(X.matrix() + Y.matrix())
-            assert pucci(XY, ELL, "+") <= pucci(X, ELL, "+") + pucci(Y, ELL, "+") + 1e-10
+            assert pucci(t * X, ELL, "+") == pytest.approx(t * pucci(X, ELL, "+"),
+                                                           rel=1e-10)
+            assert pucci(X + Y, ELL, "+") <= pucci(X, ELL, "+") + pucci(Y, ELL, "+") + 1e-10
             assert pucci(X, ELL, "-") <= pucci(X, ELL, "+") + 1e-12
 
 
@@ -68,9 +64,9 @@ def test_bruteforce_is_a_lower_bound_and_converges():
 
 def test_bruteforce_degenerate_pair_single_sample():
     iso = EllipticityPair(1.5, 1.5)
-    X = SymMatrix.from_matrix([[2.0, 1.0], [1.0, -3.0]])
+    X = np.array([[2.0, 1.0], [1.0, -3.0]])
     val = pucci_bruteforce(X, iso, samples=1, rng=0)
-    assert val == pytest.approx(1.5 * X.trace(), rel=1e-12)
+    assert val == pytest.approx(1.5 * np.trace(X), rel=1e-12)
     with pytest.raises(ValueError):
         pucci_bruteforce(X, iso, samples=0)
 
@@ -81,16 +77,15 @@ def test_bruteforce_3d_path():
     exact = pucci(X, ELL, "+")
     est = pucci_bruteforce(X, ELL, samples=20000, rng=2)
     assert est <= exact + 1e-10
-    assert est >= ELL.lam * X.trace() - 1e-10  # A = lam I is admissible
+    assert est >= ELL.lam * np.trace(X) - 1e-10  # A = lam I is admissible
 
 
 def test_bruteforce_sweep_matches_scalar():
     rng = np.random.default_rng(31)
     Xs = rng.standard_normal((20, 3))
     vals = pucci_bruteforce_sweep(Xs, ELL, samples=5000, rng=9)
-    for row, val in zip(Xs, vals):
-        X = SymMatrix(n=2, upper=tuple(row))
-        assert val <= pucci(X, ELL, "+") + 1e-10
+    for (a, b, c), val in zip(Xs, vals):
+        assert val <= pucci(np.array([[a, b], [b, c]]), ELL, "+") + 1e-10
 
 
 def test_uniform_ellipticity_pucci_and_laplacian():

@@ -47,14 +47,15 @@ def test_counterexample_hand_values():
     u = CounterexampleField(alpha=1.0)
     assert u.value([0.0]) == pytest.approx(2.0)
     assert u.gradient([0.0])[0] == pytest.approx(SQRT2)
-    assert u.hessian([0.0]).matrix()[0, 0] == pytest.approx(2.0)
+    assert u.hessian([0.0])[0, 0] == pytest.approx(2.0)
     # residual of u at 0: 2 + 2/2 - 2*2 + 1 = 0 exactly
     rep = counterexample_residual(u, np.zeros((1, 1)), "u")
     assert rep.witness["residual"] == pytest.approx(0.0, abs=1e-14)
     g = u.boundary_function()
     gneg = u.boundary_function(negated=True)
-    assert g([1.0]) == pytest.approx(math.exp(SQRT2) + 1.0)
-    assert gneg([1.0]) == pytest.approx(-(math.exp(SQRT2) + 1.0))
+    pts = np.array([[1.0], [0.0]])
+    assert g(pts) == pytest.approx([math.exp(SQRT2) + 1.0, 2.0])
+    assert gneg(pts) == pytest.approx([-(math.exp(SQRT2) + 1.0), -2.0])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 10.0])
