@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BallGrid
+from .core import BallGrid, row_norms
 from .operators import CheckReport, pucci_batch, tilde_gamma  # tilde_gamma is re-exported
 
 
@@ -100,7 +100,7 @@ def barrier_eval(spec: BarrierSpec, x):
 def barrier_residuals(spec: BarrierSpec, points: np.ndarray) -> np.ndarray:
     """Closed-form residual of the barrier inequality at each point (N, n)."""
     pts = np.asarray(points, dtype=float).reshape(-1, spec.n)
-    r = np.linalg.norm(pts, axis=1)
+    r = row_norms(pts)
     if np.any(r >= spec.R):
         raise ValueError("points must satisfy |x| < R")
     value, dvalue, ddvalue, dv_r = _radial_parts(spec, r)

@@ -29,6 +29,20 @@ class GridError(ValueError):
     pass
 
 
+def row_norms(v) -> np.ndarray:
+    """Euclidean norms over the last axis of ``v``.
+
+    The squares are summed column by column, left to right. For rows
+    shorter than 8 that is the order of ``np.linalg.norm(v, axis=-1)``, so
+    the floats are the same, without numpy's per-row strided reduction.
+    """
+    v = np.asarray(v, dtype=float)
+    total = v[..., 0] * v[..., 0]
+    for k in range(1, v.shape[-1]):
+        total += v[..., k] * v[..., k]
+    return np.sqrt(total)
+
+
 @dataclass(frozen=True)
 class BallGrid:
     """Lattice discretization of an open ball.
@@ -105,7 +119,7 @@ def build_ball_grid(center, R: float, h: float, n: int) -> BallGrid:
 
     bpts = nodes[n_interior:]
     vecs = bpts - center[None, :]
-    norms = np.linalg.norm(vecs, axis=1)
+    norms = row_norms(vecs)
     projections = center[None, :] + R * vecs / norms[:, None]
     neighbors = index[stencil]
 
@@ -206,7 +220,7 @@ def fd_derivatives(field: ScalarField, node: int):
 def _subdomain_mask(grid: BallGrid, center, radius: float) -> np.ndarray:
     center = np.atleast_1d(np.asarray(center, dtype=float))
     pts = grid.interior_nodes
-    return np.linalg.norm(pts - center[None, :], axis=1) < radius
+    return row_norms(pts - center[None, :]) < radius
 
 
 def norm(field: ScalarField, kind: str = "sup", p: float | None = None,

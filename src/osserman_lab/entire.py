@@ -15,7 +15,7 @@ import numpy as np
 
 from .barrier import barrier_constants, exponent_mu
 from .core import (BallGrid, ScalarField, build_ball_grid, evaluate, norm,
-                   sample_field)
+                   row_norms, sample_field)
 from .operators import CheckReport
 from .solver import ProblemSpec, solve_dirichlet
 
@@ -96,7 +96,7 @@ def sup_difference(a: ScalarField, b: ScalarField, radius: float,
         center = ga.center
     center = np.atleast_1d(np.asarray(center, dtype=float))
     ia, ib = _shared_interior(ga, gb)
-    near = np.linalg.norm(ga.nodes[ia] - center[None, :], axis=1) < radius
+    near = row_norms(ga.nodes[ia] - center[None, :]) < radius
     if not near.any():
         raise ValueError("no shared nodes in the requested ball")
     return float(np.abs(a.values[ia[near]] - b.values[ib[near]]).max())
@@ -371,7 +371,7 @@ def rho_threshold_closed_form(s: float, m: float) -> float:
 
 def radial_power_rhs(rho: float) -> Callable:
     """The data callable f(x) = -(1 + |x|^rho)."""
-    return lambda x: -(1.0 + np.linalg.norm(x, axis=1) ** rho)
+    return lambda x: -(1.0 + row_norms(x) ** rho)
 
 
 def growth_profile(problem: ProblemSpec, radii: Sequence[int], rho: float,
@@ -394,7 +394,7 @@ def growth_profile(problem: ProblemSpec, radii: Sequence[int], rho: float,
                            tol, h, max_iter)
     u = run.fields[-1]
     grid = u.grid
-    dist = np.linalg.norm(grid.interior_nodes - grid.center[None, :], axis=1)
+    dist = row_norms(grid.interior_nodes - grid.center[None, :])
     uplus = np.clip(u.interior_values, 0.0, None)
     rows = []
     for j in range(1, int(max(radii))):

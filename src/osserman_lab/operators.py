@@ -13,6 +13,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .core import row_norms
+
 MARGIN_TOL = 1e-9
 _PMAX = 1e3  # sampling range for gradient magnitudes (log-uniform)
 
@@ -377,7 +379,7 @@ def hamiltonian_library(tag: str, **params) -> HamiltonianH:
             raise ValueError("prototype needs m = 1 or m in (1, 2]")
 
         def ev(x, p):
-            r = np.linalg.norm(np.asarray(p, dtype=float), axis=-1)
+            r = row_norms(p)
             return c1(x) * r + cm(x) * r ** m
 
         gamma1 = c1.sup_abs
@@ -409,7 +411,7 @@ def hamiltonian_library(tag: str, **params) -> HamiltonianH:
             raise ValueError("two_power needs inf c > 0")
 
         def ev(x, p):
-            r = np.linalg.norm(np.asarray(p, dtype=float), axis=-1)
+            r = row_norms(p)
             return c(x) * r ** m + a(x) * r ** l
 
         gamma1 = 2.0 * l * a.sup_abs
@@ -494,11 +496,10 @@ def _sample_vectors(rng, count: int, n: int, rmax: float = _PMAX) -> np.ndarray:
     """Random vectors with log-uniform magnitude in [1e-6, rmax], plus a
     sprinkle of exact zeros."""
     u = rng.standard_normal((count, n))
-    u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
-    r = 10.0 ** rng.uniform(-6.0, np.log10(rmax), count)
-    vecs = u * r[:, None]
-    vecs[rng.random(count) < 0.01] = 0.0
-    return vecs
+    u /= np.maximum(row_norms(u), 1e-300)[:, None]
+    u *= 10.0 ** rng.uniform(-6.0, np.log10(rmax), count)[:, None]
+    u[rng.random(count) < 0.01] = 0.0
+    return u
 
 
 def _sample_sigma(rng, count: int, sigma0: float) -> np.ndarray:
@@ -545,17 +546,17 @@ def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
         x = rng.uniform(-10.0, 10.0, (count, n))
         p = _sample_vectors(rng, count, n)
         q = _sample_vectors(rng, count, n)
-        pn = np.linalg.norm(p, axis=1)
-        qn = np.linalg.norm(q, axis=1)
+        pn = row_norms(p)
+        qn = row_norms(q)
 
         if condition == "lipschitz_structure":
             bound = (g1 + gm * (pn ** (m - 1.0) + qn ** (m - 1.0))) \
-                * np.linalg.norm(p - q, axis=1)
+                * row_norms(p - q)
             margins = bound - np.abs(H(x, p) - H(x, q))
             data = {"x": x, "p": p, "q": q}
         elif condition == "shift_modulus":
             y = x + _sample_vectors(rng, count, n, rmax=10.0)
-            bound = H.modulus_coeff * np.linalg.norm(x - y, axis=1) * (pn ** m + 1.0) \
+            bound = H.modulus_coeff * row_norms(x - y) * (pn ** m + 1.0) \
                 + (g1 + gm * (pn ** (m - 1.0) + qn ** (m - 1.0))) * qn
             margins = bound - np.abs(H(x, p + q) - H(y, p))
             data = {"x": x, "y": y, "p": p, "q": q}
@@ -601,10 +602,10 @@ def empirical_increment_constant(m: float, samples: int, rng=None, n: int = 2) -
     def draw(count):
         p = _sample_vectors(rng, count, n)
         q = _sample_vectors(rng, count, n)
-        qn = np.linalg.norm(q, axis=1)
+        qn = row_norms(q)
         ok = qn > 0
-        pn = np.linalg.norm(p, axis=1)
-        num = np.linalg.norm(p + q, axis=1) ** m - pn ** m
+        pn = row_norms(p)
+        num = row_norms(p + q) ** m - pn ** m
         den = (pn ** (m - 1.0) + qn ** (m - 1.0)) * qn
         # margin -ratio: the sweep's smallest margin is minus the largest ratio
         return -(num[ok] / den[ok]), {}

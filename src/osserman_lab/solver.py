@@ -25,11 +25,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import spsolve
 
 from .core import (BallGrid, ScalarField, build_ball_grid, evaluate,
-                   second_differences, spacings2)
+                   row_norms, second_differences, spacings2)
 from .operators import HamiltonianH, OperatorF
 
 ARMIJO = 1e-4      # sufficient-decrease constant of the line search
@@ -139,6 +137,8 @@ def _jacobian_pattern(grid: BallGrid):
     """Empty CSC Jacobian over the interior nodes (int32 indices) and, for
     each stored entry, its flat position in the ``_jacobian_table``
     layout. Boundary neighbours carry data, not unknowns, and are dropped."""
+    from scipy.sparse import csc_matrix  # kept out of `import osserman_lab`
+
     ni = grid.n_interior
     cols = np.column_stack([np.arange(ni), grid.neighbors])
     slot = np.flatnonzero(cols.ravel() < ni)
@@ -163,7 +163,7 @@ def _initial_guess(grid: BallGrid, boundary: Callable,
     the node's own spherical projection value at the rim."""
     gbar = float(np.mean(g_proj))
     vecs = grid.interior_nodes - grid.center[None, :]
-    r = np.linalg.norm(vecs, axis=1)
+    r = row_norms(vecs)
     vals = np.full(grid.n_interior, gbar)
     off = r > 0.0
     proj = grid.center + grid.radius * vecs[off] / r[off, None]
@@ -185,6 +185,8 @@ def solve_dirichlet(problem: ProblemSpec, grid: BallGrid, boundary: Callable,
     converges when sup|res| <= tol; a step shorter than ALPHA_MIN ends it
     unconverged.
     """
+    from scipy.sparse.linalg import spsolve  # kept out of `import osserman_lab`
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     ni = grid.n_interior

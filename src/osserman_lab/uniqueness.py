@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Protocol
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import evaluate
 from .operators import CheckReport, MetadataError, pucci, tilde_gamma
@@ -136,6 +135,8 @@ def delta_s_oracle(s: float, samples: int = 20000) -> float:
     h(v) = psi(v+1) - psi(v) with psi(t) = |t|^{s-1}t over v; a coarse grid
     is refined by bounded scalar minimization.
     """
+    from scipy.optimize import minimize_scalar  # kept out of `import osserman_lab`
+
     if s <= 1.0:
         raise ValueError("delta(s) requires s > 1")
     if samples < 10:

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import osserman_lab
 from osserman_lab.cli import _write_csv, main
 
 
@@ -27,6 +30,20 @@ def _cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return "%d" % int(value)
     return "%.17g" % float(value)
+
+
+def test_import_cli_loads_no_scipy_submodule():
+    # scipy.sparse, scipy.optimize and scipy.integrate are imported inside
+    # the functions that use them, so commands that never solve start fast.
+    src = os.path.dirname(os.path.dirname(osserman_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, osserman_lab.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.sparse', 'scipy.optimize',"
+            " 'scipy.integrate'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_write_csv_matches_per_cell_formatting(tmp_path):

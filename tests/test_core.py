@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from osserman_lab.config import build_boundary, build_f
 from osserman_lab.core import (BallGrid, GridError, ScalarField,
                                build_ball_grid, evaluate, fd_derivatives, norm,
-                               sample_field)
+                               row_norms, sample_field)
 from osserman_lab.operators import _batch_eigs
 
 
@@ -97,6 +98,29 @@ def test_full_stencil_and_determinism():
     assert np.array_equal(a.lattice, b.lattice)
     assert np.array_equal(a.neighbors, b.neighbors)
     assert a.neighbors.min() >= 0 and a.neighbors.max() < len(a.nodes)
+
+
+# Entries of like size (where the summation order shows in the last bit),
+# magnitudes from 1e-300 to 1e300 (where squares underflow or overflow),
+# and the special values; leading shapes (N,) and (a, b), rows of n = 1..4.
+_ENTRIES = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0),
+              st.integers(-300, 299)).map(lambda t: t[0] * t[1] * 10.0 ** t[2]),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+)
+_SHAPES = st.sampled_from([lead + (n,) for lead in ((16,), (3, 5))
+                           for n in (1, 2, 3, 4)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=arrays(np.float64, _SHAPES, elements=_ENTRIES, fill=st.nothing()))
+# The first row tells (s0 + s1) + s2 from the other orders, the second
+# sqrt(s0 + s1) from np.hypot.
+@example(v=np.array([[0.095, 3.604, -2.847], [-0.908, -0.383, 0.0]]))
+def test_row_norms_bit_identical_to_numpy(v):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        assert row_norms(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
 
 
 def test_batch_eigs_closed_form():
