@@ -76,25 +76,23 @@ def _radial_parts(spec: BarrierSpec, r: np.ndarray):
     return value, dvalue, ddvalue, dvalue_over_r
 
 
-def barrier_eval(spec: BarrierSpec, x):
-    """Value, gradient (n,) and Hessian (n, n) of phi_R at a point with
-    |x| < R.
+def barrier_eval(spec: BarrierSpec, points):
+    """Values (N,), gradients (N, n) and Hessians (N, n, n) of phi_R at
+    (N, n) points with |x| < R.
 
-    The Hessian is phi'' on the radial direction and phi'/r on the
-    tangential ones; at the center it degenerates to phi''(0) I.
+    The Hessian is phi'' on the radial direction xhat and phi'/r on the
+    tangential ones; at the center xhat = 0 leaves phi''(0) I.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = float(np.linalg.norm(x))
-    if r >= spec.R:
+    pts = np.asarray(points, dtype=float).reshape(-1, spec.n)
+    r = row_norms(pts)
+    if np.any(r >= spec.R):
         raise ValueError("barrier evaluated at |x| >= R")
-    value, dvalue, ddvalue, dv_r = (float(t[0]) for t in _radial_parts(spec, np.array([r])))
-    n = len(x)
-    if r == 0.0:
-        return value, np.zeros(n), dv_r * np.eye(n)
-    xhat = x / r
-    grad = dvalue * xhat
-    hess = ddvalue * np.outer(xhat, xhat) + dv_r * (np.eye(n) - np.outer(xhat, xhat))
-    return value, grad, hess
+    value, dvalue, ddvalue, dv_r = _radial_parts(spec, r)
+    xhat = pts / np.where(r > 0.0, r, 1.0)[:, None]
+    outer = xhat[:, :, None] * xhat[:, None, :]
+    hess = ddvalue[:, None, None] * outer \
+        + dv_r[:, None, None] * (np.eye(spec.n) - outer)
+    return value, dvalue[:, None] * xhat, hess
 
 
 def barrier_residuals(spec: BarrierSpec, points: np.ndarray) -> np.ndarray:

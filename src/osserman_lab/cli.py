@@ -23,7 +23,7 @@ from .config import (ConfigError, build_boundary, build_grid, build_problem,
                      build_hamiltonian, check_operator_dimension, load_config,
                      _number)
 from .core import build_ball_grid
-from .entire import construct_entire, fit_decay_exponent, function_family, separation_table
+from .entire import construct_entire, fit_decay_exponent, separation_table
 from .operators import check_hamiltonian
 from .solver import NumericalError, solve_dirichlet
 from .uniqueness import delta_s_oracle, two_solution_experiment
@@ -89,7 +89,7 @@ def _base_summary(command: str, seed: int, resolved: dict) -> dict:
 
 def _cmd_verify_barrier(args, cfg, out: str, seed: int, quiet: bool) -> int:
     section = dict(cfg.get("barrier", {})) if cfg else {}
-    for key in ("s", "m", "n", "lam", "Lam", "gamma1", "gamma", "delta", "R", "h"):
+    for key in ("s", "m", "n", "Lam", "gamma1", "gamma", "delta", "R", "h"):
         flag = getattr(args, key, None)
         if flag is not None:
             section[key] = flag
@@ -97,7 +97,6 @@ def _cmd_verify_barrier(args, cfg, out: str, seed: int, quiet: bool) -> int:
         "s": _number(section, "s", "barrier"),
         "m": _number(section, "m", "barrier"),
         "n": int(_number(section, "n", "barrier")),
-        "lam": _number(section, "lam", "barrier", default=1.0),
         "Lam": _number(section, "Lam", "barrier"),
         "gamma1": _number(section, "gamma1", "barrier"),
         "gamma": _number(section, "gamma", "barrier"),
@@ -167,10 +166,9 @@ def _cmd_entire(args, cfg, out: str, seed: int, quiet: bool) -> int:
     n = int(_number(sec, "n", "entire", default=1.0))
     check_operator_dimension(cfg, n)
     sep_radius = _number(sec, "separation_radius", "entire", default=1.0)
-    fam_a = function_family(build_boundary(sec.get("boundary",
-                                                   {"tag": "constant", "value": 0.0}),
-                                           "entire.boundary"))
-    run_a = construct_entire(problem, k_max, fam_a, tol, h, max_iter,
+    g_a = build_boundary(sec.get("boundary", {"tag": "constant", "value": 0.0}),
+                         "entire.boundary")
+    run_a = construct_entire(problem, k_max, g_a, tol, h, max_iter,
                              center=[0.0] * n)
     os.makedirs(out, exist_ok=True)
     header = ["k", "k_next", "j", "sup_diff"]
@@ -179,8 +177,8 @@ def _cmd_entire(args, cfg, out: str, seed: int, quiet: bool) -> int:
     summary = _base_summary("entire", seed, cfg)
     passed = not run_a.flagged
     if "boundary2" in sec:
-        fam_b = function_family(build_boundary(sec["boundary2"], "entire.boundary2"))
-        run_b = construct_entire(problem, k_max, fam_b, tol, h, max_iter,
+        g_b = build_boundary(sec["boundary2"], "entire.boundary2")
+        run_b = construct_entire(problem, k_max, g_b, tol, h, max_iter,
                                  center=[0.0] * n)
         passed = passed and not run_b.flagged
         table = separation_table(run_a, run_b, sep_radius)
@@ -295,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vb = sub.add_parser("verify-barrier", parents=[common],
                         help="sweep the barrier inequality")
-    for key in ("s", "m", "lam", "Lam", "gamma1", "gamma", "delta", "R", "h"):
+    for key in ("s", "m", "Lam", "gamma1", "gamma", "delta", "R", "h"):
         vb.add_argument(f"--{key}", type=float, default=None)
     vb.add_argument("--n", type=int, default=None)
 

@@ -198,23 +198,23 @@ def second_differences(grid: BallGrid, values: np.ndarray) -> np.ndarray:
     return (unb[:, ::2] + unb[:, 1::2] - 2.0 * uc[:, None]) / spacings2(grid)
 
 
-def fd_derivatives(field: ScalarField, node: int):
-    """Gradient (n,) and Hessian (n, n) at interior node index ``node``.
+def fd_derivatives(field: ScalarField):
+    """Gradients (n_interior, n) and Hessians (n_interior, n, n) at every
+    interior node.
 
     Central differences throughout; in 2D the mixed derivative is the
     4-point formula (u_{++} + u_{--} - u_{+-} - u_{-+}) / 4h^2, half the
     difference of the two diagonal second differences.
     """
     g = field.grid
-    if node < 0 or node >= g.n_interior:
-        raise ValueError("node must be an interior node index")
-    nb = field.values[g.neighbors[node, : 2 * g.n]]
-    grad = (nb[1::2] - nb[::2]) / (2.0 * g.h)
-    d2 = second_differences(g, field.values)[node]
+    nb = field.values[g.neighbors[:, : 2 * g.n]]
+    grad = (nb[:, 1::2] - nb[:, ::2]) / (2.0 * g.h)
+    d2 = second_differences(g, field.values)
     if g.n == 1:
-        return grad, d2[:1, None]
-    uxy = 0.5 * (d2[2] - d2[3])
-    return grad, np.array([[d2[0], uxy], [uxy, d2[1]]])
+        return grad, d2[:, :, None]
+    uxy = 0.5 * (d2[:, 2] - d2[:, 3])
+    hess = np.stack([d2[:, 0], uxy, uxy, d2[:, 1]], axis=-1).reshape(-1, 2, 2)
+    return grad, hess
 
 
 def _subdomain_mask(grid: BallGrid, center, radius: float) -> np.ndarray:

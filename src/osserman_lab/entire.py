@@ -35,26 +35,8 @@ class EntireRun:
     flagged: bool          # any non-convergent solve
 
     @property
-    def h(self) -> float:
-        return self.fields[0].grid.h
-
-    @property
     def center(self) -> np.ndarray:
         return self.fields[0].grid.center
-
-
-def constant_family(value: float) -> Callable:
-    """Boundary family g_k = value for every radius."""
-    def family(k):
-        return lambda x: value
-    return family
-
-
-def function_family(fn: Callable) -> Callable:
-    """Boundary family g_k = fn restricted to each sphere."""
-    def family(k):
-        return fn
-    return family
 
 
 def _shared_interior(a: BallGrid, b: BallGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -102,12 +84,13 @@ def sup_difference(a: ScalarField, b: ScalarField, radius: float,
     return float(np.abs(a.values[ia[near]] - b.values[ib[near]]).max())
 
 
-def construct_entire(problem: ProblemSpec, k_max: int, boundary_family: Callable,
+def construct_entire(problem: ProblemSpec, k_max: int, boundary: Callable,
                      tol: float, h: float, max_iter: int,
                      center=None) -> EntireRun:
-    """Solve the Dirichlet problem on B_k for k = 1..k_max, each solve
-    warm-started from the previous radius, and record the stabilization
-    table sup_{B_j}|u_k - u_{k+1}| for j < k."""
+    """Solve the Dirichlet problem on B_k with the boundary data callable
+    ``boundary`` for k = 1..k_max, each solve warm-started from the
+    previous radius, and record the stabilization table
+    sup_{B_j}|u_k - u_{k+1}| for j < k."""
     if k_max < 1:
         raise ValueError("k_max >= 1 required")
     n = 1
@@ -120,8 +103,8 @@ def construct_entire(problem: ProblemSpec, k_max: int, boundary_family: Callable
     prev = None
     for k in range(1, k_max + 1):
         grid = build_ball_grid(center, float(k), h, n)
-        sol, rep = solve_dirichlet(problem, grid, boundary_family(k), tol,
-                                   max_iter, initial=_warm_start(grid, prev))
+        sol, rep = solve_dirichlet(problem, grid, boundary, tol, max_iter,
+                                   initial=_warm_start(grid, prev))
         fields.append(sol)
         reports.append(rep)
         if not rep.converged:
@@ -390,8 +373,7 @@ def growth_profile(problem: ProblemSpec, radii: Sequence[int], rho: float,
     mu = exponent_mu(s, m)
     expo = mu * s * rho / 2.0
     prob = ProblemSpec(F=problem.F, H=problem.H, s=s, f=radial_power_rhs(rho))
-    run = construct_entire(prob, int(max(radii)), constant_family(0.0),
-                           tol, h, max_iter)
+    run = construct_entire(prob, int(max(radii)), lambda x: 0.0, tol, h, max_iter)
     u = run.fields[-1]
     grid = u.grid
     dist = row_norms(grid.interior_nodes - grid.center[None, :])

@@ -82,10 +82,8 @@ class HamiltonianH:
     gamma1: float
     gamma_m: float
     convexity: Optional[tuple] = None   # (c_lower, A, sigma0)
-    sign: str = "neither"               # 'convex', 'concave', 'neither'
     modulus_coeff: float = 0.0
     tag: str = "custom"
-    params: dict = field(default_factory=dict)
     claims: tuple = ()
 
     def __call__(self, x, p):
@@ -96,12 +94,13 @@ class HamiltonianH:
 # Pucci operators
 # ---------------------------------------------------------------------------
 
-def pucci(X, ell: EllipticityPair, extremal: str = "+") -> float:
-    """Pucci extremal operator of one symmetric (n, n) matrix X, from its
-    eigenvalues."""
+def pucci(X, ell: EllipticityPair, extremal: str = "+") -> np.ndarray:
+    """Pucci extremal operator of symmetric matrices X of shape (..., n, n)
+    from their eigenvalues, one value per matrix (an np.float64 for one
+    matrix)."""
     if extremal not in ("+", "-"):
         raise ValueError("extremal must be '+' or '-'")
-    return float(pucci_batch(_batch_eigs(X), ell.lam, ell.Lam, extremal))
+    return pucci_batch(_batch_eigs(X), ell.lam, ell.Lam, extremal)
 
 
 def pucci_batch(eigs: np.ndarray, lam: float, Lam: float, extremal: str = "+") -> np.ndarray:
@@ -366,8 +365,7 @@ def hamiltonian_library(tag: str, **params) -> HamiltonianH:
         def ev(x, p):
             return np.zeros(np.asarray(p, dtype=float).shape[:-1])
         return HamiltonianH(evaluator=ev, m=m, gamma1=0.0, gamma_m=0.0,
-                            convexity=(0.0, 0.0, 0.5), sign="convex",
-                            tag=tag, params={"m": m},
+                            convexity=(0.0, 0.0, 0.5), tag=tag,
                             claims=("lipschitz_structure", "shift_modulus",
                                     "convexity_type", "sublinearization"))
 
@@ -387,16 +385,13 @@ def hamiltonian_library(tag: str, **params) -> HamiltonianH:
         if m == 1:
             gamma1 = c1.sup_abs + cm.sup_abs
         convexity = None
-        sign = "neither"
         claims = ["lipschitz_structure", "shift_modulus"]
         if m > 1 and cm.inf > 0:
             convexity = (0.95 * (m - 1) * cm.inf, 0.0, 0.5)
-            sign = "convex"
             claims += ["convexity_type", "sublinearization"]
         return HamiltonianH(evaluator=ev, m=m, gamma1=gamma1, gamma_m=gamma_m,
-                            convexity=convexity, sign=sign,
-                            modulus_coeff=c1.lipschitz(n) + cm.lipschitz(n),
-                            tag=tag, params={"c1": c1, "cm": cm, "m": m},
+                            convexity=convexity,
+                            modulus_coeff=c1.lipschitz(n) + cm.lipschitz(n), tag=tag,
                             claims=tuple(claims))
 
     if tag == "two_power":
@@ -419,10 +414,8 @@ def hamiltonian_library(tag: str, **params) -> HamiltonianH:
         c_lower = 0.5 * (m - 1) * c.inf
         A = _young_constant(a.sup_abs * abs(l - 1.0) / sigma0 ** l, c_lower, l, m)
         return HamiltonianH(evaluator=ev, m=m, gamma1=gamma1, gamma_m=gamma_m,
-                            convexity=(c_lower, A, sigma0), sign="convex",
-                            modulus_coeff=c.lipschitz(n) + a.lipschitz(n),
-                            tag=tag,
-                            params={"c": c, "a": a, "m": m, "l": l, "sigma0": sigma0},
+                            convexity=(c_lower, A, sigma0),
+                            modulus_coeff=c.lipschitz(n) + a.lipschitz(n), tag=tag,
                             claims=("lipschitz_structure", "shift_modulus",
                                     "convexity_type", "sublinearization"))
 
@@ -440,8 +433,7 @@ def hamiltonian_library(tag: str, **params) -> HamiltonianH:
             gamma1=1.5 * c.sup_abs, gamma_m=3.0 * c.sup_abs,
             convexity=(_RATIONAL_C_LOWER_FACTOR * c.inf,
                        _RATIONAL_A_FACTOR * c.sup, 0.5),
-            sign="convex", modulus_coeff=2.0 * c.lipschitz(n),
-            tag=tag, params={"c": c},
+            modulus_coeff=2.0 * c.lipschitz(n), tag=tag,
             claims=("lipschitz_structure", "shift_modulus",
                     "convexity_type", "sublinearization"))
 
@@ -467,8 +459,7 @@ def hamiltonian_library(tag: str, **params) -> HamiltonianH:
 
         return HamiltonianH(
             evaluator=ev, m=m, gamma1=0.0, gamma_m=2.0 * m * big ** (m / 2.0),
-            convexity=(0.95 * (m - 1.0) * nu ** (m / 2.0), 0.0, 0.5),
-            sign="convex", tag=tag, params={"m": m, "nu": nu, "max_eig": big},
+            convexity=(0.95 * (m - 1.0) * nu ** (m / 2.0), 0.0, 0.5), tag=tag,
             claims=("lipschitz_structure", "shift_modulus",
                     "convexity_type", "sublinearization"))
 
@@ -477,15 +468,12 @@ def hamiltonian_library(tag: str, **params) -> HamiltonianH:
 
 def negate_hamiltonian(H: HamiltonianH) -> HamiltonianH:
     """-H, used for the concave-Hamiltonian experiments."""
-    sign = {"convex": "concave", "concave": "convex"}.get(H.sign, "neither")
-
     def ev(x, p):
         return -H(x, p)
     claims = tuple(c for c in H.claims if c in ("lipschitz_structure", "shift_modulus"))
     return HamiltonianH(evaluator=ev, m=H.m, gamma1=H.gamma1, gamma_m=H.gamma_m,
-                        convexity=H.convexity, sign=sign,
-                        modulus_coeff=H.modulus_coeff,
-                        tag="negated_" + H.tag, params=H.params, claims=claims)
+                        convexity=H.convexity, modulus_coeff=H.modulus_coeff,
+                        tag="negated_" + H.tag, claims=claims)
 
 
 # ---------------------------------------------------------------------------

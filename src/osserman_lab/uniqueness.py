@@ -13,39 +13,21 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .core import evaluate
+from .core import evaluate, row_norms
 from .operators import CheckReport, MetadataError, pucci, tilde_gamma
-from .entire import construct_entire, function_family, separation_table
+from .entire import construct_entire, separation_table
 from .solver import ProblemSpec
 
 SQRT2 = math.sqrt(2.0)
 
 
 class SmoothField(Protocol):
-    """Closed-form field with exact derivatives at one point x: the
-    gradient has shape (n,), the Hessian (n, n)."""
+    """Closed-form field with exact derivatives at (N, n) points: values
+    (N,), gradients (N, n) and Hessians (N, n, n)."""
 
-    def value(self, x) -> float: ...
-    def gradient(self, x) -> np.ndarray: ...
-    def hessian(self, x) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class ClosedFormField:
-    """SmoothField assembled from callables."""
-
-    value_fn: Callable
-    gradient_fn: Callable
-    hessian_fn: Callable
-
-    def value(self, x) -> float:
-        return float(self.value_fn(np.atleast_1d(x)))
-
-    def gradient(self, x) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.gradient_fn(np.atleast_1d(x)), dtype=float))
-
-    def hessian(self, x) -> np.ndarray:
-        return np.asarray(self.hessian_fn(np.atleast_1d(x)), dtype=float)
+    def values(self, points) -> np.ndarray: ...
+    def gradients(self, points) -> np.ndarray: ...
+    def hessians(self, points) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -71,22 +53,21 @@ class CounterexampleField:
         s = 1.0 if self.sign == "+" else -1.0
         return np.exp(s * SQRT2 * x[:, self.axis])
 
-    def value(self, x) -> float:
-        return float(self.alpha * self._exp(x)[0] + 1.0)
-
     def values(self, points) -> np.ndarray:
         return self.alpha * self._exp(points) + 1.0
 
-    def gradient(self, x) -> np.ndarray:
+    def gradients(self, points) -> np.ndarray:
+        E = self._exp(points)
         s = 1.0 if self.sign == "+" else -1.0
-        g = np.zeros(self.n)
-        g[self.axis] = s * SQRT2 * self.alpha * self._exp(x)[0]
+        g = np.zeros((len(E), self.n))
+        g[:, self.axis] = s * SQRT2 * self.alpha * E
         return g
 
-    def hessian(self, x) -> np.ndarray:
-        mat = np.zeros((self.n, self.n))
-        mat[self.axis, self.axis] = 2.0 * self.alpha * self._exp(x)[0]
-        return mat
+    def hessians(self, points) -> np.ndarray:
+        E = self._exp(points)
+        mats = np.zeros((len(E), self.n, self.n))
+        mats[:, self.axis, self.axis] = 2.0 * self.alpha * E
+        return mats
 
     def boundary_function(self, negated: bool = False) -> Callable:
         """The field (or its negative) as a data callable on (N, n) points."""
@@ -154,18 +135,18 @@ def delta_s_oracle(s: float, samples: int = 20000) -> float:
     return float(min(res.fun, h(grid).min()))
 
 
-def _classical_residual(problem: ProblemSpec, field, x, fx: float) -> float:
-    """F + H - |u|^{s-1}u - f of a SmoothField at x, given fx = f(x)."""
-    val = field.value(x)
-    grad = field.gradient(x)
-    hess = field.hessian(x)
-    Fv = float(problem.F(np.atleast_2d(x), hess[None, :, :])[0])
-    Hv = float(problem.H(np.atleast_2d(x), grad[None, :])[0])
-    return Fv + Hv - abs(val) ** (problem.s - 1.0) * val - fx
+def _classical_residual(problem: ProblemSpec, field: SmoothField, pts: np.ndarray,
+                        f_vals: np.ndarray) -> np.ndarray:
+    """F + H - |u|^{s-1}u - f of a SmoothField at (N, n) points, given
+    f_vals = f(pts)."""
+    val = field.values(pts)
+    Fv = problem.F(pts, field.hessians(pts))
+    Hv = problem.H(pts, field.gradients(pts))
+    return Fv + Hv - np.abs(val) ** (problem.s - 1.0) * val - f_vals
 
 
-def extremal_difference_check(u, v, sigma: float, problem: ProblemSpec,
-                              points) -> CheckReport:
+def extremal_difference_check(u: SmoothField, v: SmoothField, sigma: float,
+                              problem: ProblemSpec, points) -> CheckReport:
     """Pointwise shadow of the sublinearization lemma for smooth fields:
     at every sampled x where u is a classical subsolution,
 
@@ -185,61 +166,47 @@ def extremal_difference_check(u, v, sigma: float, problem: ProblemSpec,
     if H.m <= 1.0:
         raise MetadataError("requires m > 1")
     tg = tilde_gamma(H.gamma_m, H.m, c_lower) if H.gamma_m > 0 else 0.0
-    ell = problem.ellipticity
     s = problem.s
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     f_vals = evaluate(problem.f, pts)
 
-    worst = np.inf
-    witness: dict = {}
-    elementary_worst = np.inf
-    checked = 0
-    for x, fx in zip(pts, f_vals.tolist()):
-        scale = 1.0 + v.value(x) ** 2
-        res_v = _classical_residual(problem, v, x, fx)
-        if abs(res_v) > 1e-9 * scale:
-            raise ValueError("v is not a classical solution at a sample point")
-        res_u = _classical_residual(problem, u, x, fx)
-        if res_u < -1e-9 * (1.0 + u.value(x) ** 2):
-            continue  # u not a subsolution here; the lemma is silent
-        checked += 1
-        uv, vv = u.value(x), v.value(x)
-        wgrad = u.gradient(x) - sigma * v.gradient(x)
-        whess = u.hessian(x) - sigma * v.hessian(x)
-        wn = float(np.linalg.norm(wgrad))
-        vs = sigma * vv
-        lhs = pucci(whess, ell, "+") + H.gamma1 * wn \
-            + (1.0 - sigma) ** (1.0 - H.m) * tg * wn ** H.m \
-            - (_signed_power(np.array(uv), s) - _signed_power(np.array(vs), s)) \
-            + (sigma - sigma ** s) * _signed_power(np.array(vv), s)
-        rhs = (1.0 - sigma) * (fx - A)
-        margin = float(lhs - rhs)
-        elementary_worst = min(elementary_worst,
-                               (s - 1.0) * (1.0 - sigma) - (sigma - sigma ** s))
-        if margin < worst:
-            worst = margin
-            witness = {"x": x.tolist(), "lhs": float(lhs), "rhs": float(rhs)}
-    if checked == 0:
+    vv = v.values(pts)
+    res_v = _classical_residual(problem, v, pts, f_vals)
+    if np.any(np.abs(res_v) > 1e-9 * (1.0 + vv ** 2)):
+        raise ValueError("v is not a classical solution at a sample point")
+    uv = u.values(pts)
+    # the lemma is silent where u is not a subsolution
+    sub = _classical_residual(problem, u, pts, f_vals) >= -1e-9 * (1.0 + uv ** 2)
+    if not sub.any():
         raise ValueError("u is a subsolution at none of the sample points")
-    return CheckReport(condition="extremal_difference", samples=checked,
-                       worst_margin=worst, witness=witness,
-                       extra={"elementary_bound_margin": float(elementary_worst),
+    pts, uv, vv = pts[sub], uv[sub], vv[sub]
+    wn = row_norms(u.gradients(pts) - sigma * v.gradients(pts))
+    whess = u.hessians(pts) - sigma * v.hessians(pts)
+    lhs = pucci(whess, problem.ellipticity, "+") + H.gamma1 * wn \
+        + (1.0 - sigma) ** (1.0 - H.m) * tg * wn ** H.m \
+        - (_signed_power(uv, s) - _signed_power(sigma * vv, s)) \
+        + (sigma - sigma ** s) * _signed_power(vv, s)
+    rhs = (1.0 - sigma) * (f_vals[sub] - A)
+    margins = lhs - rhs
+    k = int(np.argmin(margins))
+    elementary = (s - 1.0) * (1.0 - sigma) - (sigma - sigma ** s)
+    return CheckReport(condition="extremal_difference", samples=len(pts),
+                       worst_margin=float(margins[k]),
+                       witness={"x": pts[k].tolist(), "lhs": float(lhs[k]),
+                                "rhs": float(rhs[k])},
+                       extra={"elementary_bound_margin": float(elementary),
                               "sigma": sigma})
 
 
 def two_solution_experiment(problem: ProblemSpec, boundary_pair, radii,
                             tol: float, h: float, max_iter: int,
                             separation_radius: float = 1.0) -> list[dict]:
-    """Solve with two boundary data on expanding balls and tabulate
-    sup_{B_1}|u - v| per radius."""
+    """Solve with two boundary data callables on expanding balls and
+    tabulate sup_{B_1}|u - v| per radius."""
     if problem.H.convexity is None:
         raise MetadataError("experiment needs a Hamiltonian with (13) metadata")
     k_max = int(max(radii))
-    fams = []
-    for g in boundary_pair:
-        fn = g if callable(g) else (lambda x, val=float(g): val)
-        fams.append(function_family(fn))
-    run_a = construct_entire(problem, k_max, fams[0], tol, h, max_iter)
-    run_b = construct_entire(problem, k_max, fams[1], tol, h, max_iter)
+    run_a, run_b = (construct_entire(problem, k_max, g, tol, h, max_iter)
+                    for g in boundary_pair)
     table = separation_table(run_a, run_b, separation_radius)
     return [row for row in table if row["k"] in set(int(k) for k in radii)]

@@ -8,7 +8,8 @@ from osserman_lab.barrier import (barrier_constants, barrier_eval,
                                   barrier_residuals, exponent_mu,
                                   tilde_gamma, uniqueness_scaling,
                                   verify_barrier_inequality)
-from osserman_lab.core import build_ball_grid, sample_field, fd_derivatives
+from osserman_lab.core import build_ball_grid, fd_derivatives, row_norms, sample_field
+from osserman_lab.operators import EllipticityPair, pucci
 
 
 def test_exponent_mu_examples():
@@ -68,27 +69,25 @@ def test_constants_reject_bad_parameters():
 def test_barrier_eval_center_and_blowup():
     spec = barrier_constants(s=3, m=2, n=2, Lam=1, gamma1=0, gamma=1,
                              delta=1, R=1)
-    val0, grad0, hess0 = barrier_eval(spec, [0.0, 0.0])
-    assert val0 == pytest.approx(spec.C_R / spec.R ** spec.mu)
-    assert np.allclose(grad0, 0.0)
+    val, grad, hess = barrier_eval(spec, [[0.0, 0.0], [0.999, 0.0]])
+    assert val.shape == (2,) and grad.shape == (2, 2) and hess.shape == (2, 2, 2)
+    assert val[0] == pytest.approx(spec.C_R / spec.R ** spec.mu)
+    assert np.allclose(grad[0], 0.0)
     # at the center the Hessian is phi''(0) I with phi''(0) = 2 mu C_R / R^{mu+2}
     expected = 2.0 * spec.mu * spec.C_R / spec.R ** (spec.mu + 2.0)
-    assert np.allclose(hess0, expected * np.eye(2), rtol=1e-12)
-    near = barrier_eval(spec, [0.999, 0.0])[0]
-    assert near > 1e5 * val0
+    assert np.allclose(hess[0], expected * np.eye(2), rtol=1e-12)
+    assert val[1] > 1e5 * val[0]
     with pytest.raises(ValueError):
-        barrier_eval(spec, [1.0, 0.0])
+        barrier_eval(spec, [[1.0, 0.0]])
 
 
 def test_barrier_eval_matches_finite_differences():
     spec = barrier_constants(s=3, m=2, n=2, Lam=1, gamma1=1, gamma=1,
                              delta=1, R=2)
-    x0 = np.array([0.4, -0.3])
-    _, grad, hess = barrier_eval(spec, x0)
-    g = build_ball_grid(x0, 0.1, 0.01, 2)
-    f = sample_field(g, lambda pts: [barrier_eval(spec, x)[0] for x in pts])
-    node = int(np.argmin(np.linalg.norm(g.interior_nodes - x0, axis=1)))
-    fgrad, fhess = fd_derivatives(f, node)
+    g = build_ball_grid([0.4, -0.3], 0.1, 0.01, 2)
+    f = sample_field(g, lambda pts: barrier_eval(spec, pts)[0])
+    _, grad, hess = barrier_eval(spec, g.interior_nodes)
+    fgrad, fhess = fd_derivatives(f)
     assert np.abs(fgrad - grad).max() < 1e-3
     assert np.abs(fhess - hess).max() < 1e-3
 
@@ -96,13 +95,26 @@ def test_barrier_eval_matches_finite_differences():
 def test_barrier_curvatures_positive():
     spec = barrier_constants(s=4, m=2, n=2, Lam=2, gamma1=1, gamma=8,
                              delta=0.25, R=4)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        x = rng.uniform(-2.5, 2.5, 2)
-        if np.linalg.norm(x) >= spec.R:
-            continue
-        _, _, hess = barrier_eval(spec, x)
-        assert np.linalg.eigvalsh(hess).min() > 0.0
+    pts = np.random.default_rng(0).uniform(-2.5, 2.5, (50, 2))  # all |x| < R
+    _, _, hess = barrier_eval(spec, pts)
+    assert np.linalg.eigvalsh(hess).min() > 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_residual_matches_pucci_of_the_hessian(n):
+    # P+ of the full Hessian with lam < Lam: both curvatures are positive,
+    # so barrier_residuals must put Lam on each of them.
+    spec = barrier_constants(s=3, m=1.5, n=n, Lam=2, gamma1=1, gamma=2,
+                             delta=0.5, R=1.5)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 1.0, (400, n))
+    pts = np.vstack([np.zeros((1, n)), pts[row_norms(pts) < 1.4]])
+    val, grad, hess = barrier_eval(spec, pts)
+    gn = row_norms(grad)
+    terms = [pucci(hess, EllipticityPair(0.5, spec.Lam), "+"), spec.gamma1 * gn,
+             spec.gamma * gn ** spec.m, -spec.delta * val ** spec.s]
+    res = barrier_residuals(spec, pts)
+    assert np.all(np.abs(sum(terms) - res) <= 1e-13 * sum(np.abs(t) for t in terms))
 
 
 def test_residual_formula_at_origin():

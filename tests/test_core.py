@@ -191,7 +191,8 @@ def test_scalar_field_rejects_nonfinite():
 def test_fd_constant_field():
     g = build_ball_grid([0.0, 0.0], 1.0, 0.1, 2)
     f = sample_field(g, lambda x: 5.0)
-    grad, hess = fd_derivatives(f, 0)
+    grad, hess = fd_derivatives(f)
+    assert grad.shape == (g.n_interior, 2) and hess.shape == (g.n_interior, 2, 2)
     assert np.allclose(grad, 0.0)
     assert np.allclose(hess, 0.0)
 
@@ -209,9 +210,9 @@ def test_fd_exact_on_quadratics():
             return 0.5 * np.einsum("ij,jk,ik->i", x, A, x) + x @ b + c
 
         f = sample_field(g, quad)
-        center = int(np.argmin(np.linalg.norm(g.interior_nodes, axis=1)))
-        grad, hess = fd_derivatives(f, center)
-        assert np.abs(grad - b).max() <= 1e-10
+        grad, hess = fd_derivatives(f)
+        exact = g.interior_nodes @ A + b  # the gradient of quad is Ax + b
+        assert np.abs(grad - exact).max() <= 1e-10
         assert np.abs(hess - A).max() <= 1e-10
 
 
@@ -219,9 +220,9 @@ def test_fd_x_squared_at_origin():
     g = build_ball_grid(0.0, 1.0, 0.1, 1)
     f = sample_field(g, lambda x: x[:, 0] ** 2)
     node = int(np.argmin(np.abs(g.interior_nodes.ravel())))
-    grad, hess = fd_derivatives(f, node)
-    assert abs(grad[0]) <= 1e-12
-    assert abs(hess[0, 0] - 2.0) <= 1e-12
+    grad, hess = fd_derivatives(f)
+    assert abs(grad[node, 0]) <= 1e-12
+    assert abs(hess[node, 0, 0] - 2.0) <= 1e-12
 
 
 def test_fd_second_order_on_cos():
@@ -230,8 +231,8 @@ def test_fd_second_order_on_cos():
         g = build_ball_grid(0.0, 1.0, h, 1)
         f = sample_field(g, lambda x: np.cos(x[:, 0]))
         node = int(np.argmin(np.abs(g.interior_nodes.ravel())))
-        _, hess = fd_derivatives(f, node)
-        errs.append(abs(hess[0, 0] + 1.0))
+        _, hess = fd_derivatives(f)
+        errs.append(abs(hess[node, 0, 0] + 1.0))
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
 

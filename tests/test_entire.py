@@ -10,10 +10,9 @@ from scipy.optimize import brentq
 from osserman_lab.barrier import barrier_constants
 from osserman_lab.core import ScalarField, build_ball_grid, norm, sample_field
 from osserman_lab.entire import (_warm_start, check_local_bound,
-                                 constant_family,
                                  construct_entire, continuum_oracle_1d,
                                  fit_abp_constant, fit_decay_exponent,
-                                 function_family, growth_profile, local_bound,
+                                 growth_profile, local_bound,
                                  rho_threshold, rho_threshold_closed_form,
                                  separation_table, sup_difference)
 from osserman_lab.operators import (EllipticityPair, HamiltonianH, OperatorF,
@@ -29,7 +28,7 @@ def _problem(s=3.0, m=1.0, c1=1.0, cm=0.0, f=lambda x: 0.0):
 
 
 def test_zero_data_run_is_exactly_zero():
-    run = construct_entire(_problem(), 3, constant_family(0.0), tol=1e-10,
+    run = construct_entire(_problem(), 3, lambda x: 0.0, tol=1e-10,
                            h=0.25, max_iter=1000)
     assert run.radii == (1, 2, 3)
     assert not run.flagged
@@ -43,8 +42,8 @@ def test_zero_data_run_is_exactly_zero():
 
 def test_construct_entire_rejects_bad_kmax_and_flags_nonconvergence():
     with pytest.raises(ValueError):
-        construct_entire(_problem(), 0, constant_family(0.0), 1e-8, 0.25, 10)
-    run = construct_entire(_problem(), 3, constant_family(50.0), tol=1e-12,
+        construct_entire(_problem(), 0, lambda x: 0.0, 1e-8, 0.25, 10)
+    run = construct_entire(_problem(), 3, lambda x: 50.0, tol=1e-12,
                            h=0.25, max_iter=2)
     assert run.flagged
     assert len(run.fields) == 1  # stopped at the first non-convergent ball
@@ -113,7 +112,7 @@ def test_sup_difference_rejects_other_center_or_spacing():
 def test_decay_exponent_matches_barrier_exponent_for_m1():
     # s=3, m=1: mu = 2/(s-1) = 1 agrees with the true far-field decay, so
     # sup_{B_1} u_k ~ C/k and the tail fit lands near 1.
-    run = construct_entire(_problem(), 6, constant_family(100.0), tol=1e-7,
+    run = construct_entire(_problem(), 6, lambda x: 100.0, tol=1e-7,
                            h=0.1, max_iter=500_000)
     assert not run.flagged
     vals = [norm(f, kind="sup", center=[0.0], radius=1.0) for f in run.fields]
@@ -124,9 +123,9 @@ def test_decay_exponent_matches_barrier_exponent_for_m1():
 
 def test_separation_decays_for_s_greater_than_m():
     prob = _problem()
-    ra = construct_entire(prob, 4, constant_family(0.0), tol=1e-7, h=0.1,
+    ra = construct_entire(prob, 4, lambda x: 0.0, tol=1e-7, h=0.1,
                           max_iter=500_000)
-    rb = construct_entire(prob, 4, constant_family(100.0), tol=1e-7, h=0.1,
+    rb = construct_entire(prob, 4, lambda x: 100.0, tol=1e-7, h=0.1,
                           max_iter=500_000)
     seps = [row["separation"] for row in separation_table(ra, rb)]
     assert len(seps) == 4
@@ -138,10 +137,9 @@ def test_separation_persists_for_s_equal_m():
     # s = m = 2 with the closed-form boundary family: different alpha give
     # different entire solutions, so the separation does not vanish
     prob = _problem(s=2.0, m=2.0, c1=0.0, cm=0.5, f=lambda x: -1.0)
-    fams = [function_family(CounterexampleField(alpha=a).boundary_function())
-            for a in (0.0, 1.0)]
-    ra = construct_entire(prob, 3, fams[0], tol=1e-7, h=0.1, max_iter=2_000_000)
-    rb = construct_entire(prob, 3, fams[1], tol=1e-7, h=0.1, max_iter=2_000_000)
+    ra, rb = (construct_entire(prob, 3, CounterexampleField(alpha=a).boundary_function(),
+                               tol=1e-7, h=0.1, max_iter=2_000_000)
+              for a in (0.0, 1.0))
     seps = [row["separation"] for row in separation_table(ra, rb)]
     assert min(seps) > 0.9
     # alpha = 0 solves u = 1 exactly, so its stabilization table is zero
@@ -200,7 +198,7 @@ def test_abp_fit_and_local_bound_check():
         fit_abp_constant(factory, [-1.0], r=0.4, h=0.05, tol=1e-9,
                          max_iter=100, n=1)
 
-    run = construct_entire(prob, 2, constant_family(100.0), tol=1e-8, h=0.05,
+    run = construct_entire(prob, 2, lambda x: 100.0, tol=1e-8, h=0.05,
                            max_iter=400_000)
     rep = check_local_bound(run, 0.4, [0.0], C_emp=C)
     assert rep.passed

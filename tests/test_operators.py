@@ -242,7 +242,6 @@ def test_convexity_margin_hand_value():
 def test_negate_hamiltonian():
     H = hamiltonian_library("prototype", c1=1.0, cm=1.0, m=2.0)
     G = negate_hamiltonian(H)
-    assert G.sign == "concave"
     assert G.tag == "negated_prototype"
     assert set(G.claims) == {"lipschitz_structure", "shift_modulus"}
     p = np.array([[1.0, 1.0]])
