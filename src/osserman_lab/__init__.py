@@ -19,7 +19,7 @@ from .operators import (
 from .barrier import BarrierSpec, barrier_constants, exponent_mu, tilde_gamma, uniqueness_scaling
 from .solver import ProblemSpec, SolveReport, solve_dirichlet
 from .entire import EntireRun, construct_entire, separation_table, sup_difference
-from .uniqueness import CounterexampleField, delta_s_oracle, two_solution_experiment
+from .uniqueness import CounterexampleField, delta_s_oracle
 
 __all__ = [
     "EntireRun",
@@ -28,7 +28,6 @@ __all__ = [
     "sup_difference",
     "CounterexampleField",
     "delta_s_oracle",
-    "two_solution_experiment",
     "BallGrid",
     "ScalarField",
     "build_ball_grid",

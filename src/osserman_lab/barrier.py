@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BallGrid, row_norms
+from .core import BallGrid, as_points, row_norms
 from .operators import CheckReport, pucci_batch, tilde_gamma  # tilde_gamma is re-exported
 
 
@@ -83,7 +83,7 @@ def barrier_eval(spec: BarrierSpec, points):
     The Hessian is phi'' on the radial direction xhat and phi'/r on the
     tangential ones; at the center xhat = 0 leaves phi''(0) I.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, spec.n)
+    pts = as_points(points, spec.n)
     r = row_norms(pts)
     if np.any(r >= spec.R):
         raise ValueError("barrier evaluated at |x| >= R")
@@ -97,7 +97,7 @@ def barrier_eval(spec: BarrierSpec, points):
 
 def barrier_residuals(spec: BarrierSpec, points: np.ndarray) -> np.ndarray:
     """Closed-form residual of the barrier inequality at each point (N, n)."""
-    pts = np.asarray(points, dtype=float).reshape(-1, spec.n)
+    pts = as_points(points, spec.n)
     r = row_norms(pts)
     if np.any(r >= spec.R):
         raise ValueError("points must satisfy |x| < R")

@@ -157,17 +157,12 @@ def build_problem(cfg: dict) -> ProblemSpec:
 
 
 def build_grid(cfg: dict):
+    """The ball grid of the ``grid`` section; ``build_ball_grid`` rejects a
+    dimension, radius or spacing it cannot use with a GridError."""
     section = cfg.get("grid")
     if not isinstance(section, dict):
         raise ConfigError("grid", "missing grid section")
     n = int(_number(section, "n", "grid"))
-    if n not in (1, 2):
-        raise ConfigError("grid.n", "dimension must be 1 or 2")
-    center = section.get("center", [0.0] * n)
-    radius = _number(section, "radius", "grid")
-    h = _number(section, "h", "grid")
-    if radius <= 0 or h <= 0:
-        raise ConfigError("grid.h", "radius and h must be positive")
-    if h > radius / 2:
-        raise ConfigError("grid.h", "h too coarse: need h <= radius/2")
-    return build_ball_grid(center, radius, h, n)
+    return build_ball_grid(section.get("center", [0.0] * n),
+                           _number(section, "radius", "grid"),
+                           _number(section, "h", "grid"), n)

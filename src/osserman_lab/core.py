@@ -29,6 +29,15 @@ class GridError(ValueError):
     pass
 
 
+def as_points(points, n: int) -> np.ndarray:
+    """``points`` as a float (N, n) array; any other shape raises
+    ValueError rather than being regrouped into points of dimension n."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"points must have shape (N, {n}), got {pts.shape}")
+    return pts
+
+
 def row_norms(v) -> np.ndarray:
     """Euclidean norms over the last axis of ``v``.
 

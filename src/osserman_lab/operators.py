@@ -509,8 +509,8 @@ def tilde_gamma(gamma_m: float, m: float, c_lower: float) -> float:
     return gamma_m + (m - 1.0) ** (m - 1.0) * gamma_m ** m / (m ** m * c_lower ** (m - 1.0))
 
 
-_CONDITIONS = ("lipschitz_structure", "shift_modulus", "convexity_type",
-               "sublinearization")
+CONDITIONS = ("lipschitz_structure", "shift_modulus", "convexity_type",
+              "sublinearization")
 
 
 def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
@@ -519,7 +519,7 @@ def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
 
     Margins are (bound - quantity); negative below -1e-9 flags a violation.
     """
-    if condition not in _CONDITIONS:
+    if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
     if samples < 1:
         raise ValueError("samples >= 1 required")

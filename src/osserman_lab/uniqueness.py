@@ -1,4 +1,4 @@
-"""Oracles and experiments around uniqueness: the delta(s) constant of
+"""Oracles and checks around uniqueness: the delta(s) constant of
 |u|^{s-1}u - |v|^{s-1}v > delta(s)(u-v)^s, the closed-form non-uniqueness
 family u = alpha e^{+-sqrt(2) x_i} + 1 for s = m = 2, and the extremal
 inequality satisfied by w_sigma = u - sigma v. The sublinearization
@@ -13,9 +13,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .core import evaluate, row_norms
+from .core import as_points, evaluate, row_norms
 from .operators import CheckReport, MetadataError, pucci, tilde_gamma
-from .entire import construct_entire, separation_table
 from .solver import ProblemSpec
 
 SQRT2 = math.sqrt(2.0)
@@ -49,7 +48,7 @@ class CounterexampleField:
             raise ValueError("axis out of range")
 
     def _exp(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = as_points(x, self.n)
         s = 1.0 if self.sign == "+" else -1.0
         return np.exp(s * SQRT2 * x[:, self.axis])
 
@@ -84,9 +83,7 @@ def counterexample_residual(field: CounterexampleField, points,
     variant 'v': v = -u in Laplacian v - |Dv|^2/2 - |v|v - 1.
     Margin = min over samples of 1e-9 (1 + u^2) - |residual|.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != field.n:
-        raise ValueError("points have the wrong dimension")
+    pts = as_points(points, field.n)
     E = field._exp(pts)
     u = field.alpha * E + 1.0
     lap = 2.0 * field.alpha * E
@@ -196,17 +193,3 @@ def extremal_difference_check(u: SmoothField, v: SmoothField, sigma: float,
                                 "rhs": float(rhs[k])},
                        extra={"elementary_bound_margin": float(elementary),
                               "sigma": sigma})
-
-
-def two_solution_experiment(problem: ProblemSpec, boundary_pair, radii,
-                            tol: float, h: float, max_iter: int,
-                            separation_radius: float = 1.0) -> list[dict]:
-    """Solve with two boundary data callables on expanding balls and
-    tabulate sup_{B_1}|u - v| per radius."""
-    if problem.H.convexity is None:
-        raise MetadataError("experiment needs a Hamiltonian with (13) metadata")
-    k_max = int(max(radii))
-    run_a, run_b = (construct_entire(problem, k_max, g, tol, h, max_iter)
-                    for g in boundary_pair)
-    table = separation_table(run_a, run_b, separation_radius)
-    return [row for row in table if row["k"] in set(int(k) for k in radii)]

@@ -81,6 +81,17 @@ def test_barrier_eval_center_and_blowup():
         barrier_eval(spec, [[1.0, 0.0]])
 
 
+def test_barrier_takes_n_columns_of_points():
+    spec = barrier_constants(s=3, m=2, n=2, Lam=1, gamma1=0, gamma=1,
+                             delta=1, R=1)
+    # six coordinates are not regrouped into three 2D points
+    for bad in (np.zeros((2, 3)), np.zeros(6), np.zeros((1, 2, 3))):
+        with pytest.raises(ValueError):
+            barrier_eval(spec, bad)
+        with pytest.raises(ValueError):
+            barrier_residuals(spec, bad)
+
+
 def test_barrier_eval_matches_finite_differences():
     spec = barrier_constants(s=3, m=2, n=2, Lam=1, gamma1=1, gamma=1,
                              delta=1, R=2)

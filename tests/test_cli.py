@@ -236,6 +236,119 @@ def test_uniqueness_command(tmp_path):
     assert summary["separation"]["values"] == [0.0, 0.0]
 
 
+SEPARATION_PROBLEM = {
+    "s": 3.0,
+    "operator": {"tag": "laplacian"},
+    "hamiltonian": {"tag": "prototype", "c1": 0.0, "cm": 1.0, "m": 2.0, "n": 1},
+    "f": {"tag": "zero"},
+}
+
+
+def _uniqueness_cfg(values, radii, h=0.1, max_iter=500000, hamiltonian=None):
+    problem = dict(SEPARATION_PROBLEM)
+    if hamiltonian is not None:
+        problem["hamiltonian"] = hamiltonian
+    return {"problem": problem,
+            "uniqueness": {"radii": radii, "h": h, "tol": 1e-7,
+                           "max_iter": max_iter,
+                           "boundary_pair": [{"tag": "constant", "value": v}
+                                             for v in values]}}
+
+
+def _read_separation_csv(out):
+    with open(os.path.join(out, "separation.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "k,separation"
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_uniqueness_identical_data_gives_zero_separations(tmp_path):
+    # only the requested radii are tabulated, though the runs grow to k = 3
+    cfg = _write_cfg(tmp_path, "cfg.json", _uniqueness_cfg((0.0, 0.0), [1, 3], h=0.2))
+    out = str(tmp_path / "out")
+    assert main(["uniqueness", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert _read_separation_csv(out) == [["1", "0"], ["3", "0"]]
+    summary = _read_summary(out)
+    assert summary["separation"] == {"radii": [1, 3], "values": [0.0, 0.0]}
+    assert summary["passed"] is True and summary["flagged"] is False
+
+
+def test_uniqueness_separation_decays(tmp_path):
+    cfg = _write_cfg(tmp_path, "cfg.json", _uniqueness_cfg((0.0, 10.0), [1, 2, 3]))
+    out = str(tmp_path / "out")
+    assert main(["uniqueness", "--config", cfg, "--out", out, "--quiet"]) == 0
+    seps = _read_summary(out)["separation"]["values"]
+    assert seps[0] > seps[1] > seps[2] > 0.0
+
+
+def test_uniqueness_requires_convexity_constants(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "cfg.json", _uniqueness_cfg(
+        (0.0, 1.0), [1], h=0.2, hamiltonian={"tag": "prototype", "c1": 1.0,
+                                             "cm": 1.0, "m": 1.0, "n": 1}))
+    out = str(tmp_path / "out")
+    assert main(["uniqueness", "--config", cfg, "--out", out, "--quiet"]) == 2
+    assert "config error at problem.hamiltonian" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["entire", "uniqueness"])
+def test_unconverged_solves_fail_the_run(tmp_path, capsys, command):
+    # one Newton step cannot reach tol from data 10, so the second run stops
+    # flagged at k = 1 while the first (data 0) converges
+    if command == "entire":
+        cfg = {"problem": SEPARATION_PROBLEM,
+               "entire": {"k_max": 3, "h": 0.1, "tol": 1e-7, "max_iter": 1,
+                          "n": 1, "boundary": {"tag": "constant", "value": 0.0},
+                          "boundary2": {"tag": "constant", "value": 10.0}}}
+    else:
+        cfg = _uniqueness_cfg((0.0, 10.0), [1, 2, 3], max_iter=1)
+    out = str(tmp_path / "out")
+    rc = main([command, "--config", _write_cfg(tmp_path, "cfg.json", cfg),
+               "--out", out])
+    assert rc == 1
+    assert f"[{command}] FAIL" in capsys.readouterr().out
+    summary = _read_summary(out)
+    assert summary["passed"] is False
+    assert summary["flagged"] is True
+    assert summary["separation"]["radii"] == [1]
+
+
+def _grid_cfg(**grid):
+    return {"problem": SOLVE_CFG["problem"], "grid": {"n": 1, "radius": 1.0, "h": 0.1, **grid}}
+
+
+NO_CONVEXITY_H = {"tag": "prototype", "c1": 1.0, "cm": 1.0, "m": 1.0}
+BARRIER_FLAGS = ["--s", "3", "--m", "2", "--Lam", "1", "--gamma1", "0",
+                 "--gamma", "1", "--delta", "1"]
+
+
+@pytest.mark.parametrize("command, cfg, flags", [
+    pytest.param("verify-barrier", None,
+                 BARRIER_FLAGS + ["--n", "2", "--R", "1", "--h", "0.6"], id="barrier-h"),
+    pytest.param("verify-barrier", None,
+                 BARRIER_FLAGS + ["--n", "3", "--R", "1", "--h", "0.1"], id="barrier-n"),
+    pytest.param("solve", _grid_cfg(center=[0.0, 0.0]), [], id="solve-center"),
+    pytest.param("solve", _grid_cfg(n=3), [], id="solve-n"),
+    pytest.param("solve", _grid_cfg(radius=-1.0), [], id="solve-radius"),
+    pytest.param("solve", _grid_cfg(h=0.6), [], id="solve-h"),
+    pytest.param("entire", {"problem": SEPARATION_PROBLEM,
+                            "entire": {"k_max": 2, "h": 0.9}}, [], id="entire-h"),
+    pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H, "check": {
+        "condition": "convexity_type", "samples": 10}}, [], id="check-constants"),
+    pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H, "check": {
+        "condition": "nope", "samples": 10}}, [], id="check-condition"),
+])
+def test_rejected_config_values_exit_2_and_write_nothing(tmp_path, capsys,
+                                                          command, cfg, flags):
+    out = str(tmp_path / "out")
+    argv = [command, *flags, "--out", out, "--quiet"]
+    if cfg is not None:
+        argv += ["--config", _write_cfg(tmp_path, "cfg.json", cfg)]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command, n, section", [
     ("solve", 2, {"grid": {"n": 2, "radius": 1.0, "h": 0.25}}),
     ("entire", 1, {"entire": {"k_max": 2, "h": 0.25, "n": 1}}),

@@ -8,6 +8,9 @@ import json
 import os
 import sys
 
+import osserman_lab
+import osserman_lab.cli
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -34,3 +37,23 @@ def test_workloads_import_and_match_the_benchmark():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = [w["name"] for w in json.load(fh)["workloads"]]
     assert sorted(workloads.WORKLOADS) == sorted(declared)
+
+
+def test_every_traced_name_records_a_span(tmp_path):
+    # A call routed around a traced name (say, a command that stops looking
+    # up construct_entire in cli's namespace) would leave its layer empty.
+    tracing = _load("tracing")
+    workloads = _load("workloads")
+    recorder = tracing.Recorder()
+    recorder.bind(osserman_lab)
+    try:
+        for name, make in workloads.WORKLOADS.items():
+            workdir = tmp_path / name
+            workdir.mkdir()
+            for op in make(1, str(workdir)):
+                assert op.check(osserman_lab.cli.main(op.argv)) is None, op.name
+    finally:
+        recorder.unbind()
+    recorded = {span.name for span in recorder.spans}
+    assert not [f"{mod}.{attr}" for mod, attr, _ in tracing.BINDINGS
+                if f"{mod}.{attr}" not in recorded]

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from osserman_lab.operators import (MetadataError, hamiltonian_library,
-                                    laplacian_operator)
+from osserman_lab.operators import hamiltonian_library, laplacian_operator
 from osserman_lab.solver import ProblemSpec
 from osserman_lab.uniqueness import (CounterexampleField,
                                      counterexample_residual, delta_s_oracle,
-                                     extremal_difference_check,
-                                     two_solution_experiment)
+                                     extremal_difference_check)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -69,6 +67,18 @@ def test_counterexample_family_solves_both_equations(alpha, sign, n, axis):
     for variant in ("u", "v"):
         rep = counterexample_residual(fld, pts, variant)
         assert rep.passed, (alpha, sign, n, axis, variant, rep.worst_margin)
+
+
+def test_counterexample_field_takes_n_columns_of_points():
+    u = CounterexampleField(alpha=1.0)
+    pts = np.array([0.0, 1.0, 2.0])
+    assert u.values(pts[:, None]) == pytest.approx(np.exp(SQRT2 * pts) + 1.0)
+    # a 1-D array of three points is not one point of dimension 3
+    for method in (u.values, u.gradients, u.hessians):
+        with pytest.raises(ValueError):
+            method(pts)
+    with pytest.raises(ValueError):
+        CounterexampleField(alpha=1.0, n=2).values(np.zeros((3, 1)))
 
 
 def test_counterexample_residual_validates_input():
@@ -151,27 +161,3 @@ def test_extremal_difference_rejects_bad_input():
     # u nowhere a subsolution: constant 10 has residual -99
     with pytest.raises(ValueError):
         extremal_difference_check(_Paraboloid(10.0, 0.0), v, 0.9, problem, pts)
-
-
-def test_two_solution_experiment_identical_data():
-    problem = _problem(s=3.0, cm=1.0, f=lambda x: 0.0)
-    rows = two_solution_experiment(problem, (lambda x: 0.0, lambda x: 0.0),
-                                   [1, 2], tol=1e-8, h=0.2, max_iter=100_000)
-    assert [row["k"] for row in rows] == [1, 2]
-    assert all(row["separation"] == 0.0 for row in rows)
-
-
-def test_two_solution_experiment_separation_decays():
-    problem = _problem(s=3.0, cm=1.0, f=lambda x: 0.0)
-    rows = two_solution_experiment(problem, (lambda x: 0.0, lambda x: 10.0),
-                                   [1, 2, 3], tol=1e-7, h=0.1, max_iter=500_000)
-    seps = [row["separation"] for row in rows]
-    assert seps[0] > seps[1] > seps[2]
-
-
-def test_two_solution_experiment_requires_convexity_metadata():
-    H = hamiltonian_library("prototype", c1=1.0, cm=1.0, m=1.0, n=1)
-    problem = ProblemSpec(F=laplacian_operator(), H=H, s=3.0, f=lambda x: 0.0)
-    with pytest.raises(MetadataError):
-        two_solution_experiment(problem, (lambda x: 0.0, lambda x: 1.0), [1],
-                                tol=1e-6, h=0.2, max_iter=100)
