@@ -88,6 +88,23 @@ def _section(cfg: dict, name: str) -> dict:
     return sec
 
 
+def _count(sec: dict, key: str, path: str, least: int, default=None) -> int:
+    """A config value, read like ``_number``, of at least ``least``,
+    truncated to an integer."""
+    value = _number(sec, key, path, default)
+    if value < least:
+        raise ConfigError(f"{path}.{key}", f"must be at least {least}")
+    return int(value)
+
+
+def _positive(sec: dict, key: str, path: str, default=None) -> float:
+    """A positive config value, read like ``_number``."""
+    value = _number(sec, key, path, default)
+    if value <= 0.0:
+        raise ConfigError(f"{path}.{key}", "must be positive")
+    return value
+
+
 def _cmd_verify_barrier(args, cfg, seed: int):
     section = dict(cfg.get("barrier", {})) if cfg else {}
     for key in _BARRIER_KEYS:
@@ -120,7 +137,7 @@ def _cmd_solve(args, cfg, seed: int):
     check_operator_dimension(cfg, grid.n)
     boundary = build_boundary(cfg.get("boundary", {"tag": "constant", "value": 0.0}))
     sec = cfg.get("solve", {})
-    tol = _number(sec, "tol", "solve", default=1e-8)
+    tol = _positive(sec, "tol", "solve", default=1e-8)
     max_iter = int(_number(sec, "max_iter", "solve", default=200000.0))
     field, report = solve_dirichlet(problem, grid, boundary, tol, max_iter)
     header = ["node"] + [f"x{a}" for a in range(grid.n)] + ["value"]
@@ -138,9 +155,9 @@ def _expanding_ball_runs(problem, sec: dict, path: str, boundaries,
     separation table sup_{B_r}|u_k - v_k| per radius k, r the section's
     separation_radius. Returns (runs, table or None)."""
     h = _number(sec, "h", path)
-    tol = _number(sec, "tol", path, default=1e-8)
+    tol = _positive(sec, "tol", path, default=1e-8)
     max_iter = int(_number(sec, "max_iter", path, default=2000000.0))
-    radius = _number(sec, "separation_radius", path, default=1.0)
+    radius = _positive(sec, "separation_radius", path, default=1.0)
     runs = [construct_entire(problem, k_max, g, tol, h, max_iter,
                              center=[0.0] * n) for g in boundaries]
     return runs, separation_table(*runs, radius) if len(runs) == 2 else None
@@ -156,7 +173,7 @@ def _separation_outputs(table) -> tuple[dict, tuple]:
 def _cmd_entire(args, cfg, seed: int):
     problem = build_problem(cfg)
     sec = _section(cfg, "entire")
-    k_max = int(_number(sec, "k_max", "entire"))
+    k_max = _count(sec, "k_max", "entire", 1)
     n = int(_number(sec, "n", "entire", default=1.0))
     check_operator_dimension(cfg, n)
     boundaries = [build_boundary(sec.get("boundary", {"tag": "constant", "value": 0.0}),
@@ -185,8 +202,11 @@ def _cmd_uniqueness(args, cfg, seed: int):
     check_operator_dimension(cfg, 1)  # the runs solve in 1D
     sec = _section(cfg, "uniqueness")
     radii = sec.get("radii")
-    if not isinstance(radii, list) or not radii:
-        raise ConfigError("uniqueness.radii", "must be a nonempty list")
+    if not isinstance(radii, list) or not radii or any(
+            not isinstance(k, (int, float)) or isinstance(k, bool)
+            or not 1 <= k < np.inf for k in radii):
+        raise ConfigError("uniqueness.radii",
+                          "must be a nonempty list of numbers >= 1")
     pair_cfg = sec.get("boundary_pair")
     if not isinstance(pair_cfg, list) or len(pair_cfg) != 2:
         raise ConfigError("uniqueness.boundary_pair", "must be a list of two entries")
@@ -213,7 +233,7 @@ def _cmd_check_hamiltonian(args, cfg, seed: int):
     condition = sec.get("condition")
     if condition and condition not in CONDITIONS:
         raise ConfigError("check.condition", f"unknown condition {condition!r}")
-    samples = int(_number(sec, "samples", "check", default=1000000.0))
+    samples = _count(sec, "samples", "check", 1, default=1000000.0)
     conditions = [condition] if condition else list(H.claims)
     rng = np.random.default_rng(seed)
     reports = [check_hamiltonian(H, cond, samples, rng=rng) for cond in conditions]
@@ -226,12 +246,14 @@ def _cmd_check_hamiltonian(args, cfg, seed: int):
 
 
 def _cmd_oracle(args, cfg, seed: int):
-    sec = (cfg or {}).get("oracle", {})
-    s = args.s if args.s is not None else _number(sec, "s", "oracle")
+    sec = dict((cfg or {}).get("oracle", {}))
+    for key in ("s", "samples"):
+        if getattr(args, key) is not None:
+            sec[key] = getattr(args, key)
+    s = _number(sec, "s", "oracle")
     if s <= 1.0:
         raise ConfigError("oracle.s", "s must exceed 1")
-    samples = int(args.samples if args.samples is not None
-                  else _number(sec, "samples", "oracle", default=20000.0))
+    samples = _count(sec, "samples", "oracle", 10, default=20000.0)
     value = delta_s_oracle(s, samples)
     candidate = 2.0 ** (1.0 - s)
     summary = {"parameters": {"which": args.which, "s": s, "samples": samples},

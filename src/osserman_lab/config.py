@@ -54,8 +54,9 @@ def _number(section: dict, key: str, path: str, default=None):
             raise ConfigError(f"{path}.{key}", "missing required key")
         return default
     val = section[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}", "must be a number")
+    if not isinstance(val, (int, float)) or isinstance(val, bool) \
+            or not np.isfinite(val):
+        raise ConfigError(f"{path}.{key}", "must be a finite number")
     return float(val)
 
 

@@ -322,30 +322,61 @@ BARRIER_FLAGS = ["--s", "3", "--m", "2", "--Lam", "1", "--gamma1", "0",
                  "--gamma", "1", "--delta", "1"]
 
 
-@pytest.mark.parametrize("command, cfg, flags", [
+@pytest.mark.parametrize("command, cfg, flags, key", [
     pytest.param("verify-barrier", None,
-                 BARRIER_FLAGS + ["--n", "2", "--R", "1", "--h", "0.6"], id="barrier-h"),
+                 BARRIER_FLAGS + ["--n", "2", "--R", "1", "--h", "0.6"], None,
+                 id="barrier-h"),
     pytest.param("verify-barrier", None,
-                 BARRIER_FLAGS + ["--n", "3", "--R", "1", "--h", "0.1"], id="barrier-n"),
-    pytest.param("solve", _grid_cfg(center=[0.0, 0.0]), [], id="solve-center"),
-    pytest.param("solve", _grid_cfg(n=3), [], id="solve-n"),
-    pytest.param("solve", _grid_cfg(radius=-1.0), [], id="solve-radius"),
-    pytest.param("solve", _grid_cfg(h=0.6), [], id="solve-h"),
+                 BARRIER_FLAGS + ["--n", "3", "--R", "1", "--h", "0.1"], None,
+                 id="barrier-n"),
+    pytest.param("solve", _grid_cfg(center=[0.0, 0.0]), [], None, id="solve-center"),
+    pytest.param("solve", _grid_cfg(n=3), [], None, id="solve-n"),
+    pytest.param("solve", _grid_cfg(radius=-1.0), [], None, id="solve-radius"),
+    pytest.param("solve", _grid_cfg(h=0.6), [], None, id="solve-h"),
+    pytest.param("solve", {**_grid_cfg(), "solve": {"tol": 0.0}}, [],
+                 "solve.tol", id="solve-tol"),
+    pytest.param("solve", _grid_cfg(h=float("nan")), [], "grid.h",
+                 id="solve-h-nan"),
+    pytest.param("solve", {**_grid_cfg(), "solve": {"max_iter": float("inf")}},
+                 [], "solve.max_iter", id="solve-max_iter-inf"),
     pytest.param("entire", {"problem": SEPARATION_PROBLEM,
-                            "entire": {"k_max": 2, "h": 0.9}}, [], id="entire-h"),
+                            "entire": {"k_max": 2, "h": 0.9}}, [], None,
+                 id="entire-h"),
+    pytest.param("entire", {"problem": SEPARATION_PROBLEM,
+                            "entire": {"k_max": 0, "h": 0.1}}, [],
+                 "entire.k_max", id="entire-k_max"),
+    pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
+        "k_max": 2, "h": 0.1, "separation_radius": -1.0,
+        "boundary2": {"tag": "constant", "value": 1.0}}}, [],
+                 "entire.separation_radius", id="entire-separation-radius"),
+    pytest.param("uniqueness", _uniqueness_cfg((0.0, 1.0), [1, "2"]), [],
+                 "uniqueness.radii", id="uniqueness-radii-text"),
+    pytest.param("uniqueness", _uniqueness_cfg((0.0, 1.0), [0.5]), [],
+                 "uniqueness.radii", id="uniqueness-radii-below-1"),
     pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H, "check": {
-        "condition": "convexity_type", "samples": 10}}, [], id="check-constants"),
+        "condition": "convexity_type", "samples": 10}}, [], None,
+                 id="check-constants"),
     pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H, "check": {
-        "condition": "nope", "samples": 10}}, [], id="check-condition"),
+        "condition": "nope", "samples": 10}}, [], "check.condition",
+                 id="check-condition"),
+    pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H,
+                                       "check": {"samples": 0}}, [],
+                 "check.samples", id="check-samples"),
+    pytest.param("oracle", None, ["delta-s", "--s", "2", "--samples", "5"],
+                 "oracle.samples", id="oracle-samples"),
 ])
 def test_rejected_config_values_exit_2_and_write_nothing(tmp_path, capsys,
-                                                          command, cfg, flags):
+                                                          command, cfg, flags,
+                                                          key):
+    # key: the config key a ConfigError names; None for the library's
+    # GridError/MetadataError, which carry no key
     out = str(tmp_path / "out")
     argv = [command, *flags, "--out", out, "--quiet"]
     if cfg is not None:
         argv += ["--config", _write_cfg(tmp_path, "cfg.json", cfg)]
     assert main(argv) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (f"config error at {key}:" if key else "config error") in err
     assert not os.path.exists(out)
 
 

@@ -9,6 +9,7 @@ from osserman_lab.operators import (EllipticityPair, hamiltonian_library,
                                     pucci_minus_operator, pucci_plus_operator,
                                     weighted_trace_operator)
 from osserman_lab.solver import (NumericalError, ProblemSpec, SolveReport,
+                                 _factorize, _initial_guess,
                                  _interior_residual, _jacobian_pattern,
                                  _jacobian_table, mms_convergence,
                                  residual_field, solve_dirichlet)
@@ -98,6 +99,70 @@ def test_solve_is_deterministic():
     assert rep1.converged and rep2.converged
     assert np.array_equal(sol1.values, sol2.values)
     assert rep1.iterations == rep2.iterations
+
+
+def _solve_2d_problem():
+    # Pucci+ (lam = 1, Lam = 2), H = |p|^2, s = 2: a non-symmetric policy
+    H = hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=2)
+    return ProblemSpec(F=pucci_plus_operator(EllipticityPair(1.0, 2.0)), H=H,
+                       s=2.0, f=lambda x: 0.0)
+
+
+def test_2d_solve_is_deterministic():
+    problem = _solve_2d_problem()
+    g = build_ball_grid([0.0, 0.0], 1.2, 0.05, 2)
+    sol1, rep1 = solve_dirichlet(problem, g, lambda x: 10.0, tol=1e-8,
+                                 max_iter=100)
+    sol2, rep2 = solve_dirichlet(problem, g, lambda x: 10.0, tol=1e-8,
+                                 max_iter=100)
+    assert rep1.converged and rep2.converged
+    assert np.array_equal(sol1.values, sol2.values)
+    assert (rep1.iterations, rep1.backtracks) == (rep2.iterations,
+                                                  rep2.backtracks)
+
+
+def test_newton_step_matches_dense_solve_with_less_fill_than_colamd():
+    from scipy.sparse.linalg import splu
+
+    problem = _solve_2d_problem()
+    g = build_ball_grid([0.0, 0.0], 1.0, 0.1, 2)
+    ni = g.n_interior
+
+    def boundary(x):
+        return 10.0 + 3.0 * x[:, 0] - 2.0 * x[:, 0] * x[:, 1]
+
+    vals = np.empty(len(g.nodes))
+    vals[ni:] = boundary(g.projections)
+    vals[:ni] = _initial_guess(g, boundary, vals[ni:])
+    res, policy = _interior_residual(problem, g, vals, np.zeros(ni))
+    J, slot = _jacobian_pattern(g)
+    pattern = J.copy()
+    pattern.data[:] = 1.0
+    assert (pattern != pattern.T).nnz == 0  # structurally symmetric
+    J.data[:] = _jacobian_table(problem, g, vals, policy).ravel()[slot]
+    dense = J.toarray()
+    assert not np.array_equal(dense, dense.T)
+    lu = _factorize(J)
+    exact = np.linalg.solve(dense, -res)
+    step = lu.solve(-res)
+    assert np.abs(step - exact).max() <= 1e-12 * np.abs(exact).max()
+    colamd = splu(J)
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+def test_singular_jacobian_ends_the_solve_unconverged(monkeypatch):
+    import osserman_lab.solver as solver
+
+    def zero_table(problem, grid, vals, policy):
+        return np.zeros((grid.n_interior, 1 + len(grid.directions)))
+
+    monkeypatch.setattr(solver, "_jacobian_table", zero_table)
+    g = build_ball_grid(0.0, 1.0, 0.1, 1)
+    sol, report = solve_dirichlet(_laplace_problem(), g, lambda x: 1.0,
+                                  tol=1e-10, max_iter=10)
+    assert not report.converged
+    assert report.iterations == 0
+    assert np.all(np.isfinite(sol.values))
 
 
 def test_discrete_comparison():

@@ -1,0 +1,146 @@
+"""Time one cold factor-and-solve of a first Newton Jacobian: scipy's
+``spsolve`` (COLAMD column ordering) against the solver's own factorization
+``solver._factorize`` (minimum degree on J + J^T, symmetric mode).
+
+    python3 tools/bench_linear_solve.py [--repeats 3] [--cases small,mid,large]
+
+Each (case, method, repeat) runs in a fresh child process with BLAS and
+OpenMP threads set to 1. The child builds the grid, the cold initial guess,
+its residual and the policy Jacobian, then times one factor-and-solve of
+J d = -res. It reports the time, the child's peak RSS before and after that
+call, and the fill L.nnz + U.nnz (for ``spsolve`` that of ``splu`` with the
+same COLAMD ordering, computed after the peak is read). The cases:
+
+- small: the perfbench ``solve-2d`` problem, Pucci+ (lam 1, Lam 2), H = |p|^2,
+  s = 2, data 10 on B_1.2 at h = 0.05 (1,789 unknowns);
+- mid: the same problem at h = 0.0125 (28,913 unknowns);
+- large: Pucci+ (lam = Lam = 1), H = |p|^2, s = 3, data 100 on B_8 at
+  h = 0.05, the largest ball of a 2D expanding-ball run (80,369 unknowns).
+
+The last line of standard output is one JSON object: per case and method the
+median time and peak RSS over the repeats, the fill, and the largest
+difference between the two methods' steps relative to the step's sup norm.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+# name: (Lam, s, boundary value, radius, h)
+CASES = {
+    "small": (2.0, 2.0, 10.0, 1.2, 0.05),
+    "mid": (2.0, 2.0, 10.0, 1.2, 0.0125),
+    "large": (1.0, 3.0, 100.0, 8.0, 0.05),
+}
+METHODS = ("spsolve", "factorize")
+
+
+def _peak_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _child(case: str, method: str, step_file: str) -> dict:
+    import numpy as np
+    from scipy.sparse.linalg import splu, spsolve
+
+    from osserman_lab.core import build_ball_grid, evaluate
+    from osserman_lab.operators import (EllipticityPair, hamiltonian_library,
+                                        pucci_plus_operator)
+    from osserman_lab.solver import (ProblemSpec, _factorize, _initial_guess,
+                                     _interior_residual, _jacobian_pattern,
+                                     _jacobian_table)
+
+    Lam, s, value, radius, h = CASES[case]
+    problem = ProblemSpec(
+        F=pucci_plus_operator(EllipticityPair(1.0, Lam)),
+        H=hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=2),
+        s=s, f=lambda x: 0.0)
+    grid = build_ball_grid([0.0, 0.0], radius, h, 2)
+    ni = grid.n_interior
+    vals = np.empty(len(grid.nodes))
+    vals[ni:] = evaluate(lambda x: value, grid.projections)
+    vals[:ni] = _initial_guess(grid, lambda x: value, vals[ni:])
+    res, policy = _interior_residual(problem, grid, vals, np.zeros(ni))
+    J, slot = _jacobian_pattern(grid)
+    J.data[:] = _jacobian_table(problem, grid, vals, policy).ravel()[slot]
+
+    rss_before = _peak_mib()
+    start = time.perf_counter()
+    if method == "spsolve":
+        step = spsolve(J, -res)
+    else:
+        lu = _factorize(J)
+        step = lu.solve(-res)
+    seconds = time.perf_counter() - start
+    rss_after = _peak_mib()
+    if method == "spsolve":
+        lu = splu(J)  # COLAMD, spsolve's ordering
+    np.save(step_file, step)
+    return {"case": case, "method": method, "unknowns": ni,
+            "seconds": seconds, "fill": int(lu.L.nnz + lu.U.nnz),
+            "peak_rss_before_mb": rss_before, "peak_rss_mb": rss_after}
+
+
+def _run_child(case: str, method: str, step_file: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               **{var: "1" for var in THREAD_VARS})
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child",
+                          case, method, step_file],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--cases", default=",".join(CASES))
+    parser.add_argument("--child", nargs=3, metavar=("CASE", "METHOD", "STEP"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(_child(*args.child)))
+        return 0
+
+    import tempfile
+
+    import numpy as np
+
+    report = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in args.cases.split(","):
+            runs = {m: [] for m in METHODS}
+            for rep in range(args.repeats):
+                # alternate which method starts, so drift falls on both
+                for method in METHODS if rep % 2 == 0 else METHODS[::-1]:
+                    row = _run_child(case, method, os.path.join(tmp, f"{method}.npy"))
+                    runs[method].append(row)
+                    print(json.dumps(row), flush=True)
+            old, new = (np.load(os.path.join(tmp, f"{m}.npy")) for m in METHODS)
+            entry = {"unknowns": runs[METHODS[0]][0]["unknowns"],
+                     "step_rel_diff": float(np.abs(old - new).max()
+                                            / np.abs(old).max())}
+            for method, rows in runs.items():
+                entry[method] = {
+                    "seconds": [r["seconds"] for r in rows],
+                    "median_s": statistics.median(r["seconds"] for r in rows),
+                    "fill": rows[0]["fill"],
+                    "peak_rss_before_mb": statistics.median(
+                        r["peak_rss_before_mb"] for r in rows),
+                    "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rows)}
+            report[case] = entry
+    print(json.dumps(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
