@@ -163,6 +163,16 @@ def _expanding_ball_runs(problem, sec: dict, path: str, boundaries,
     return runs, separation_table(*runs, radius) if len(runs) == 2 else None
 
 
+def _solve_rows(runs) -> list[dict]:
+    """One row per boundary data and radius k: that solve's Newton report.
+    Wall times stay out, so reruns still write identical files."""
+    return [{"boundary": b, "k": k, "iterations": rep.iterations,
+             "backtracks": rep.backtracks, "final_residual": rep.final_residual,
+             "converged": rep.converged}
+            for b, run in enumerate(runs)
+            for k, rep in zip(run.radii, run.reports)]
+
+
 def _separation_outputs(table) -> tuple[dict, tuple]:
     """A separation table as its summary entry and its CSV table."""
     radii = [row["k"] for row in table]
@@ -183,7 +193,8 @@ def _cmd_entire(args, cfg, seed: int):
     runs, table = _expanding_ball_runs(problem, sec, "entire", boundaries, k_max, n)
     flagged = any(run.flagged for run in runs)
     header = ["k", "k_next", "j", "sup_diff"]
-    summary = {"passed": not flagged, "flagged": flagged}
+    summary = {"passed": not flagged, "flagged": flagged,
+               "solves": _solve_rows(runs)}
     tables = {"stabilization.csv": (
         header, [[r[key] for r in runs[0].stabilization] for key in header])}
     if table is not None:
@@ -220,8 +231,9 @@ def _cmd_uniqueness(args, cfg, seed: int):
     keep = {int(k) for k in radii}
     separation, csv = _separation_outputs([r for r in table if r["k"] in keep])
     flagged = any(run.flagged for run in runs)
-    return cfg, {"passed": not flagged, "flagged": flagged,
-                 "separation": separation}, {"separation.csv": csv}
+    summary = {"passed": not flagged, "flagged": flagged,
+               "separation": separation, "solves": _solve_rows(runs)}
+    return cfg, summary, {"separation.csv": csv}
 
 
 def _cmd_check_hamiltonian(args, cfg, seed: int):

@@ -8,6 +8,7 @@ sphere (first-order cut-cell). Dimension is restricted to n in {1, 2}.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,16 +77,8 @@ class BallGrid:
         return _DIRECTIONS_1D if self.n == 1 else _DIRECTIONS_2D
 
     @property
-    def n_boundary(self) -> int:
-        return len(self.nodes) - self.n_interior
-
-    @property
     def interior_nodes(self) -> np.ndarray:
         return self.nodes[: self.n_interior]
-
-    def boundary_index(self, k: int) -> int:
-        """Global node index of boundary node k."""
-        return self.n_interior + k
 
 
 def build_ball_grid(center, R: float, h: float, n: int) -> BallGrid:
@@ -189,6 +182,42 @@ def sample_field(grid: BallGrid, fn: Callable) -> ScalarField:
     """Sample the data callable ``fn`` at every node coordinate (boundary
     at lattice points)."""
     return ScalarField(grid=grid, values=evaluate(fn, grid.nodes))
+
+
+def interpolate(field: ScalarField, points) -> np.ndarray:
+    """The n-linear interpolant of ``field`` at (N, n) ``points``, shape (N,).
+
+    Each point takes the 2^n corners of its lattice cell from the grid's
+    nodes, interior and boundary layer alike, and blends them one axis at a
+    time as a + t (b - a), so a constant field comes back exactly. A cell
+    with a corner outside the node set raises ValueError. Every point of
+    the open ball has all its corners: the corner nearest the center is
+    interior, and the others are its stencil neighbours.
+    """
+    g = field.grid
+    t = (as_points(points, g.n) - g.center[None, :]) / g.h
+    if not np.all(np.isfinite(t)):
+        raise ValueError("points must be finite")
+    low = np.floor(t)
+    frac = t - low
+    # node index per lattice offset on the box [-m, m]^n, -1 off the nodes
+    m = int(np.abs(g.lattice).max())
+    weights = (2 * m + 1) ** np.arange(g.n)[::-1]
+    index = np.full((2 * m + 1) ** g.n, -1)
+    index[(g.lattice + m) @ weights] = np.arange(len(g.nodes))
+    corners = low[:, None, :] + np.array(
+        list(itertools.product((0, 1), repeat=g.n)))[None, :, :]
+    inside = np.all(np.abs(corners) <= m, axis=2)
+    flat = (np.clip(corners, -m, m) + m).astype(np.int64) @ weights
+    nodes = np.where(inside, index[flat], -1)
+    if np.any(nodes < 0):
+        raise ValueError("a point's lattice cell has a corner outside the "
+                         "grid's nodes")
+    vals = field.values[nodes].reshape((len(t),) + (2,) * g.n)
+    for axis in range(g.n - 1, -1, -1):
+        w = frac[:, axis].reshape((-1,) + (1,) * axis)
+        vals = vals[..., 0] + w * (vals[..., 1] - vals[..., 0])
+    return vals
 
 
 def spacings2(grid: BallGrid) -> np.ndarray:

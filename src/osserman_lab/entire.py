@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .barrier import barrier_constants, exponent_mu
-from .core import (BallGrid, ScalarField, build_ball_grid, evaluate, norm,
-                   row_norms, sample_field)
+from .core import (BallGrid, ScalarField, build_ball_grid, evaluate,
+                   interpolate, norm, row_norms, sample_field)
 from .operators import CheckReport
 from .solver import ProblemSpec, solve_dirichlet
 
@@ -55,16 +55,17 @@ def _shared_interior(a: BallGrid, b: BallGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _warm_start(grid: BallGrid, prev: Optional[ScalarField]) -> Optional[np.ndarray]:
-    """Seed interior values from the previous (smaller) solution where the
-    lattices overlap; leave None to fall back on radial interpolation."""
+    """Seed interior values from the previous (smaller) solution shifted
+    outward by the radius increment d: node x takes prev's interpolant at
+    y = x - d x/|x|, or at the center when |x| <= d. y lies as far inside
+    prev's sphere as x lies inside the new one, so prev's boundary layer
+    starts at the new sphere. None leaves the solver's radial interpolation."""
     if prev is None:
         return None
-    ia, ib = _shared_interior(grid, prev.grid)
-    known = prev.values[ib]
-    # new rim nodes start from the mean of the already-known values
-    vals = np.full(grid.n_interior, float(known.mean()) if len(known) else 0.0)
-    vals[ia] = known
-    return vals
+    d = grid.radius - prev.grid.radius
+    vecs = grid.interior_nodes - grid.center[None, :]
+    scale = 1.0 - d / np.maximum(row_norms(vecs), d)
+    return interpolate(prev, grid.center[None, :] + scale[:, None] * vecs)
 
 
 def sup_difference(a: ScalarField, b: ScalarField, radius: float,

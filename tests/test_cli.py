@@ -215,6 +215,35 @@ def test_entire_with_two_boundaries(tmp_path):
     assert summary["fitted_decay_exponent"] is None  # only one tail point
 
 
+def test_entire_summary_has_one_solve_row_per_boundary_and_radius(tmp_path):
+    # the criterion-7 problem at h = 0.04, k <= 4: each larger ball starts
+    # from the previous solution shifted outward, so after k = 1 the
+    # data-100 solves need few Newton steps
+    cfg = _write_cfg(tmp_path, "cfg.json", {
+        "problem": {
+            "s": 3.0,
+            "operator": {"tag": "pucci_plus", "lam": 1.0, "Lam": 1.0},
+            "hamiltonian": {"tag": "prototype", "c1": 0.0, "cm": 1.0,
+                            "m": 2.0, "n": 1},
+            "f": {"tag": "zero"},
+        },
+        "entire": {"k_max": 4, "h": 0.04, "tol": 1e-8, "max_iter": 5000000,
+                   "n": 1, "boundary": {"tag": "constant", "value": 0.0},
+                   "boundary2": {"tag": "constant", "value": 100.0}},
+    })
+    out = str(tmp_path / "out")
+    assert main(["entire", "--config", cfg, "--out", out, "--quiet"]) == 0
+    rows = _read_summary(out)["solves"]
+    assert [(r["boundary"], r["k"]) for r in rows] == [
+        (b, k) for b in (0, 1) for k in (1, 2, 3, 4)]
+    for row in rows:
+        assert set(row) == {"boundary", "k", "iterations", "backtracks",
+                            "final_residual", "converged"}
+        assert row["converged"] and row["final_residual"] <= 1e-8
+    assert all(r["iterations"] <= 6 for r in rows
+               if r["boundary"] == 1 and r["k"] > 1)
+
+
 def test_uniqueness_command(tmp_path):
     cfg = _write_cfg(tmp_path, "cfg.json", {
         "problem": {

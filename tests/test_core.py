@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from osserman_lab.config import build_boundary, build_f
 from osserman_lab.core import (BallGrid, GridError, ScalarField,
-                               build_ball_grid, evaluate, fd_derivatives, norm,
-                               row_norms, sample_field)
+                               build_ball_grid, evaluate, fd_derivatives,
+                               interpolate, norm, row_norms, sample_field)
 from osserman_lab.operators import _batch_eigs
 
 
@@ -98,6 +98,39 @@ def test_full_stencil_and_determinism():
     assert np.array_equal(a.lattice, b.lattice)
     assert np.array_equal(a.neighbors, b.neighbors)
     assert a.neighbors.min() >= 0 and a.neighbors.max() < len(a.nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2]),
+       center=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+       R=st.floats(1.0, 3.0), h=st.floats(0.05, 0.4),
+       coef=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_interpolate_is_exact_on_multilinear_fields(n, center, R, h, coef,
+                                                     seed):
+    a, b, c, e = coef
+    center = np.asarray(center[:n])
+    g = build_ball_grid(center, R, h, n)
+
+    def multilinear(x):
+        if n == 1:
+            return a + b * x[:, 0]
+        return a + b * x[:, 0] + c * x[:, 1] + e * x[:, 0] * x[:, 1]
+
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((200, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = R * rng.uniform(0.0, 1.0, 200) ** (1.0 / n)
+    pts = np.vstack([center[None, :] + radii[:, None] * dirs,
+                     g.interior_nodes])
+    got = interpolate(sample_field(g, multilinear), pts)
+    assert np.abs(got - multilinear(pts)).max() <= 1e-12
+
+    constant = ScalarField(grid=g, values=np.full(len(g.nodes), a))
+    assert np.all(interpolate(constant, pts) == a)
+
+    with pytest.raises(ValueError):
+        interpolate(constant, center[None, :] + (R + 3.0 * h) * dirs[:1])
 
 
 # Entries of like size (where the summation order shows in the last bit),

@@ -9,12 +9,12 @@ from scipy.optimize import brentq
 
 from osserman_lab.barrier import barrier_constants
 from osserman_lab.core import ScalarField, build_ball_grid, norm, sample_field
-from osserman_lab.entire import (_warm_start, check_local_bound,
-                                 construct_entire, continuum_oracle_1d,
-                                 fit_abp_constant, fit_decay_exponent,
-                                 growth_profile, local_bound,
-                                 rho_threshold, rho_threshold_closed_form,
-                                 separation_table, sup_difference)
+from osserman_lab.entire import (check_local_bound, construct_entire,
+                                 continuum_oracle_1d, fit_abp_constant,
+                                 fit_decay_exponent, growth_profile,
+                                 local_bound, rho_threshold,
+                                 rho_threshold_closed_form, separation_table,
+                                 sup_difference)
 from osserman_lab.operators import (EllipticityPair, HamiltonianH, OperatorF,
                                     hamiltonian_library, laplacian_operator,
                                     pucci_minus_operator)
@@ -88,16 +88,6 @@ def test_lattice_matching_agrees_with_dict_match(n, center, h, radii, sub, seed)
             if np.linalg.norm(ga.nodes[i] - center) < sub]
     want = max(abs(a.values[i] - b.values[j]) for i, j in near)
     assert sup_difference(a, b, sub) == want
-
-    # warm start of b's grid from a: matched nodes copied, the rest set to
-    # the mean of the copied values
-    want = np.zeros(gb.n_interior)
-    filled = np.zeros(gb.n_interior, dtype=bool)
-    for j, i in _dict_matches(gb, ga):
-        want[j] = a.values[i]
-        filled[j] = True
-    want[~filled] = want[filled].mean()
-    assert np.array_equal(_warm_start(gb, a), want)
 
 
 def test_sup_difference_rejects_other_center_or_spacing():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from osserman_lab.core import ScalarField, build_ball_grid, sample_field
+from osserman_lab.entire import radial_power_rhs
 from osserman_lab.operators import (EllipticityPair, hamiltonian_library,
                                     laplacian_operator, negate_hamiltonian,
                                     pucci_minus_operator, pucci_plus_operator,
@@ -319,3 +320,19 @@ def test_cold_large_ball_solve_takes_few_newton_steps():
     assert report.iterations <= 40
     assert len(report.residual_history) == report.iterations
     assert np.abs(residual_field(problem, sol)).max() <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="Newton's first step from the zero "
+                   "state is halved below ALPHA_MIN")
+def test_2d_pucci_with_first_order_hamiltonian_converges():
+    # 2D Pucci+ with lam < Lam and H = |p|: the line search rejects every
+    # step length down to 2^-30, so the solve ends after 0 steps at sup
+    # residual ~2. With Lam = 1, with the Laplacian or with c1 = 0 it
+    # converges in a few steps.
+    problem = ProblemSpec(
+        F=pucci_plus_operator(EllipticityPair(1.0, 2.0)),
+        H=hamiltonian_library("prototype", c1=1.0, cm=0.0, m=1.0, n=2),
+        s=3.0, f=radial_power_rhs(0.5))
+    grid = build_ball_grid([0.0, 0.0], 1.0, 0.1, 2)
+    _, rep = solve_dirichlet(problem, grid, lambda x: 0.0, 1e-7, 1000)
+    assert rep.converged

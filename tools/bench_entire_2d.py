@@ -1,0 +1,125 @@
+"""Time a 2D expanding-ball run, radius by radius, on one or more checkouts.
+
+    python3 tools/bench_entire_2d.py [--src CHECKOUT ...]
+
+The run is ``entire.construct_entire`` on B_1..B_8 at spacing h = 0.1 and
+h = 0.05 for Pucci+ with lam = Lam = 1, H = |p|^2, s = 3, f = 0 and boundary
+data 100, with tol 1e-8. Each (checkout, h) runs in a fresh child process
+that imports the package from ``CHECKOUT/src`` (default: this script's
+checkout), with BLAS and OpenMP threads set to 1. The child times each
+Dirichlet solve by binding a timer over ``entire.solve_dirichlet``, and
+reports per radius the interior node count, Newton steps, backtracks, final
+residual and seconds, plus the whole run's wall time and the child's peak
+RSS.
+
+Each child's report is printed as it finishes. The last line of standard
+output is one JSON object: per h, the report of every checkout in the order
+given and, with two or more checkouts, the largest difference of each
+checkout's final field from the first one's (None if the runs stopped at
+different radii).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+SPACINGS = (0.1, 0.05)
+K_MAX, DATA, TOL, MAX_ITER = 8, 100.0, 1e-8, 5_000_000
+
+
+def _child(h: float, field_file: str) -> dict:
+    import numpy as np
+
+    from osserman_lab import entire
+    from osserman_lab.operators import (EllipticityPair, hamiltonian_library,
+                                        pucci_plus_operator)
+    from osserman_lab.solver import ProblemSpec
+
+    problem = ProblemSpec(
+        F=pucci_plus_operator(EllipticityPair(1.0, 1.0)),
+        H=hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=2),
+        s=3.0, f=lambda x: 0.0)
+    seconds = []
+    solve = entire.solve_dirichlet
+
+    def timed_solve(*args, **kwargs):
+        start = time.perf_counter()
+        result = solve(*args, **kwargs)
+        seconds.append(time.perf_counter() - start)
+        return result
+
+    entire.solve_dirichlet = timed_solve
+    start = time.perf_counter()
+    run = entire.construct_entire(problem, K_MAX, lambda x: DATA, TOL, h,
+                                  MAX_ITER, center=[0.0, 0.0])
+    wall = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    np.save(field_file, run.fields[-1].values)
+    radii = [{"k": k, "unknowns": f.grid.n_interior,
+              "iterations": rep.iterations, "backtracks": rep.backtracks,
+              "final_residual": rep.final_residual, "seconds": s}
+             for k, f, rep, s in zip(run.radii, run.fields, run.reports,
+                                     seconds)]
+    return {"h": h, "flagged": run.flagged,
+            "steps": sum(r["iterations"] for r in radii),
+            "solve_s": sum(seconds), "wall_s": wall, "peak_rss_mb": peak,
+            "radii": radii}
+
+
+def _run_child(src: str, h: float, field_file: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"),
+               **{var: "1" for var in THREAD_VARS})
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child",
+                          str(h), field_file],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", nargs="+", default=[ROOT],
+                        help="checkout roots to run, each with a src/ directory")
+    parser.add_argument("--child", nargs=2, metavar=("H", "FIELD"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        h, field_file = args.child
+        print(json.dumps(_child(float(h), field_file)))
+        return 0
+
+    import tempfile
+
+    import numpy as np
+
+    report = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for h in SPACINGS:
+            entry, fields = {}, []
+            for i, src in enumerate(args.src):
+                field_file = os.path.join(tmp, f"field{i}.npy")
+                row = _run_child(os.path.abspath(src), h, field_file)
+                print(json.dumps({"src": src, **row}), flush=True)
+                entry[src] = row
+                fields.append(np.load(field_file))
+            if len(fields) > 1:
+                # None when a flagged run stopped at another radius
+                entry["field_max_diff"] = {
+                    src: float(np.abs(f - fields[0]).max())
+                    if f.shape == fields[0].shape else None
+                    for src, f in zip(args.src[1:], fields[1:])}
+            report[str(h)] = entry
+    print(json.dumps(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
