@@ -5,9 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import osserman_lab
+from osserman_lab.barrier import barrier_constants, verify_barrier_inequality
 from osserman_lab.cli import _write_csv, main
+from osserman_lab.core import build_ball_grid
 
 
 def _write_cfg(tmp_path, name, cfg):
@@ -32,12 +36,24 @@ def _cell(value) -> str:
     return "%.17g" % float(value)
 
 
+def _package_env():
+    """The environment of a child process that imports this package."""
+    src = os.path.dirname(os.path.dirname(osserman_lab.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _expected_csv(header, columns) -> bytes:
+    rows = len(columns[0]) if columns else 0
+    return (",".join(header) + "\n" + "".join(
+        ",".join(_cell(col[i]) for col in columns) + "\n"
+        for i in range(rows))).encode()
+
+
 def test_import_cli_loads_no_scipy_submodule():
     # scipy.sparse, scipy.optimize and scipy.integrate are imported inside
     # the functions that use them, so commands that never solve start fast.
-    src = os.path.dirname(os.path.dirname(osserman_lab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _package_env()
     code = ("import sys, osserman_lab.cli; print(sorted(m for m in sys.modules"
             " if m.startswith(('scipy.sparse', 'scipy.optimize',"
             " 'scipy.integrate'))))")
@@ -70,6 +86,121 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
     assert path.read_bytes() == want.encode()
     _write_csv(str(path), ["k", "v"], [[], []])
     assert path.read_bytes() == b"k,v\n"
+
+
+def _float_pool(dtype) -> np.ndarray:
+    """Values a float column repeats: both zeros, NaNs of several signs and
+    payloads, both infinities, the smallest subnormals and inexact values."""
+    dtype = np.dtype(dtype)
+    with np.errstate(over="ignore", under="ignore"):
+        values = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 0.1,
+                           -1.0 / 3.0, 2.0 ** 60, 1e-45, 6e-8]).astype(dtype)
+    bits = f"u{dtype.itemsize}"
+    nan = int(np.array(np.nan, dtype).view(bits))
+    sign = 1 << (8 * dtype.itemsize - 1)
+    nans = np.array([nan, nan + 1, nan + 2, nan | sign, (nan + 1) | sign],
+                    dtype=bits).view(dtype)
+    return np.concatenate([values, nans])
+
+
+_POOLS = {dtype: _float_pool(dtype) for dtype in ("f8", "f4", "f2")}
+_KINDS = ("f8", "f4", "f2", "f8-list", "nodes.T", "i8", "bool", "text")
+
+
+@st.composite
+def _tables(draw):
+    """A few columns of one length drawn from small pools, so values repeat."""
+    rows = draw(st.integers(0, 12))
+    picks = st.lists(st.integers(0, len(_POOLS["f8"]) - 1), min_size=rows,
+                     max_size=rows)
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=5)):
+        if kind == "nodes.T":  # strided rows of an (N, 2) array
+            nodes = np.stack([_POOLS["f8"][draw(picks)] for _ in range(2)], 1)
+            columns.extend(nodes.T)
+        elif kind == "f8-list":
+            columns.append(_POOLS["f8"][draw(picks)].tolist())
+        elif kind in _POOLS:
+            columns.append(_POOLS[kind][draw(picks)])
+        elif kind == "i8":
+            columns.append(np.array(draw(picks), dtype=np.int64) - 3)
+        elif kind == "bool":
+            columns.append(np.array(draw(picks)) % 2 == 0)
+        else:
+            columns.append(np.array(["a", "-0", "nan", ""])[
+                np.array(draw(picks), dtype=int) % 4])
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=_tables())
+# -0.0 and 0.0 in one column, and a float32 column of odd length
+@example(columns=[_POOLS["f8"][[1, 0, 1, 11, 14]],
+                  _POOLS["f4"][[0, 1, 6, 12, 9]]])
+def test_write_csv_dedupe_matches_per_cell_formatting(tmp_path_factory,
+                                                      columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    _write_csv(str(path), header, columns)
+    assert path.read_bytes() == _expected_csv(header, columns)
+
+
+def test_verify_barrier_residuals_csv_matches_per_cell_formatting(tmp_path):
+    params = {"s": 3.0, "m": 2.0, "n": 2, "Lam": 1.0, "gamma1": 1.0,
+              "gamma": 1.0, "delta": 1.0, "R": 1.0}
+    cfg = _write_cfg(tmp_path, "cfg.json", {"barrier": {**params, "h": 0.05}})
+    out = str(tmp_path / "out")
+    assert main(["verify-barrier", "--config", cfg, "--out", out,
+                 "--quiet"]) == 0
+    grid = build_ball_grid([0.0, 0.0], 0.999 * params["R"], 0.05, 2)
+    res = verify_barrier_inequality(barrier_constants(**params),
+                                    grid).extra["residuals"]
+    columns = [np.arange(len(res)), *grid.interior_nodes.T, res]
+    with open(os.path.join(out, "residuals.csv"), "rb") as fh:
+        assert fh.read() == _expected_csv(
+            ["node", "x0", "x1", "residual"], columns)
+
+
+def _out_files(out) -> dict:
+    contents = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            contents[name] = fh.read()
+    return contents
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    # main's parser is built once per process; a flag given to one call
+    # must not leak into the next, and a rejected argv must leave it usable
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-barrier", "--R"])
+    assert exc.value.code == 2
+    barrier = _write_cfg(tmp_path, "barrier.json", {"barrier": {
+        "s": 3.0, "m": 2.0, "n": 2, "Lam": 1.0, "gamma1": 0.0, "gamma": 1.0,
+        "delta": 1.0, "R": 1.0, "h": 0.1}})
+    oracle = _write_cfg(tmp_path, "oracle.json", {"oracle": {"s": 2.0}})
+    calls = [
+        ["verify-barrier", "--config", barrier, "--R", "2"],
+        ["verify-barrier", "--config", barrier],
+        ["oracle", "delta-s", "--config", oracle, "--s", "3",
+         "--samples", "50"],
+        ["oracle", "delta-s", "--config", oracle, "--samples", "50"],
+    ]
+    outs = []
+    for i, argv in enumerate(calls):
+        out = str(tmp_path / f"out{i}")
+        assert main([*argv, "--out", out, "--quiet"]) == 0
+        outs.append(out)
+    assert _read_summary(outs[0])["parameters"]["R"] == 2.0
+    assert _read_summary(outs[1])["parameters"]["R"] == 1.0
+    assert _read_summary(outs[2])["parameters"]["s"] == 3.0
+    assert _read_summary(outs[3])["parameters"]["s"] == 2.0
+    for i, (argv, out) in enumerate(zip(calls, outs)):
+        fresh = str(tmp_path / f"fresh{i}")
+        subprocess.run([sys.executable, "-m", "osserman_lab.cli", *argv,
+                        "--out", fresh, "--quiet"], env=_package_env(),
+                       check=True)
+        assert _out_files(out) == _out_files(fresh), argv
 
 
 SOLVE_CFG = {
