@@ -62,23 +62,11 @@ def _write_csv(path: str, header, columns):
         fh.writelines(line % row for row in zip(*cells))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def _write_json(path: str, obj: dict):
+    # numpy arrays and scalars become Python values; np.float64 subclasses
+    # float and is written as one without the hook
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, default=lambda o: o.tolist())
         fh.write("\n")
 
 

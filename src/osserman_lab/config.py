@@ -48,14 +48,18 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
+def _finite(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool) \
+        and np.isfinite(val)
+
+
 def _number(section: dict, key: str, path: str, default=None):
     if key not in section:
         if default is None:
             raise ConfigError(f"{path}.{key}", "missing required key")
         return default
     val = section[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool) \
-            or not np.isfinite(val):
+    if not _finite(val):
         raise ConfigError(f"{path}.{key}", "must be a finite number")
     return float(val)
 
@@ -75,8 +79,9 @@ def build_operator(section: dict, path: str = "problem.operator") -> OperatorF:
     if tag == "weighted_trace":
         weights = _require(section, "weights", path)
         if not isinstance(weights, list) or not weights \
-                or any(w <= 0 for w in weights):
-            raise ConfigError(f"{path}.weights", "must be a list of positive numbers")
+                or not all(_finite(w) and w > 0 for w in weights):
+            raise ConfigError(f"{path}.weights",
+                              "must be a list of positive finite numbers")
         return weighted_trace_operator(weights)
     raise ConfigError(f"{path}.tag", f"unknown operator tag {tag!r}")
 
@@ -84,6 +89,10 @@ def build_operator(section: dict, path: str = "problem.operator") -> OperatorF:
 def build_hamiltonian(section: dict, path: str = "problem.hamiltonian") -> HamiltonianH:
     tag = _require(section, "tag", path)
     params = {k: v for k, v in section.items() if k not in ("tag", "negate")}
+    try:  # finds a NaN or infinity at any depth: coefficients, matrices
+        json.dumps(params, allow_nan=False)
+    except ValueError:
+        raise ConfigError(path, "numbers must be finite")
     try:
         H = hamiltonian_library(tag, **params)
     except (ValueError, TypeError) as exc:

@@ -17,6 +17,7 @@ from .core import row_norms
 
 MARGIN_TOL = 1e-9
 _PMAX = 1e3  # sampling range for gradient magnitudes (log-uniform)
+_DIM = 2  # dimension of the points, matrices and gradients the checkers draw
 
 
 class MetadataError(ValueError):
@@ -254,21 +255,21 @@ def _chunked_sweep(samples: int, draw: Callable) -> tuple[float, dict]:
     ``draw(count)`` makes the next `count` samples and returns
     (margins, data), data mapping names to per-sample arrays; the witness
     holds each data[name][k] as a list for the sample k of the smallest
-    margin. Chunks are drawn in order, so one RNG gives one result.
+    margin. Chunks are drawn in order, so one RNG gives one result. The
+    first NaN margin is the smallest and stays so.
     """
     worst = np.inf
     witness: dict = {}
     for start in range(0, samples, _CHUNK):
         margins, data = draw(min(_CHUNK, samples - start))
-        k = int(np.argmin(margins))
-        if margins[k] < worst:
+        k = int(np.argmin(margins))  # the first NaN, if any
+        if not (margins[k] >= worst or math.isnan(worst)):
             worst = float(margins[k])
             witness = {key: np.asarray(val[k]).tolist() for key, val in data.items()}
     return worst, witness
 
 
-def check_uniform_ellipticity(F: OperatorF, samples: int, rng=None,
-                              n: int = 2, scale: float = 1.0) -> CheckReport:
+def check_uniform_ellipticity(F: OperatorF, samples: int, rng=None) -> CheckReport:
     """Randomized check of the Pucci-envelope form of uniform ellipticity:
     P-(Y-X) <= F(x,Y) - F(x,X) <= P+(Y-X) at the operator's declared pair.
     """
@@ -278,9 +279,9 @@ def check_uniform_ellipticity(F: OperatorF, samples: int, rng=None,
     ell = F.ellipticity
 
     def draw(count):
-        x = rng.uniform(-10.0, 10.0, (count, n))
-        X = rng.standard_normal((count, n, n)) * scale
-        Y = rng.standard_normal((count, n, n)) * scale
+        x = rng.uniform(-10.0, 10.0, (count, _DIM))
+        X = rng.standard_normal((count, _DIM, _DIM))
+        Y = rng.standard_normal((count, _DIM, _DIM))
         X = 0.5 * (X + np.swapaxes(X, -1, -2))
         Y = 0.5 * (Y + np.swapaxes(Y, -1, -2))
         diff = F(x, Y) - F(x, X)
@@ -356,134 +357,134 @@ _RATIONAL_C_LOWER_FACTOR = 0.5
 _RATIONAL_A_FACTOR = 3.0
 
 
+CONDITIONS = ("lipschitz_structure", "shift_modulus", "convexity_type",
+              "sublinearization")
+
+
+# One constructor per library tag. Its keyword parameters are the tag's
+# config keys plus n, the dimension in the x-shift modulus constant, so an
+# unknown or missing key raises TypeError.
+
+def _zero(*, m=2.0, n=2) -> HamiltonianH:
+    def ev(x, p):
+        return np.zeros(np.asarray(p, dtype=float).shape[:-1])
+    return HamiltonianH(evaluator=ev, m=float(m), gamma1=0.0, gamma_m=0.0,
+                        convexity=(0.0, 0.0, 0.5), tag="zero", claims=CONDITIONS)
+
+
+def _prototype(*, c1=0.0, cm=1.0, m=2.0, n=2) -> HamiltonianH:
+    c1, cm, m, n = _as_coeff(c1), _as_coeff(cm), float(m), int(n)
+    if not (m == 1.0 or 1.0 < m <= 2.0):
+        raise ValueError("prototype needs m = 1 or m in (1, 2]")
+
+    def ev(x, p):
+        r = row_norms(p)
+        return c1(x) * r + cm(x) * r ** m
+
+    gamma1 = c1.sup_abs + cm.sup_abs if m == 1 else c1.sup_abs
+    gamma_m = 2.0 * m * cm.sup_abs if m > 1 else 0.0
+    convexity, claims = None, CONDITIONS[:2]
+    if m > 1 and cm.inf > 0:
+        convexity, claims = (0.95 * (m - 1) * cm.inf, 0.0, 0.5), CONDITIONS
+    return HamiltonianH(evaluator=ev, m=m, gamma1=gamma1, gamma_m=gamma_m,
+                        convexity=convexity,
+                        modulus_coeff=c1.lipschitz(n) + cm.lipschitz(n),
+                        tag="prototype", claims=claims)
+
+
+def _two_power(*, c=1.0, a=0.5, m=2.0, l=1.5, sigma0=0.5, n=2) -> HamiltonianH:
+    c, a, m, l, sigma0, n = (_as_coeff(c), _as_coeff(a), float(m), float(l),
+                             float(sigma0), int(n))
+    if not (1.0 < m <= 2.0 and 1.0 <= l < m):
+        raise ValueError("two_power needs 1 < m <= 2 and 1 <= l < m")
+    if c.inf <= 0:
+        raise ValueError("two_power needs inf c > 0")
+
+    def ev(x, p):
+        r = row_norms(p)
+        return c(x) * r ** m + a(x) * r ** l
+
+    gamma1 = 2.0 * l * a.sup_abs
+    gamma_m = 2.0 * m * c.sup + 2.0 * l * a.sup_abs
+    c_lower = 0.5 * (m - 1) * c.inf
+    A = _young_constant(a.sup_abs * abs(l - 1.0) / sigma0 ** l, c_lower, l, m)
+    return HamiltonianH(evaluator=ev, m=m, gamma1=gamma1, gamma_m=gamma_m,
+                        convexity=(c_lower, A, sigma0),
+                        modulus_coeff=c.lipschitz(n) + a.lipschitz(n),
+                        tag="two_power", claims=CONDITIONS)
+
+
+def _rational_factor(*, c=1.0, n=2) -> HamiltonianH:
+    c, n = _as_coeff(c), int(n)
+    if c.inf <= 0:
+        raise ValueError("rational_factor needs inf c > 0")
+
+    def ev(x, p):
+        r2 = (np.asarray(p, dtype=float) ** 2).sum(axis=-1)
+        return c(x) * ((r2 - 1.0) ** 2 - 1.0) / (r2 + 1.0)
+
+    return HamiltonianH(
+        evaluator=ev, m=2.0,
+        gamma1=1.5 * c.sup_abs, gamma_m=3.0 * c.sup_abs,
+        convexity=(_RATIONAL_C_LOWER_FACTOR * c.inf,
+                   _RATIONAL_A_FACTOR * c.sup, 0.5),
+        modulus_coeff=2.0 * c.lipschitz(n), tag="rational_factor",
+        claims=CONDITIONS)
+
+
+def _sup_inf(*, matrices, m=2.0, n=2) -> HamiltonianH:
+    m = float(m)
+    if not 1.0 < m <= 2.0:
+        raise ValueError("sup_inf needs m in (1, 2]")
+    mats = [[np.asarray(S, dtype=float) for S in grp] for grp in matrices]
+    all_eigs = np.concatenate([np.linalg.eigvalsh(S) for grp in mats for S in grp])
+    nu = float(all_eigs.min())
+    big = float(all_eigs.max())
+    if nu <= 0:
+        raise ValueError("sup_inf needs all matrices >= nu I with nu > 0")
+
+    def ev(x, p):
+        p = np.asarray(p, dtype=float)
+        forms = np.stack([
+            np.stack([np.einsum("...i,ij,...j->...", p, S, p) for S in grp],
+                     axis=0).min(axis=0)
+            for grp in mats], axis=0)
+        return (forms.max(axis=0)) ** (m / 2.0)
+
+    return HamiltonianH(
+        evaluator=ev, m=m, gamma1=0.0, gamma_m=2.0 * m * big ** (m / 2.0),
+        convexity=(0.95 * (m - 1.0) * nu ** (m / 2.0), 0.0, 0.5), tag="sup_inf",
+        claims=CONDITIONS)
+
+
+_LIBRARY = {"zero": _zero, "prototype": _prototype, "two_power": _two_power,
+            "rational_factor": _rational_factor, "sup_inf": _sup_inf}
+
+
 def hamiltonian_library(tag: str, **params) -> HamiltonianH:
     """Construct a library Hamiltonian with its derived structure constants."""
-    n = int(params.pop("n", 2))
-    if tag == "zero":
-        m = float(params.pop("m", 2.0))
-
-        def ev(x, p):
-            return np.zeros(np.asarray(p, dtype=float).shape[:-1])
-        return HamiltonianH(evaluator=ev, m=m, gamma1=0.0, gamma_m=0.0,
-                            convexity=(0.0, 0.0, 0.5), tag=tag,
-                            claims=("lipschitz_structure", "shift_modulus",
-                                    "convexity_type", "sublinearization"))
-
-    if tag == "prototype":
-        c1 = _as_coeff(params.pop("c1", 0.0))
-        cm = _as_coeff(params.pop("cm", 1.0))
-        m = float(params.pop("m", 2.0))
-        if not (m == 1.0 or 1.0 < m <= 2.0):
-            raise ValueError("prototype needs m = 1 or m in (1, 2]")
-
-        def ev(x, p):
-            r = row_norms(p)
-            return c1(x) * r + cm(x) * r ** m
-
-        gamma1 = c1.sup_abs
-        gamma_m = 2.0 * m * cm.sup_abs if m > 1 else 0.0
-        if m == 1:
-            gamma1 = c1.sup_abs + cm.sup_abs
-        convexity = None
-        claims = ["lipschitz_structure", "shift_modulus"]
-        if m > 1 and cm.inf > 0:
-            convexity = (0.95 * (m - 1) * cm.inf, 0.0, 0.5)
-            claims += ["convexity_type", "sublinearization"]
-        return HamiltonianH(evaluator=ev, m=m, gamma1=gamma1, gamma_m=gamma_m,
-                            convexity=convexity,
-                            modulus_coeff=c1.lipschitz(n) + cm.lipschitz(n), tag=tag,
-                            claims=tuple(claims))
-
-    if tag == "two_power":
-        c = _as_coeff(params.pop("c", 1.0))
-        a = _as_coeff(params.pop("a", 0.5))
-        m = float(params.pop("m", 2.0))
-        l = float(params.pop("l", 1.5))
-        sigma0 = float(params.pop("sigma0", 0.5))
-        if not (1.0 < m <= 2.0 and 1.0 <= l < m):
-            raise ValueError("two_power needs 1 < m <= 2 and 1 <= l < m")
-        if c.inf <= 0:
-            raise ValueError("two_power needs inf c > 0")
-
-        def ev(x, p):
-            r = row_norms(p)
-            return c(x) * r ** m + a(x) * r ** l
-
-        gamma1 = 2.0 * l * a.sup_abs
-        gamma_m = 2.0 * m * c.sup + 2.0 * l * a.sup_abs
-        c_lower = 0.5 * (m - 1) * c.inf
-        A = _young_constant(a.sup_abs * abs(l - 1.0) / sigma0 ** l, c_lower, l, m)
-        return HamiltonianH(evaluator=ev, m=m, gamma1=gamma1, gamma_m=gamma_m,
-                            convexity=(c_lower, A, sigma0),
-                            modulus_coeff=c.lipschitz(n) + a.lipschitz(n), tag=tag,
-                            claims=("lipschitz_structure", "shift_modulus",
-                                    "convexity_type", "sublinearization"))
-
-    if tag == "rational_factor":
-        c = _as_coeff(params.pop("c", 1.0))
-        if c.inf <= 0:
-            raise ValueError("rational_factor needs inf c > 0")
-
-        def ev(x, p):
-            r2 = (np.asarray(p, dtype=float) ** 2).sum(axis=-1)
-            return c(x) * ((r2 - 1.0) ** 2 - 1.0) / (r2 + 1.0)
-
-        return HamiltonianH(
-            evaluator=ev, m=2.0,
-            gamma1=1.5 * c.sup_abs, gamma_m=3.0 * c.sup_abs,
-            convexity=(_RATIONAL_C_LOWER_FACTOR * c.inf,
-                       _RATIONAL_A_FACTOR * c.sup, 0.5),
-            modulus_coeff=2.0 * c.lipschitz(n), tag=tag,
-            claims=("lipschitz_structure", "shift_modulus",
-                    "convexity_type", "sublinearization"))
-
-    if tag == "sup_inf":
-        groups = params.pop("matrices")
-        m = float(params.pop("m", 2.0))
-        if not 1.0 < m <= 2.0:
-            raise ValueError("sup_inf needs m in (1, 2]")
-        mats = [[np.asarray(S, dtype=float) for S in grp] for grp in groups]
-        all_eigs = np.concatenate([np.linalg.eigvalsh(S) for grp in mats for S in grp])
-        nu = float(all_eigs.min())
-        big = float(all_eigs.max())
-        if nu <= 0:
-            raise ValueError("sup_inf needs all matrices >= nu I with nu > 0")
-
-        def ev(x, p):
-            p = np.asarray(p, dtype=float)
-            forms = np.stack([
-                np.stack([np.einsum("...i,ij,...j->...", p, S, p) for S in grp],
-                         axis=0).min(axis=0)
-                for grp in mats], axis=0)
-            return (forms.max(axis=0)) ** (m / 2.0)
-
-        return HamiltonianH(
-            evaluator=ev, m=m, gamma1=0.0, gamma_m=2.0 * m * big ** (m / 2.0),
-            convexity=(0.95 * (m - 1.0) * nu ** (m / 2.0), 0.0, 0.5), tag=tag,
-            claims=("lipschitz_structure", "shift_modulus",
-                    "convexity_type", "sublinearization"))
-
-    raise ValueError(f"unknown Hamiltonian tag {tag!r}")
+    if tag not in _LIBRARY:
+        raise ValueError(f"unknown Hamiltonian tag {tag!r}")
+    return _LIBRARY[tag](**params)
 
 
 def negate_hamiltonian(H: HamiltonianH) -> HamiltonianH:
     """-H, used for the concave-Hamiltonian experiments."""
     def ev(x, p):
         return -H(x, p)
-    claims = tuple(c for c in H.claims if c in ("lipschitz_structure", "shift_modulus"))
     return HamiltonianH(evaluator=ev, m=H.m, gamma1=H.gamma1, gamma_m=H.gamma_m,
                         convexity=H.convexity, modulus_coeff=H.modulus_coeff,
-                        tag="negated_" + H.tag, claims=claims)
+                        tag="negated_" + H.tag, claims=CONDITIONS[:2])
 
 
 # ---------------------------------------------------------------------------
 # Structure-condition checkers
 # ---------------------------------------------------------------------------
 
-def _sample_vectors(rng, count: int, n: int, rmax: float = _PMAX) -> np.ndarray:
+def _sample_vectors(rng, count: int, rmax: float = _PMAX) -> np.ndarray:
     """Random vectors with log-uniform magnitude in [1e-6, rmax], plus a
     sprinkle of exact zeros."""
-    u = rng.standard_normal((count, n))
+    u = rng.standard_normal((count, _DIM))
     u /= np.maximum(row_norms(u), 1e-300)[:, None]
     u *= 10.0 ** rng.uniform(-6.0, np.log10(rmax), count)[:, None]
     u[rng.random(count) < 0.01] = 0.0
@@ -509,12 +510,8 @@ def tilde_gamma(gamma_m: float, m: float, c_lower: float) -> float:
     return gamma_m + (m - 1.0) ** (m - 1.0) * gamma_m ** m / (m ** m * c_lower ** (m - 1.0))
 
 
-CONDITIONS = ("lipschitz_structure", "shift_modulus", "convexity_type",
-              "sublinearization")
-
-
 def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
-                      rng=None, n: int = 2) -> CheckReport:
+                      rng=None) -> CheckReport:
     """Randomized margin sweep for one structure condition.
 
     Margins are (bound - quantity); negative below -1e-9 flags a violation.
@@ -531,9 +528,9 @@ def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
     m, g1, gm = H.m, H.gamma1, H.gamma_m
 
     def draw(count):
-        x = rng.uniform(-10.0, 10.0, (count, n))
-        p = _sample_vectors(rng, count, n)
-        q = _sample_vectors(rng, count, n)
+        x = rng.uniform(-10.0, 10.0, (count, _DIM))
+        p = _sample_vectors(rng, count)
+        q = _sample_vectors(rng, count)
         pn = row_norms(p)
         qn = row_norms(q)
 
@@ -543,7 +540,7 @@ def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
             margins = bound - np.abs(H(x, p) - H(x, q))
             data = {"x": x, "p": p, "q": q}
         elif condition == "shift_modulus":
-            y = x + _sample_vectors(rng, count, n, rmax=10.0)
+            y = x + _sample_vectors(rng, count, rmax=10.0)
             bound = H.modulus_coeff * row_norms(x - y) * (pn ** m + 1.0) \
                 + (g1 + gm * (pn ** (m - 1.0) + qn ** (m - 1.0))) * qn
             margins = bound - np.abs(H(x, p + q) - H(y, p))
@@ -582,14 +579,14 @@ def interpolation_check(m: float, samples: int, rng=None) -> CheckReport:
                        worst_margin=float(margins[k]), witness={"r": float(r[k])})
 
 
-def empirical_increment_constant(m: float, samples: int, rng=None, n: int = 2) -> float:
+def empirical_increment_constant(m: float, samples: int, rng=None) -> float:
     """Empirical C(m) with |p+q|^m - |p|^m <= C (|p|^{m-1}+|q|^{m-1}) |q|,
     found by maximizing the ratio over random pairs."""
     rng = np.random.default_rng(rng)
 
     def draw(count):
-        p = _sample_vectors(rng, count, n)
-        q = _sample_vectors(rng, count, n)
+        p = _sample_vectors(rng, count)
+        q = _sample_vectors(rng, count)
         qn = row_norms(q)
         ok = qn > 0
         pn = row_norms(p)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -478,6 +479,16 @@ def _grid_cfg(**grid):
 
 
 NO_CONVEXITY_H = {"tag": "prototype", "c1": 1.0, "cm": 1.0, "m": 1.0}
+
+
+def _check_cfg(**hamiltonian):
+    return {"hamiltonian": hamiltonian, "check": {"samples": 10}}
+
+
+def _weights_cfg(weights):
+    operator = {"tag": "weighted_trace", "weights": weights}
+    return {**_grid_cfg(n=2, center=[0.0, 0.0], h=0.25),
+            "problem": {**SOLVE_CFG["problem"], "operator": operator}}
 BARRIER_FLAGS = ["--s", "3", "--m", "2", "--Lam", "1", "--gamma1", "0",
                  "--gamma", "1", "--delta", "1"]
 
@@ -524,6 +535,20 @@ BARRIER_FLAGS = ["--s", "3", "--m", "2", "--Lam", "1", "--gamma1", "0",
                  "check.samples", id="check-samples"),
     pytest.param("oracle", None, ["delta-s", "--s", "2", "--samples", "5"],
                  "oracle.samples", id="oracle-samples"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="two_power", sigma_0=0.9),
+                 [], "hamiltonian", id="hamiltonian-unknown-key"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="sup_inf"), [],
+                 "hamiltonian", id="hamiltonian-missing-key"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="prototype", n=math.inf),
+                 [], "hamiltonian", id="hamiltonian-n-inf"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="prototype", c1=math.nan),
+                 [], "hamiltonian", id="hamiltonian-c1-nan"),
+    pytest.param("solve", _weights_cfg(["a", 1.0]), [],
+                 "problem.operator.weights", id="weights-text"),
+    pytest.param("solve", _weights_cfg([math.nan, 1.0]), [],
+                 "problem.operator.weights", id="weights-nan"),
+    pytest.param("solve", _weights_cfg([math.inf, 1.0]), [],
+                 "problem.operator.weights", id="weights-inf"),
 ])
 def test_rejected_config_values_exit_2_and_write_nothing(tmp_path, capsys,
                                                           command, cfg, flags,

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osserman_lab.operators import (Coeff, EllipticityPair, HamiltonianH,
-                                    MetadataError, check_hamiltonian,
+from osserman_lab.operators import (CONDITIONS, Coeff, EllipticityPair,
+                                    HamiltonianH, MetadataError,
+                                    check_hamiltonian,
                                     check_uniform_ellipticity,
                                     empirical_increment_constant,
                                     hamiltonian_library, interpolation_check,
@@ -249,6 +250,18 @@ def test_negate_hamiltonian():
     assert G(x, p)[0] == pytest.approx(-H(x, p)[0])
     rep = check_hamiltonian(G, "convexity_type", samples=50_000, rng=4)
     assert not rep.passed  # -H violates the convexity-type bound
+
+
+def test_nan_margins_fail_every_condition():
+    # NaN on the first 200,000-sample chunk only: a later chunk's finite
+    # margins must not replace it as the worst
+    def ev(x, p):
+        return np.full(np.shape(p)[:-1], np.nan if len(p) > 1 else 0.0)
+    H = HamiltonianH(evaluator=ev, m=2.0, gamma1=1.0, gamma_m=1.0,
+                     convexity=(1.0, 1.0, 0.5))
+    for condition in CONDITIONS:
+        rep = check_hamiltonian(H, condition, samples=200_001, rng=0)
+        assert math.isnan(rep.worst_margin) and not rep.passed, condition
 
 
 def test_tilde_gamma_value():
