@@ -6,6 +6,7 @@ grids, boundary data and right-hand sides.
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable
 
 import numpy as np
@@ -49,8 +50,14 @@ def _require(section: dict, key: str, path: str):
 
 
 def _finite(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool) \
-        and np.isfinite(val)
+    """A JSON number that is a finite float: no bool, NaN or infinity, and
+    no integer too large for a float."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
 
 
 def _number(section: dict, key: str, path: str, default=None):
@@ -95,7 +102,7 @@ def build_hamiltonian(section: dict, path: str = "problem.hamiltonian") -> Hamil
         raise ConfigError(path, "numbers must be finite")
     try:
         H = hamiltonian_library(tag, **params)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(path, str(exc))
     if section.get("negate", False):
         H = negate_hamiltonian(H)

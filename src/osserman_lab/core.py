@@ -138,6 +138,66 @@ def build_ball_grid(center, R: float, h: float, n: int) -> BallGrid:
     )
 
 
+def _bisections(size: int):
+    """Recursive bisection of the coordinates 0..size-1 at the middle
+    coordinate of each interval. Returns the digits, shape (depth, size):
+    at depth t coordinate c is below (0), above (1) or at (2) the middle of
+    its interval, and the middle keeps the one-coordinate interval [c, c];
+    and, per coordinate, the depth from which its interval is [c, c]."""
+    c = np.arange(size)
+    lo, hi = np.zeros(size, dtype=np.int64), np.full(size, size - 1)
+    digits, narrow_from = [], np.zeros(size, dtype=np.int64)
+    while np.any(lo < hi):
+        narrow_from += lo < hi
+        mid = (lo + hi) // 2
+        side = np.sign(c - mid)
+        digits.append(np.where(side == 0, 2, side > 0).astype(np.int8))
+        lo = np.where(side >= 0, mid + side, lo)
+        hi = np.where(side <= 0, mid + side, hi)
+    return np.array(digits, dtype=np.int8).reshape(-1, size), narrow_from
+
+
+def dissection_order(grid: BallGrid) -> np.ndarray:
+    """Nested-dissection order of the interior nodes (George, SINUM 10,
+    1973): ``order[k]`` is the interior node that comes k-th.
+
+    Level L bisects the lattice box of a part at its middle lattice line
+    across axis L mod n, which splits the part into the nodes below and
+    above that line and the separator on it. Both halves come first, then
+    the separator, each ordered by the levels below. A stencil step moves
+    at most one lattice line along any axis, so no stencil edge joins the
+    two halves. A part whose box lies on a single lattice line is not
+    split further and keeps its lexicographic order: a path has no fill in
+    that order, and a 1D grid keeps its natural order.
+
+    Each axis is bisected independently of the others, so node x's place
+    is a closed form: the digits (below, above, on the line) of its
+    coordinates, interleaved over the axes level by level, cut off from the
+    level at which x's part lies on one line, then sorted.
+    """
+    lattice = grid.lattice[: grid.n_interior]
+    n, ni = grid.n, grid.n_interior
+    coords = [lattice[:, a] - lattice[:, a].min() for a in range(n)]
+    sizes = [int(coord.max()) + 1 for coord in coords]
+    if sum(size > 1 for size in sizes) <= 1:
+        return np.arange(ni)  # the whole grid lies on one lattice line
+    tables = [_bisections(size) for size in sizes]
+    depth = max(len(digits) for digits, _ in tables)
+    keys = np.full((depth * n, ni), 2, dtype=np.int8)
+    # the level from which at most one axis of x's part spans several
+    # lines: the second largest over the axes of the level from which the
+    # axis spans one line
+    top = line_from = np.zeros(ni, dtype=np.int64)
+    for a, ((digits, narrow_from), coord) in enumerate(zip(tables, coords)):
+        keys[a::n][: len(digits)] = digits[:, coord]
+        f = narrow_from[coord]  # axis a's t-th bisection is level a + n t
+        narrow = np.where(f > 0, a + n * (f - 1) + 1, 0)
+        line_from = np.maximum(line_from, np.minimum(top, narrow))
+        top = np.maximum(top, narrow)
+    keys[np.arange(depth * n)[:, None] >= line_from[None, :]] = 0
+    return np.lexsort(keys[::-1])  # stable: lexicographic within a line
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Nodal values on a BallGrid (interior followed by boundary layer)."""

@@ -543,6 +543,10 @@ BARRIER_FLAGS = ["--s", "3", "--m", "2", "--Lam", "1", "--gamma1", "0",
                  [], "hamiltonian", id="hamiltonian-n-inf"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", c1=math.nan),
                  [], "hamiltonian", id="hamiltonian-c1-nan"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="prototype", n=10 ** 400),
+                 [], "hamiltonian", id="hamiltonian-n-huge-int"),
+    pytest.param("solve", _grid_cfg(h=10 ** 400), [], "grid.h",
+                 id="solve-h-huge-int"),
     pytest.param("solve", _weights_cfg(["a", 1.0]), [],
                  "problem.operator.weights", id="weights-text"),
     pytest.param("solve", _weights_cfg([math.nan, 1.0]), [],

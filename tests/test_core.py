@@ -8,8 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from osserman_lab.config import build_boundary, build_f
 from osserman_lab.core import (BallGrid, GridError, ScalarField,
-                               build_ball_grid, evaluate, fd_derivatives,
-                               interpolate, norm, row_norms, sample_field)
+                               build_ball_grid, dissection_order, evaluate,
+                               fd_derivatives, interpolate, norm, row_norms,
+                               sample_field)
 from osserman_lab.operators import _batch_eigs
 
 
@@ -98,6 +99,48 @@ def test_full_stencil_and_determinism():
     assert np.array_equal(a.lattice, b.lattice)
     assert np.array_equal(a.neighbors, b.neighbors)
     assert a.neighbors.min() >= 0 and a.neighbors.max() < len(a.nodes)
+
+
+def _reference_dissection(grid):
+    """Nested dissection as a recursion over node sets: the order, and the
+    (below, above) halves of every split."""
+    lattice = grid.lattice[: grid.n_interior]
+    splits = []
+
+    def dissect(nodes, box, level):
+        if len(nodes) == 0 or sum(hi > lo for lo, hi in box) <= 1:
+            return list(nodes)  # on one lattice line: lexicographic
+        a = level % grid.n
+        lo, hi = box[a]
+        mid = (lo + hi) // 2
+        c = lattice[nodes, a]
+        parts = (nodes[c < mid], nodes[c > mid], nodes[c == mid])
+        splits.append(parts[:2])
+        out = []
+        for part, span in zip(parts, ((lo, mid - 1), (mid + 1, hi), (mid, mid))):
+            out += dissect(part, box[:a] + [span] + box[a + 1:], level + 1)
+        return out
+
+    box = [(lattice[:, a].min(), lattice[:, a].max()) for a in range(grid.n)]
+    return np.array(dissect(np.arange(grid.n_interior), box, 0)), splits
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2]), R=st.floats(0.05, 5.0),
+       cells=st.floats(2.0, 20.0))
+@example(n=2, R=1.0, cells=2.0)
+@example(n=2, R=1.2, cells=24.0)  # the perfbench solve-2d grid
+def test_dissection_order_is_nested_dissection_of_the_lattice(n, R, cells):
+    g = build_ball_grid([0.0] * n, R, R / cells, n)
+    order = dissection_order(g)
+    assert np.array_equal(np.sort(order), np.arange(g.n_interior))
+    if n == 1:
+        assert np.array_equal(order, np.arange(g.n_interior))
+    want, splits = _reference_dissection(g)
+    assert np.array_equal(order, want)
+    assert bool(splits) == (n == 2)  # a 1D grid lies on one line
+    for below, above in splits:  # the stencil is symmetric: one way suffices
+        assert not np.isin(g.neighbors[below], above).any()
 
 
 @settings(max_examples=60, deadline=None)

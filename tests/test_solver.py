@@ -122,6 +122,18 @@ def test_2d_solve_is_deterministic():
                                                   rep2.backtracks)
 
 
+def _dense_jacobian(problem, g, vals, policy):
+    """The policy Jacobian over the interior nodes in grid order, assembled
+    from ``_jacobian_table`` without the sparse pattern."""
+    ni = g.n_interior
+    table = _jacobian_table(problem, g, vals, policy)
+    dense = np.diag(table[:, 0])
+    for d in range(g.neighbors.shape[1]):
+        inner = g.neighbors[:, d] < ni
+        dense[np.flatnonzero(inner), g.neighbors[inner, d]] += table[inner, 1 + d]
+    return dense
+
+
 def test_newton_step_matches_dense_solve_with_less_fill_than_colamd():
     from scipy.sparse.linalg import splu
 
@@ -136,19 +148,36 @@ def test_newton_step_matches_dense_solve_with_less_fill_than_colamd():
     vals[ni:] = boundary(g.projections)
     vals[:ni] = _initial_guess(g, boundary, vals[ni:])
     res, policy = _interior_residual(problem, g, vals, np.zeros(ni))
-    J, slot = _jacobian_pattern(g)
+    J, slot, order = _jacobian_pattern(g)
     pattern = J.copy()
     pattern.data[:] = 1.0
     assert (pattern != pattern.T).nnz == 0  # structurally symmetric
     J.data[:] = _jacobian_table(problem, g, vals, policy).ravel()[slot]
-    dense = J.toarray()
+    dense = _dense_jacobian(problem, g, vals, policy)
     assert not np.array_equal(dense, dense.T)
+    assert np.array_equal(J.toarray(), dense[np.ix_(order, order)])
     lu = _factorize(J)
     exact = np.linalg.solve(dense, -res)
-    step = lu.solve(-res)
+    step = np.empty(ni)
+    step[order] = lu.solve(-res[order])
     assert np.abs(step - exact).max() <= 1e-12 * np.abs(exact).max()
     colamd = splu(J)
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+def test_first_jacobian_of_solve_2d_fills_no_more_than_minimum_degree():
+    # the perfbench solve-2d grid, where a minimum-degree ordering of
+    # J + J^T (SuperLU's MMD_AT_PLUS_A) leaves 72,518 factor entries
+    problem = _solve_2d_problem()
+    g = build_ball_grid([0.0, 0.0], 1.2, 0.05, 2)
+    ni = g.n_interior
+    assert ni == 1789
+    vals = np.full(len(g.nodes), 10.0)
+    _, policy = _interior_residual(problem, g, vals, np.zeros(ni))
+    J, slot, _ = _jacobian_pattern(g)
+    J.data[:] = _jacobian_table(problem, g, vals, policy).ravel()[slot]
+    lu = _factorize(J)
+    assert lu.L.nnz + lu.U.nnz <= 72_518
 
 
 def test_singular_jacobian_ends_the_solve_unconverged(monkeypatch):
@@ -284,7 +313,7 @@ def test_policy_jacobian_matches_finite_differences(n, f_tag, h_tag):
     ni = g.n_interior
     f_vals = np.full(ni, 0.3)
     rng = np.random.default_rng(2024 + 7 * n)
-    J, slot = _jacobian_pattern(g)
+    J, slot, order = _jacobian_pattern(g)
     for _ in range(3):
         # a random smooth state, a few plane waves: no polynomial part, whose
         # equal-sign second differences would tie the two 2D frames exactly
@@ -304,8 +333,8 @@ def test_policy_jacobian_matches_finite_differences(n, f_tag, h_tag):
             assert np.array_equal(pol_j.side, policy.side)
             assert np.array_equal(pol_j.weights, policy.weights)
             dense[:, j] = (res_j - res) / step
-        np.testing.assert_allclose(J.toarray(), dense, rtol=1e-5,
-                                   atol=1e-5 * np.abs(dense).max())
+        np.testing.assert_allclose(J.toarray(), dense[np.ix_(order, order)],
+                                   rtol=1e-5, atol=1e-5 * np.abs(dense).max())
 
 
 def test_cold_large_ball_solve_takes_few_newton_steps():

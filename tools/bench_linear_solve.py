@@ -1,15 +1,21 @@
 """Time one cold factor-and-solve of a first Newton Jacobian: scipy's
-``spsolve`` (COLAMD column ordering) against the solver's own factorization
-``solver._factorize`` (minimum degree on J + J^T, symmetric mode).
+``spsolve`` (COLAMD column ordering), SuperLU's minimum-degree ordering of
+J + J^T in symmetric mode (``mmd``, the solver's factorization before the
+nested-dissection order), and the solver's own ``factorize`` arm: the
+Jacobian in the grid's nested-dissection order, factored by
+``solver._factorize``.
 
     python3 tools/bench_linear_solve.py [--repeats 3] [--cases small,mid,large]
 
 Each (case, method, repeat) runs in a fresh child process with BLAS and
 OpenMP threads set to 1. The child builds the grid, the cold initial guess,
-its residual and the policy Jacobian, then times one factor-and-solve of
+its residual and the policy Jacobian (``solver._jacobian_pattern``, whose
+rows and columns follow ``core.dissection_order``; the ``spsolve`` and
+``mmd`` arms get it back in grid order), then times one factor-and-solve of
 J d = -res. It reports the time, the child's peak RSS before and after that
-call, and the fill L.nnz + U.nnz (for ``spsolve`` that of ``splu`` with the
-same COLAMD ordering, computed after the peak is read). The cases:
+call, the fill L.nnz + U.nnz (for ``spsolve`` that of ``splu`` with the
+same COLAMD ordering, computed after the peak is read) and the time of one
+``dissection_order`` call, which the solver pays once per solve. The cases:
 
 - small: the perfbench ``solve-2d`` problem, Pucci+ (lam 1, Lam 2), H = |p|^2,
   s = 2, data 10 on B_1.2 at h = 0.05 (1,789 unknowns);
@@ -18,8 +24,9 @@ same COLAMD ordering, computed after the peak is read). The cases:
   h = 0.05, the largest ball of a 2D expanding-ball run (80,369 unknowns).
 
 The last line of standard output is one JSON object: per case and method the
-median time and peak RSS over the repeats, the fill, and the largest
-difference between the two methods' steps relative to the step's sup norm.
+median time and peak RSS over the repeats and the fill; the median ordering
+time; and, per method, the largest difference of its step from the
+``spsolve`` step relative to that step's sup norm.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ CASES = {
     "mid": (2.0, 2.0, 10.0, 1.2, 0.0125),
     "large": (1.0, 3.0, 100.0, 8.0, 0.05),
 }
-METHODS = ("spsolve", "factorize")
+METHODS = ("spsolve", "mmd", "factorize")
 
 
 def _peak_mib() -> float:
@@ -53,7 +60,7 @@ def _child(case: str, method: str, step_file: str) -> dict:
     import numpy as np
     from scipy.sparse.linalg import splu, spsolve
 
-    from osserman_lab.core import build_ball_grid, evaluate
+    from osserman_lab.core import build_ball_grid, dissection_order, evaluate
     from osserman_lab.operators import (EllipticityPair, hamiltonian_library,
                                         pucci_plus_operator)
     from osserman_lab.solver import (ProblemSpec, _factorize, _initial_guess,
@@ -71,16 +78,28 @@ def _child(case: str, method: str, step_file: str) -> dict:
     vals[ni:] = evaluate(lambda x: value, grid.projections)
     vals[:ni] = _initial_guess(grid, lambda x: value, vals[ni:])
     res, policy = _interior_residual(problem, grid, vals, np.zeros(ni))
-    J, slot = _jacobian_pattern(grid)
+    start = time.perf_counter()
+    dissection_order(grid)
+    order_s = time.perf_counter() - start
+    J, slot, order = _jacobian_pattern(grid)
     J.data[:] = _jacobian_table(problem, grid, vals, policy).ravel()[slot]
+    if method != "factorize":  # back to grid order, as the solver had it
+        rank = np.empty(ni, dtype=np.int64)
+        rank[order] = np.arange(ni)
+        J = J[rank][:, rank].tocsc()
+        J.sort_indices()
 
     rss_before = _peak_mib()
     start = time.perf_counter()
     if method == "spsolve":
         step = spsolve(J, -res)
+    elif method == "mmd":
+        lu = splu(J, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        step = lu.solve(-res)
     else:
         lu = _factorize(J)
-        step = lu.solve(-res)
+        step = np.empty(ni)
+        step[order] = lu.solve(-res[order])
     seconds = time.perf_counter() - start
     rss_after = _peak_mib()
     if method == "spsolve":
@@ -88,7 +107,8 @@ def _child(case: str, method: str, step_file: str) -> dict:
     np.save(step_file, step)
     return {"case": case, "method": method, "unknowns": ni,
             "seconds": seconds, "fill": int(lu.L.nnz + lu.U.nnz),
-            "peak_rss_before_mb": rss_before, "peak_rss_mb": rss_after}
+            "order_s": order_s, "peak_rss_before_mb": rss_before,
+            "peak_rss_mb": rss_after}
 
 
 def _run_child(case: str, method: str, step_file: str) -> dict:
@@ -125,10 +145,14 @@ def main(argv=None) -> int:
                     row = _run_child(case, method, os.path.join(tmp, f"{method}.npy"))
                     runs[method].append(row)
                     print(json.dumps(row), flush=True)
-            old, new = (np.load(os.path.join(tmp, f"{m}.npy")) for m in METHODS)
+            ref = np.load(os.path.join(tmp, f"{METHODS[0]}.npy"))
             entry = {"unknowns": runs[METHODS[0]][0]["unknowns"],
-                     "step_rel_diff": float(np.abs(old - new).max()
-                                            / np.abs(old).max())}
+                     "order_s": statistics.median(
+                         r["order_s"] for r in runs["factorize"]),
+                     "step_rel_diff": {
+                         m: float(np.abs(np.load(os.path.join(tmp, f"{m}.npy"))
+                                         - ref).max() / np.abs(ref).max())
+                         for m in METHODS[1:]}}
             for method, rows in runs.items():
                 entry[method] = {
                     "seconds": [r["seconds"] for r in rows],
