@@ -28,6 +28,10 @@ fills less than a minimum-degree ordering of J + J^T (69,468 against
 72,518 factor entries on a 1,789-unknown 2D Pucci Jacobian, 6.1M against
 7.4M at 80,369) and far less than COLAMD's for J^T J (102,764 at 1,789).
 A 1D Jacobian is tridiagonal, and the order leaves it as it is: no fill.
+SuperLU factors J in panels of one column with no relaxed supernodes
+(``_factorize``): the supernodes of a nested-dissection ordered lattice are
+narrow, and on them that blocking is faster than SuperLU's default, with
+the same pivots and fill.
 """
 
 from __future__ import annotations
@@ -192,10 +196,26 @@ def _initial_guess(grid: BallGrid, boundary: Callable,
 def _factorize(J):
     """Sparse LU factor of a Newton Jacobian that ``_jacobian_pattern``
     already put in nested-dissection order, so SuperLU keeps the column
-    order (``NATURAL``); raises RuntimeError if J is exactly singular."""
+    order (``NATURAL``); raises RuntimeError if J is exactly singular.
+
+    ``panel_size=1`` and ``relax=1`` set SuperLU's column blocking: panels
+    of one column and no relaxed supernodes. They change how the
+    factorization groups columns, not its pivots or its fill: ``perm_r``,
+    ``perm_c`` and L.nnz + U.nnz equal those of SuperLU's default blocking,
+    which suits the wide supernodes of large 3D problems. A
+    nested-dissection ordered 2D lattice has narrow ones; on the first
+    Jacobian of ``tools/bench_linear_solve.py``'s cases, one factorization
+    takes (single thread, in-process medians; peak RSS of a cold
+    factor-and-solve in a fresh process):
+
+        unknowns   default blocking     panel 1, relax 1
+           1,789     4.34 ms               3.61 ms
+          28,913      113 ms, 113 MiB        96 ms, 104 MiB
+          80,369      740 ms, 208 MiB       735 ms, 179 MiB
+    """
     from scipy.sparse.linalg import splu  # kept out of `import osserman_lab`
 
-    return splu(J, permc_spec="NATURAL")
+    return splu(J, permc_spec="NATURAL", relax=1, panel_size=1)
 
 
 def solve_dirichlet(problem: ProblemSpec, grid: BallGrid, boundary: Callable,
@@ -208,10 +228,10 @@ def solve_dirichlet(problem: ProblemSpec, grid: BallGrid, boundary: Callable,
     Each step solves J d = -res with the exact Jacobian J of the policy
     active at the current iterate, by one sparse LU factorization of J
     with its rows and columns in the grid's nested-dissection order, which
-    is computed once per solve. It then halves the step length alpha until
-    sup|res(u + alpha d)| < (1 - 1e-4 alpha) sup|res(u)|. The solve
-    converges when sup|res| <= tol; a step shorter than ALPHA_MIN, or an
-    exactly singular J, ends it unconverged.
+    is computed once per solve, on its first step. It then halves the step
+    length alpha until sup|res(u + alpha d)| < (1 - 1e-4 alpha) sup|res(u)|.
+    The solve converges when sup|res| <= tol; a step shorter than
+    ALPHA_MIN, or an exactly singular J, ends it unconverged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -230,11 +250,13 @@ def solve_dirichlet(problem: ProblemSpec, grid: BallGrid, boundary: Callable,
     sup_res = float(np.abs(res).max())
     if not np.isfinite(sup_res):
         raise NumericalError("NaN/Inf residual at the starting state")
-    J, slot, order = _jacobian_pattern(grid)
+    J = None  # the pattern is built on the first step, if one is needed
     step = np.empty(ni)
     history = []
     backtracks = 0
     while sup_res > tol and len(history) < max_iter:
+        if J is None:
+            J, slot, order = _jacobian_pattern(grid)
         J.data[:] = _jacobian_table(problem, grid, vals, policy).ravel()[slot]
         try:
             step[order] = _factorize(J).solve(-res[order])

@@ -79,14 +79,22 @@ def test_exact_solution_residual_shrinks_with_h():
     assert sups[2] < 0.35 * sups[0]
 
 
-def test_zero_data_solves_immediately():
-    problem = _laplace_problem()
-    g = build_ball_grid(0.0, 1.0, 0.1, 1)
-    sol, report = solve_dirichlet(problem, g, lambda x: 0.0, tol=1e-12,
-                                  max_iter=10)
-    assert report.converged
-    assert report.iterations == 0
-    assert np.abs(sol.values).max() == 0.0
+def test_zero_data_solves_immediately(monkeypatch):
+    import osserman_lab.solver as solver
+
+    def no_pattern(grid):
+        raise AssertionError("Jacobian pattern built for a solve with no step")
+
+    # the start state meets tol, so no Jacobian pattern is built
+    monkeypatch.setattr(solver, "_jacobian_pattern", no_pattern)
+    for g in (build_ball_grid(0.0, 1.0, 0.1, 1),
+              build_ball_grid([0.0, 0.0], 1.0, 0.1, 2)):
+        problem = _laplace_problem(H=hamiltonian_library("zero", n=g.n))
+        sol, report = solve_dirichlet(problem, g, lambda x: 0.0, tol=1e-12,
+                                      max_iter=10)
+        assert report.converged
+        assert report.iterations == 0
+        assert np.abs(sol.values).max() == 0.0
 
 
 def test_solve_is_deterministic():
@@ -178,6 +186,51 @@ def test_first_jacobian_of_solve_2d_fills_no_more_than_minimum_degree():
     J.data[:] = _jacobian_table(problem, g, vals, policy).ravel()[slot]
     lu = _factorize(J)
     assert lu.L.nnz + lu.U.nnz <= 72_518
+
+
+def _newton_systems(monkeypatch, problem, g, boundary):
+    """The (J, right-hand side) of every Newton step of a converged solve,
+    rows and columns in the order ``_jacobian_pattern`` gives them."""
+    import osserman_lab.solver as solver
+
+    systems = []
+
+    class Recorded:
+        def __init__(self, J):
+            self.J, self.lu = J.copy(), _factorize(J)
+
+        def solve(self, rhs):
+            systems.append((self.J, rhs.copy()))
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(solver, "_factorize", Recorded)
+    _, report = solve_dirichlet(problem, g, boundary, tol=1e-8, max_iter=100)
+    assert report.converged
+    return systems
+
+
+def test_factorize_blocking_keeps_default_pivots_fill_and_step(monkeypatch):
+    # panel_size and relax change only how SuperLU groups columns: on the
+    # first and last Jacobians of the perfbench solve-2d solve and on a 1D
+    # Jacobian, the pivots and fill are those of SuperLU's default blocking
+    from scipy.sparse.linalg import splu
+
+    solve_2d = _newton_systems(monkeypatch, _solve_2d_problem(),
+                               build_ball_grid([0.0, 0.0], 1.2, 0.05, 2),
+                               lambda x: 10.0)
+    assert solve_2d[0][0].shape == (1789, 1789) and len(solve_2d) > 2
+    H = hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=1)
+    solve_1d = _newton_systems(monkeypatch, _laplace_problem(s=3.0, H=H),
+                               build_ball_grid(0.0, 2.0, 0.02, 1),
+                               lambda x: 100.0)
+    for J, rhs in (solve_2d[0], solve_2d[-1], solve_1d[0]):
+        lu, default = _factorize(J), splu(J, permc_spec="NATURAL")
+        assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
+        assert np.array_equal(lu.perm_r, default.perm_r)
+        assert np.array_equal(lu.perm_c, default.perm_c)
+        exact = np.linalg.solve(J.toarray(), rhs)
+        step = lu.solve(rhs)
+        assert np.abs(step - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 def test_singular_jacobian_ends_the_solve_unconverged(monkeypatch):

@@ -1,9 +1,11 @@
 """Time one cold factor-and-solve of a first Newton Jacobian: scipy's
 ``spsolve`` (COLAMD column ordering), SuperLU's minimum-degree ordering of
 J + J^T in symmetric mode (``mmd``, the solver's factorization before the
-nested-dissection order), and the solver's own ``factorize`` arm: the
-Jacobian in the grid's nested-dissection order, factored by
-``solver._factorize``.
+nested-dissection order), the Jacobian in the grid's nested-dissection
+order factored with SuperLU's default column blocking (``natural``, the
+solver's factorization before its blocking constants), and the solver's own
+``factorize`` arm: the same ordered Jacobian factored by
+``solver._factorize`` (panel size 1, relax 1).
 
     python3 tools/bench_linear_solve.py [--repeats 3] [--cases small,mid,large]
 
@@ -49,7 +51,7 @@ CASES = {
     "mid": (2.0, 2.0, 10.0, 1.2, 0.0125),
     "large": (1.0, 3.0, 100.0, 8.0, 0.05),
 }
-METHODS = ("spsolve", "mmd", "factorize")
+METHODS = ("spsolve", "mmd", "natural", "factorize")
 
 
 def _peak_mib() -> float:
@@ -83,7 +85,7 @@ def _child(case: str, method: str, step_file: str) -> dict:
     order_s = time.perf_counter() - start
     J, slot, order = _jacobian_pattern(grid)
     J.data[:] = _jacobian_table(problem, grid, vals, policy).ravel()[slot]
-    if method != "factorize":  # back to grid order, as the solver had it
+    if method in ("spsolve", "mmd"):  # back to grid order
         rank = np.empty(ni, dtype=np.int64)
         rank[order] = np.arange(ni)
         J = J[rank][:, rank].tocsc()
@@ -97,7 +99,8 @@ def _child(case: str, method: str, step_file: str) -> dict:
         lu = splu(J, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
         step = lu.solve(-res)
     else:
-        lu = _factorize(J)
+        lu = (splu(J, permc_spec="NATURAL") if method == "natural"
+              else _factorize(J))
         step = np.empty(ni)
         step[order] = lu.solve(-res[order])
     seconds = time.perf_counter() - start
