@@ -35,17 +35,17 @@ from .uniqueness import delta_s_oracle
 def _write_csv(path: str, header, columns):
     """Write one CSV table given column by column.
 
-    Each column's format follows from its dtype, decided once: floats as
-    "%.17g", integers as "%d", booleans as true/false, anything else as
-    text. A float column formats each distinct bit pattern once (lattice
+    Each column is turned into text once, by its dtype: floats as "%.17g",
+    booleans as true/false, anything else (integers, text) by ``str``. A
+    float column formats each distinct bit pattern once (lattice
     coordinates and radial values repeat), then gathers its cells; the
-    bits keep -0.0 apart from 0.0.
+    bits keep -0.0 apart from 0.0. The rows are then joined as text.
     """
-    formats, cells = [], []
+    cells = []
     for col in columns:
         col = np.asarray(col)
         if col.dtype.kind == "b":
-            col = np.where(col, "true", "false")
+            cells.append(np.where(col, "true", "false").tolist())
         elif col.dtype.kind == "f":
             # return_index makes np.unique argsort stably: its default
             # quicksort pages in ~0.3 MiB of code a solve never runs
@@ -53,13 +53,12 @@ def _write_csv(path: str, header, columns):
                                          return_index=True,
                                          return_inverse=True)
             text = ["%.17g" % v for v in bits.view(col.dtype).tolist()]
-            col = np.array(text, dtype=object)[inverse]
-        formats.append({"i": "%d", "u": "%d"}.get(col.dtype.kind, "%s"))
-        cells.append(col.tolist())
-    line = ",".join(formats) + "\n"
+            cells.append(np.array(text, dtype=object)[inverse].tolist())
+        else:
+            cells.append(list(map(str, col.tolist())))
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in zip(*cells))
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(path: str, obj: dict):

@@ -39,18 +39,25 @@ def as_points(points, n: int) -> np.ndarray:
     return pts
 
 
-def row_norms(v) -> np.ndarray:
-    """Euclidean norms over the last axis of ``v``.
-
-    The squares are summed column by column, left to right. For rows
-    shorter than 8 that is the order of ``np.linalg.norm(v, axis=-1)``, so
-    the floats are the same, without numpy's per-row strided reduction.
+def squared_row_norms(v) -> np.ndarray:
+    """Sums of squares over the last axis of ``v``, added column by column,
+    left to right. For rows shorter than 8 that is the order of
+    ``(v ** 2).sum(axis=-1)``, so the floats are the same, without numpy's
+    per-row strided reduction.
     """
     v = np.asarray(v, dtype=float)
     total = v[..., 0] * v[..., 0]
     for k in range(1, v.shape[-1]):
         total += v[..., k] * v[..., k]
-    return np.sqrt(total)
+    return total
+
+
+def row_norms(v) -> np.ndarray:
+    """Euclidean norms over the last axis of ``v``: the square roots of
+    `squared_row_norms`, the floats of ``np.linalg.norm(v, axis=-1)`` for
+    rows shorter than 8.
+    """
+    return np.sqrt(squared_row_norms(v))
 
 
 @dataclass(frozen=True)

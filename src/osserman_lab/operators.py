@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import row_norms
+from .core import row_norms, squared_row_norms
 
 MARGIN_TOL = 1e-9
 _PMAX = 1e3  # sampling range for gradient magnitudes (log-uniform)
@@ -241,31 +241,41 @@ def weighted_trace_operator(weights: Sequence[float],
 
     def ev(x, X):
         diag = np.diagonal(np.asarray(X, dtype=float), axis1=-2, axis2=-1)
-        return diag @ w
+        # not diag @ w: matmul rounds a batch of one matrix another way
+        return np.einsum("...i,i->...", diag, w)
     return OperatorF(evaluator=ev, ellipticity=declared, stencil=_axis_stencil(w))
 
 
 _CHUNK = 200_000
+_BLOCK = 4_096
 
 
-def _chunked_sweep(samples: int, draw: Callable) -> tuple[float, dict]:
-    """Smallest margin over `samples` random draws taken in chunks of
-    200,000, and its witness.
+def _chunked_sweep(samples: int, draw: Callable,
+                   margin: Callable) -> tuple[float, dict]:
+    """Smallest margin over `samples` random draws, and its witness.
 
-    ``draw(count)`` makes the next `count` samples and returns
-    (margins, data), data mapping names to per-sample arrays; the witness
-    holds each data[name][k] as a list for the sample k of the smallest
-    margin. Chunks are drawn in order, so one RNG gives one result. The
-    first NaN margin is the smallest and stays so.
+    ``draw(count)`` makes the next `count` samples, at most 200,000 at a
+    time, as a dict mapping names to arrays with one row per sample.
+    ``margin(**block)`` returns the margins of a block of at most `_BLOCK`
+    consecutive rows of those arrays, so its temporaries stay small enough
+    to live in cache. The witness holds each array's row for the sample of
+    the smallest margin. Chunks and blocks run in order, so one RNG gives
+    one result whatever the block size: the first smallest margin wins,
+    and the first NaN margin is the smallest and stays so. A chunk with no
+    rows has no blocks.
     """
     worst = np.inf
     witness: dict = {}
     for start in range(0, samples, _CHUNK):
-        margins, data = draw(min(_CHUNK, samples - start))
-        k = int(np.argmin(margins))  # the first NaN, if any
-        if not (margins[k] >= worst or math.isnan(worst)):
-            worst = float(margins[k])
-            witness = {key: np.asarray(val[k]).tolist() for key, val in data.items()}
+        data = draw(min(_CHUNK, samples - start))
+        rows = len(next(iter(data.values())))
+        for lo in range(0, rows, _BLOCK):
+            block = {key: val[lo:lo + _BLOCK] for key, val in data.items()}
+            margins = margin(**block)
+            k = int(np.argmin(margins))  # the first NaN, if any
+            if not (margins[k] >= worst or math.isnan(worst)):
+                worst = float(margins[k])
+                witness = {key: val[k].tolist() for key, val in block.items()}
     return worst, witness
 
 
@@ -282,15 +292,17 @@ def check_uniform_ellipticity(F: OperatorF, samples: int, rng=None) -> CheckRepo
         x = rng.uniform(-10.0, 10.0, (count, _DIM))
         X = rng.standard_normal((count, _DIM, _DIM))
         Y = rng.standard_normal((count, _DIM, _DIM))
-        X = 0.5 * (X + np.swapaxes(X, -1, -2))
-        Y = 0.5 * (Y + np.swapaxes(Y, -1, -2))
+        return {"x": x, "X": 0.5 * (X + np.swapaxes(X, -1, -2)),
+                "Y": 0.5 * (Y + np.swapaxes(Y, -1, -2))}
+
+    def margin(x, X, Y):
         diff = F(x, Y) - F(x, X)
         eigs = _batch_eigs(Y - X)
         upper = pucci_batch(eigs, ell.lam, ell.Lam, "+") - diff
         lower = diff - pucci_batch(eigs, ell.lam, ell.Lam, "-")
-        return np.minimum(upper, lower), {"x": x, "X": X, "Y": Y}
+        return np.minimum(upper, lower)
 
-    worst, witness = _chunked_sweep(samples, draw)
+    worst, witness = _chunked_sweep(samples, draw, margin)
     return CheckReport(condition="uniform_ellipticity", samples=samples,
                        worst_margin=worst, witness=witness)
 
@@ -420,7 +432,7 @@ def _rational_factor(*, c=1.0, n=2) -> HamiltonianH:
         raise ValueError("rational_factor needs inf c > 0")
 
     def ev(x, p):
-        r2 = (np.asarray(p, dtype=float) ** 2).sum(axis=-1)
+        r2 = squared_row_norms(p)
         return c(x) * ((r2 - 1.0) ** 2 - 1.0) / (r2 + 1.0)
 
     return HamiltonianH(
@@ -483,12 +495,32 @@ def negate_hamiltonian(H: HamiltonianH) -> HamiltonianH:
 
 def _sample_vectors(rng, count: int, rmax: float = _PMAX) -> np.ndarray:
     """Random vectors with log-uniform magnitude in [1e-6, rmax], plus a
-    sprinkle of exact zeros."""
+    sprinkle of exact zeros.
+
+    The vectors are scaled in place one coordinate column at a time (a row
+    of the (dim, count) transpose), so numpy's loops run over `count`
+    values rather than over rows of length dim; the floats are those of
+    scaling whole rows.
+    """
     u = rng.standard_normal((count, _DIM))
-    u /= np.maximum(row_norms(u), 1e-300)[:, None]
-    u *= 10.0 ** rng.uniform(-6.0, np.log10(rmax), count)[:, None]
-    u[rng.random(count) < 0.01] = 0.0
+    norms = row_norms(u)
+    np.maximum(norms, 1e-300, out=norms)
+    scale = rng.uniform(-6.0, np.log10(rmax), count)
+    np.power(10.0, scale, out=scale)
+    zero = rng.random(count) < 0.01
+    for col in u.T:
+        col /= norms
+        col *= scale
+        np.copyto(col, 0.0, where=zero)
     return u
+
+
+def _divide_rows(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """v / d[:, None], divided one coordinate column at a time."""
+    out = np.empty_like(v)
+    for col_out, col in zip(out.T, v.T):
+        np.divide(col, d, out=col_out)
+    return out
 
 
 def _sample_sigma(rng, count: int, sigma0: float) -> np.ndarray:
@@ -531,38 +563,51 @@ def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
         x = rng.uniform(-10.0, 10.0, (count, _DIM))
         p = _sample_vectors(rng, count)
         q = _sample_vectors(rng, count)
-        pn = row_norms(p)
-        qn = row_norms(q)
-
         if condition == "lipschitz_structure":
-            bound = (g1 + gm * (pn ** (m - 1.0) + qn ** (m - 1.0))) \
-                * row_norms(p - q)
-            margins = bound - np.abs(H(x, p) - H(x, q))
-            data = {"x": x, "p": p, "q": q}
-        elif condition == "shift_modulus":
-            y = x + _sample_vectors(rng, count, rmax=10.0)
-            bound = H.modulus_coeff * row_norms(x - y) * (pn ** m + 1.0) \
-                + (g1 + gm * (pn ** (m - 1.0) + qn ** (m - 1.0))) * qn
-            margins = bound - np.abs(H(x, p + q) - H(y, p))
-            data = {"x": x, "y": y, "p": p, "q": q}
-        elif condition == "convexity_type":
-            c_lower, A, sigma0 = H.convexity
-            sigma = _sample_sigma(rng, count, sigma0)
-            quantity = H(x, p) - sigma * H(x, p / sigma[:, None])
-            margins = (1.0 - sigma) * (-c_lower * pn ** m + A) - quantity
-            data = {"x": x, "p": p, "sigma": sigma}
-        else:  # sublinearization
-            c_lower, A, sigma0 = H.convexity
-            tg = tilde_gamma(gm, m, c_lower) if gm > 0 else 0.0
-            sigma = _sample_sigma(rng, count, sigma0)
-            quantity = H(x, p + q) - sigma * H(x, p / sigma[:, None])
-            bound = tg * (1.0 - sigma) ** (1.0 - m) * qn ** m + g1 * qn \
-                + (1.0 - sigma) * A
-            margins = bound - quantity
-            data = {"x": x, "p": p, "q": q, "sigma": sigma}
-        return margins, data
+            return {"x": x, "p": p, "q": q}
+        if condition == "shift_modulus":
+            y = _sample_vectors(rng, count, rmax=10.0)
+            y += x
+            return {"x": x, "y": y, "p": p, "q": q}
+        sigma = _sample_sigma(rng, count, H.convexity[2])
+        if condition == "convexity_type":
+            # q is drawn and not used: every condition draws x, p, q first,
+            # so a seed keeps giving the samples (and, in a shared RNG, the
+            # later conditions' samples) it always gave
+            return {"x": x, "p": p, "sigma": sigma}
+        return {"x": x, "p": p, "q": q, "sigma": sigma}
 
-    worst, witness = _chunked_sweep(samples, draw)
+    def growth(pn, qn):
+        return g1 + gm * (pn ** (m - 1.0) + qn ** (m - 1.0))
+
+    def lipschitz_structure(x, p, q):
+        bound = growth(row_norms(p), row_norms(q)) * row_norms(p - q)
+        return bound - np.abs(H(x, p) - H(x, q))
+
+    def shift_modulus(x, y, p, q):
+        pn, qn = row_norms(p), row_norms(q)
+        bound = H.modulus_coeff * row_norms(x - y) * (pn ** m + 1.0) \
+            + growth(pn, qn) * qn
+        return bound - np.abs(H(x, p + q) - H(y, p))
+
+    def convexity_type(x, p, sigma):
+        c_lower, A, _ = H.convexity
+        quantity = H(x, p) - sigma * H(x, _divide_rows(p, sigma))
+        return (1.0 - sigma) * (-c_lower * row_norms(p) ** m + A) - quantity
+
+    def sublinearization(x, p, q, sigma):
+        c_lower, A, _ = H.convexity
+        tg = tilde_gamma(gm, m, c_lower) if gm > 0 else 0.0
+        quantity = H(x, p + q) - sigma * H(x, _divide_rows(p, sigma))
+        qn = row_norms(q)
+        bound = tg * (1.0 - sigma) ** (1.0 - m) * qn ** m + g1 * qn \
+            + (1.0 - sigma) * A
+        return bound - quantity
+
+    margin = {"lipschitz_structure": lipschitz_structure,
+              "shift_modulus": shift_modulus, "convexity_type": convexity_type,
+              "sublinearization": sublinearization}[condition]
+    worst, witness = _chunked_sweep(samples, draw, margin)
     return CheckReport(condition=condition, samples=samples,
                        worst_margin=worst, witness=witness)
 
@@ -587,12 +632,14 @@ def empirical_increment_constant(m: float, samples: int, rng=None) -> float:
     def draw(count):
         p = _sample_vectors(rng, count)
         q = _sample_vectors(rng, count)
-        qn = row_norms(q)
-        ok = qn > 0
-        pn = row_norms(p)
+        ok = row_norms(q) > 0  # no ratio where q = 0
+        return {"p": p[ok], "q": q[ok]}
+
+    def margin(p, q):
+        # margin -ratio: the sweep's smallest margin is minus the largest ratio
+        pn, qn = row_norms(p), row_norms(q)
         num = row_norms(p + q) ** m - pn ** m
         den = (pn ** (m - 1.0) + qn ** (m - 1.0)) * qn
-        # margin -ratio: the sweep's smallest margin is minus the largest ratio
-        return -(num[ok] / den[ok]), {}
+        return -(num / den)
 
-    return max(0.0, -_chunked_sweep(samples, draw)[0])
+    return max(0.0, -_chunked_sweep(samples, draw, margin)[0])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osserman_lab import operators
 from osserman_lab.operators import (CONDITIONS, Coeff, EllipticityPair,
                                     HamiltonianH, MetadataError,
                                     check_hamiltonian,
@@ -162,7 +163,7 @@ def test_coeff_bounds():
     assert Coeff(c0=4.0)(x)[0] == 4.0
 
 
-@pytest.mark.parametrize("tag,params", [
+LIBRARY_CASES = [
     ("zero", {}),
     ("prototype", {"c1": 1.0, "cm": 1.0, "m": 2.0}),
     ("prototype", {"c1": {"c0": 1.0, "amp": 0.3}, "cm": 1.0, "m": 1.5}),
@@ -172,7 +173,10 @@ def test_coeff_bounds():
     ("rational_factor", {"c": 1.0}),
     ("sup_inf", {"matrices": [[[[2.0, 0.0], [0.0, 1.0]]],
                               [[[1.0, 0.5], [0.5, 1.0]]]], "m": 2.0}),
-])
+]
+
+
+@pytest.mark.parametrize("tag,params", LIBRARY_CASES)
 def test_library_claims_hold(tag, params):
     H = hamiltonian_library(tag, **params)
     for condition in H.claims:
@@ -263,6 +267,60 @@ def test_nan_margins_fail_every_condition():
         rep = check_hamiltonian(H, condition, samples=200_001, rng=0)
         assert math.isnan(rep.worst_margin) and not rep.passed, condition
 
+    # the only NaN at one sample of the first chunk's second block, where
+    # x is the row the seed draws there (x is each chunk's first draw):
+    # neither the first block's finite margins nor the later blocks' and
+    # the next chunk's may take its place
+    row = operators._BLOCK + 1
+    x_nan = np.random.default_rng(0).uniform(
+        -10.0, 10.0, (operators._CHUNK, 2))[row]
+
+    def ev_one(x, p):
+        return np.where((x == x_nan).all(axis=1), np.nan, 0.0)
+    H = HamiltonianH(evaluator=ev_one, m=2.0, gamma1=1.0, gamma_m=1.0,
+                     convexity=(1.0, 1.0, 0.5))
+    for condition in CONDITIONS:
+        rep = check_hamiltonian(H, condition, samples=200_001, rng=0)
+        assert math.isnan(rep.worst_margin), condition
+        assert rep.witness["x"] == x_nan.tolist(), condition
+
+
+def _sweeps():
+    """Every library tag x claimed condition, and uniform ellipticity for
+    every library F, as (id, call) pairs."""
+    for i, (tag, params) in enumerate(LIBRARY_CASES):
+        H = hamiltonian_library(tag, **params)
+        for condition in H.claims:
+            yield (f"{tag}-params{i}-{condition}",
+                   lambda samples, H=H, c=condition:
+                   check_hamiltonian(H, c, samples, rng=5))
+    for name, F in (("pucci_plus", pucci_plus_operator(ELL)),
+                    ("pucci_minus", pucci_minus_operator(ELL)),
+                    ("laplacian", laplacian_operator()),
+                    ("weighted_trace", weighted_trace_operator([1.0, 3.0]))):
+        yield (f"ellipticity-{name}",
+               lambda samples, F=F: check_uniform_ellipticity(F, samples, rng=5))
+
+
+_SWEEPS = dict(_sweeps())
+
+
+@pytest.mark.parametrize("sweep", list(_SWEEPS))
+def test_block_size_does_not_change_the_sweep(monkeypatch, sweep):
+    # the real chunk at 200,001 samples (two chunks) with the default block
+    # and one block per chunk; then 50-sample chunks at 101 samples (three
+    # chunks, the last of one sample) with blocks of 1, 7 and the chunk
+    for chunk, samples, blocks in (
+            (operators._CHUNK, 200_001, (operators._BLOCK, operators._CHUNK)),
+            (50, 101, (1, 7, 50))):
+        monkeypatch.setattr(operators, "_CHUNK", chunk)
+        reports = []
+        for block in blocks:
+            monkeypatch.setattr(operators, "_BLOCK", block)
+            rep = _SWEEPS[sweep](samples)
+            reports.append(repr((rep.worst_margin, rep.witness)))
+        assert reports == reports[:1] * len(blocks), (chunk, blocks)
+
 
 def test_tilde_gamma_value():
     assert tilde_gamma(1.0, 2.0, 1.0) == pytest.approx(1.25)
@@ -291,3 +349,9 @@ def test_empirical_increment_constant():
     assert 1.5 <= C <= 2.0 + 1e-9
     C15 = empirical_increment_constant(1.5, samples=100_000, rng=0)
     assert 0.0 < C15 <= 2.0 + 1e-9
+
+
+def test_empirical_increment_constant_with_only_zero_q():
+    # seed 13 draws q = 0 for its one sample: no ratio is defined, the
+    # sweep has no margin to take the minimum of, and the constant is 0
+    assert empirical_increment_constant(2.0, samples=1, rng=13) == 0.0
