@@ -1,10 +1,12 @@
 """Config-driven experiment runner.
 
-Subcommands: verify-barrier, solve, entire, uniqueness, check-hamiltonian,
-oracle. Each command computes its results and writes nothing; ``main``
-then writes its CSV data files, a JSON summary (with the package version,
-resolved parameters and seed) and an echo of the resolved config into the
-output directory, so a run that stops with an error leaves no files.
+Subcommands: verify-barrier, solve, entire, check-hamiltonian, oracle.
+``entire`` with a second boundary is the two-solution separation
+experiment behind the uniqueness result. Each command computes its
+results and writes nothing; ``main`` then writes its CSV data files, a
+JSON summary (with the package version, resolved parameters and seed) and
+an echo of the resolved config into the output directory, so a run that
+stops with an error leaves no files.
 Identical config + seed reproduce the outputs byte for byte. Exit codes:
 0 all checks pass, 1 check failure or numerical error, 2 config/schema
 error.
@@ -23,8 +25,7 @@ import numpy as np
 from . import __version__
 from .barrier import barrier_constants, verify_barrier_inequality
 from .config import (ConfigError, build_boundary, build_grid, build_problem,
-                     build_hamiltonian, check_operator_dimension, load_config,
-                     _number)
+                     build_hamiltonian, check_dimension, load_config, _number)
 from .core import GridError, build_ball_grid
 from .entire import construct_entire, fit_decay_exponent, separation_table
 from .operators import CONDITIONS, MetadataError, check_hamiltonian
@@ -77,12 +78,14 @@ def _write_json(path: str, obj: dict):
 # ---------------------------------------------------------------------------
 
 _BARRIER_KEYS = ("s", "m", "n", "Lam", "gamma1", "gamma", "delta", "R", "h")
+_ZERO_DATA = {"tag": "constant", "value": 0.0}  # the default boundary data
 
 
 def _section(cfg: dict, name: str) -> dict:
     sec = cfg.get(name)
     if not isinstance(sec, dict):
-        raise ConfigError(name, f"missing {name} section")
+        raise ConfigError(name, f"missing {name} section" if sec is None
+                          else "must be an object")
     return sec
 
 
@@ -132,8 +135,9 @@ def _cmd_verify_barrier(args, cfg, seed: int):
 def _cmd_solve(args, cfg, seed: int):
     problem = build_problem(cfg)
     grid = build_grid(cfg)
-    check_operator_dimension(cfg, grid.n)
-    boundary = build_boundary(cfg.get("boundary", {"tag": "constant", "value": 0.0}))
+    data = {"boundary": cfg.get("boundary", _ZERO_DATA)}
+    boundary = build_boundary(data["boundary"])
+    check_dimension(cfg, grid.n, data)
     sec = cfg.get("solve", {})
     tol = _positive(sec, "tol", "solve", default=1e-8)
     max_iter = int(_number(sec, "max_iter", "solve", default=200000.0))
@@ -146,105 +150,62 @@ def _cmd_solve(args, cfg, seed: int):
         header, [np.arange(len(grid.nodes)), *grid.nodes.T, field.values])}
 
 
-def _expanding_ball_runs(problem, sec: dict, path: str, boundaries,
-                         k_max: int, n: int):
-    """construct_entire once per boundary data callable, with h, tol and
-    max_iter from the ``path`` section; for two boundaries also their
-    separation table sup_{B_r}|u_k - v_k| per radius k, r the section's
-    separation_radius. Returns (runs, table or None)."""
-    h = _number(sec, "h", path)
-    tol = _positive(sec, "tol", path, default=1e-8)
-    max_iter = int(_number(sec, "max_iter", path, default=2000000.0))
-    radius = _positive(sec, "separation_radius", path, default=1.0)
-    runs = [construct_entire(problem, k_max, g, tol, h, max_iter,
-                             center=[0.0] * n) for g in boundaries]
-    return runs, separation_table(*runs, radius) if len(runs) == 2 else None
-
-
-def _solve_rows(runs) -> list[dict]:
-    """One row per boundary data and radius k: that solve's Newton report.
-    Wall times stay out, so reruns still write identical files."""
-    return [{"boundary": b, "k": k, "iterations": rep.iterations,
-             "backtracks": rep.backtracks, "final_residual": rep.final_residual,
-             "converged": rep.converged}
-            for b, run in enumerate(runs)
-            for k, rep in zip(run.radii, run.reports)]
-
-
-def _separation_outputs(table) -> tuple[dict, tuple]:
-    """A separation table as its summary entry and its CSV table."""
-    radii = [row["k"] for row in table]
-    seps = [row["separation"] for row in table]
-    return {"radii": radii, "values": seps}, (["k", "separation"], [radii, seps])
-
-
 def _cmd_entire(args, cfg, seed: int):
     problem = build_problem(cfg)
     sec = _section(cfg, "entire")
     k_max = _count(sec, "k_max", "entire", 1)
     n = int(_number(sec, "n", "entire", default=1.0))
-    check_operator_dimension(cfg, n)
-    boundaries = [build_boundary(sec.get("boundary", {"tag": "constant", "value": 0.0}),
-                                 "entire.boundary")]
+    data = {"entire.boundary": sec.get("boundary", _ZERO_DATA)}
     if "boundary2" in sec:
-        boundaries.append(build_boundary(sec["boundary2"], "entire.boundary2"))
-    runs, table = _expanding_ball_runs(problem, sec, "entire", boundaries, k_max, n)
+        data["entire.boundary2"] = sec["boundary2"]
+    boundaries = [build_boundary(b, path) for path, b in data.items()]
+    check_dimension(cfg, n, data)
+    h = _number(sec, "h", "entire")
+    tol = _positive(sec, "tol", "entire", default=1e-8)
+    max_iter = int(_number(sec, "max_iter", "entire", default=2000000.0))
+    radius = _positive(sec, "separation_radius", "entire", default=1.0)
+    runs = [construct_entire(problem, k_max, g, tol, h, max_iter,
+                             center=[0.0] * n) for g in boundaries]
     flagged = any(run.flagged for run in runs)
+    # one row per boundary data and radius k: that solve's Newton report;
+    # wall times stay out, so reruns still write identical files
+    solves = [{"boundary": b, "k": k, "iterations": rep.iterations,
+               "backtracks": rep.backtracks,
+               "final_residual": rep.final_residual,
+               "converged": rep.converged}
+              for b, run in enumerate(runs)
+              for k, rep in zip(run.radii, run.reports)]
     header = ["k", "k_next", "j", "sup_diff"]
-    summary = {"passed": not flagged, "flagged": flagged,
-               "solves": _solve_rows(runs)}
+    summary = {"passed": not flagged, "flagged": flagged, "solves": solves}
     tables = {"stabilization.csv": (
         header, [[r[key] for r in runs[0].stabilization] for key in header])}
-    if table is not None:
-        separation, tables["separation.csv"] = _separation_outputs(table)
-        summary["separation"] = separation
+    if len(runs) == 2:
+        # sup_{B_r}|u_k - v_k| per radius k, r the separation_radius
+        table = separation_table(*runs, radius)
+        radii = [row["k"] for row in table]
+        seps = [row["separation"] for row in table]
+        summary["separation"] = {"radii": radii, "values": seps}
+        tables["separation.csv"] = (["k", "separation"], [radii, seps])
         try:
-            summary["fitted_decay_exponent"] = fit_decay_exponent(
-                separation["radii"], separation["values"])
+            summary["fitted_decay_exponent"] = fit_decay_exponent(radii, seps)
         except ValueError:
             summary["fitted_decay_exponent"] = None
     return cfg, summary, tables
 
 
-def _cmd_uniqueness(args, cfg, seed: int):
-    problem = build_problem(cfg)
-    check_operator_dimension(cfg, 1)  # the runs solve in 1D
-    sec = _section(cfg, "uniqueness")
-    radii = sec.get("radii")
-    if not isinstance(radii, list) or not radii or any(
-            not isinstance(k, (int, float)) or isinstance(k, bool)
-            or not 1 <= k < np.inf for k in radii):
-        raise ConfigError("uniqueness.radii",
-                          "must be a nonempty list of numbers >= 1")
-    pair_cfg = sec.get("boundary_pair")
-    if not isinstance(pair_cfg, list) or len(pair_cfg) != 2:
-        raise ConfigError("uniqueness.boundary_pair", "must be a list of two entries")
-    pair = [build_boundary(b, f"uniqueness.boundary_pair[{i}]")
-            for i, b in enumerate(pair_cfg)]
-    if problem.H.convexity is None:
-        raise ConfigError("problem.hamiltonian",
-                          f"{problem.H.tag} carries no convexity constants")
-    runs, table = _expanding_ball_runs(problem, sec, "uniqueness", pair,
-                                       int(max(radii)), 1)
-    keep = {int(k) for k in radii}
-    separation, csv = _separation_outputs([r for r in table if r["k"] in keep])
-    flagged = any(run.flagged for run in runs)
-    summary = {"passed": not flagged, "flagged": flagged,
-               "separation": separation, "solves": _solve_rows(runs)}
-    return cfg, summary, {"separation.csv": csv}
-
-
 def _cmd_check_hamiltonian(args, cfg, seed: int):
     sec = _section(cfg, "check")
-    hsec = cfg.get("hamiltonian") or (cfg.get("problem") or {}).get("hamiltonian")
+    hsec = cfg.get("hamiltonian")
+    if not hsec and "problem" in cfg:
+        hsec = _section(cfg, "problem").get("hamiltonian")
     if not isinstance(hsec, dict):
         raise ConfigError("hamiltonian", "missing hamiltonian section")
     H = build_hamiltonian(hsec, "hamiltonian")
-    condition = sec.get("condition")
-    if condition and condition not in CONDITIONS:
-        raise ConfigError("check.condition", f"unknown condition {condition!r}")
+    if "condition" in sec and sec["condition"] not in CONDITIONS:
+        raise ConfigError("check.condition",
+                          f"unknown condition {sec['condition']!r}")
     samples = _count(sec, "samples", "check", 1, default=1000000.0)
-    conditions = [condition] if condition else list(H.claims)
+    conditions = [sec["condition"]] if "condition" in sec else list(H.claims)
     rng = np.random.default_rng(seed)
     reports = [check_hamiltonian(H, cond, samples, rng=rng) for cond in conditions]
     summary = {"passed": all(r.passed for r in reports),
@@ -297,9 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("solve", parents=[common],
                    help="Dirichlet solve from a config file")
     sub.add_parser("entire", parents=[common],
-                   help="expanding-ball construction")
-    sub.add_parser("uniqueness", parents=[common],
-                   help="two-solution separation experiment")
+                   help="expanding-ball construction, with a second "
+                        "boundary the two-solution separation experiment")
     sub.add_parser("check-hamiltonian", parents=[common],
                    help="structure-condition sweep")
 
@@ -314,12 +274,11 @@ _DISPATCH = {
     "verify-barrier": _cmd_verify_barrier,
     "solve": _cmd_solve,
     "entire": _cmd_entire,
-    "uniqueness": _cmd_uniqueness,
     "check-hamiltonian": _cmd_check_hamiltonian,
     "oracle": _cmd_oracle,
 }
 
-_NEEDS_CONFIG = {"solve", "entire", "uniqueness", "check-hamiltonian"}
+_NEEDS_CONFIG = {"solve", "entire", "check-hamiltonian"}
 
 
 def main(argv=None) -> int:

@@ -71,6 +71,14 @@ def _number(section: dict, key: str, path: str, default=None):
     return float(val)
 
 
+def _switch(section: dict, key: str, path: str) -> bool:
+    """An optional JSON boolean, false when absent."""
+    val = section.get(key, False)
+    if not isinstance(val, bool):
+        raise ConfigError(f"{path}.{key}", "must be true or false")
+    return val
+
+
 def build_operator(section: dict, path: str = "problem.operator") -> OperatorF:
     tag = _require(section, "tag", path)
     if tag in ("pucci_plus", "pucci_minus"):
@@ -104,9 +112,7 @@ def build_hamiltonian(section: dict, path: str = "problem.hamiltonian") -> Hamil
         H = hamiltonian_library(tag, **params)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(path, str(exc))
-    if section.get("negate", False):
-        H = negate_hamiltonian(H)
-    return H
+    return negate_hamiltonian(H) if _switch(section, "negate", path) else H
 
 
 def build_f(section: dict, path: str = "problem.f") -> Callable:
@@ -144,20 +150,25 @@ def build_boundary(section: dict, path: str = "boundary") -> Callable:
             fld = CounterexampleField(alpha=alpha, sign=sign, axis=axis, n=n)
         except ValueError as exc:
             raise ConfigError(path, str(exc))
-        return fld.boundary_function(negated=bool(section.get("negated", False)))
+        return fld.boundary_function(negated=_switch(section, "negated", path))
     if tag == "cos":
         return lambda x: np.cos(x[:, 0])
     raise ConfigError(f"{path}.tag", f"unknown boundary tag {tag!r}")
 
 
-def check_operator_dimension(cfg: dict, n: int) -> None:
+def check_dimension(cfg: dict, n: int, boundaries: dict) -> None:
     """Reject weighted_trace weights that are not one per axis of the
-    dimension-n grids; ``cfg`` must have passed build_problem."""
+    dimension-n grids, and exp_family boundary data of another dimension.
+    ``cfg`` must have passed build_problem, and each section of
+    ``boundaries`` (key path -> section) build_boundary."""
     section = cfg["problem"]["operator"]
     if section["tag"] == "weighted_trace" and len(section["weights"]) != n:
         raise ConfigError("problem.operator.weights",
                           f"need {n} weights, one per axis, got "
                           f"{len(section['weights'])}")
+    for path, data in boundaries.items():
+        if data["tag"] == "exp_family" and int(data.get("n", 1)) != n:
+            raise ConfigError(f"{path}.n", f"must be the grid dimension {n}")
 
 
 def build_problem(cfg: dict) -> ProblemSpec:
@@ -180,6 +191,9 @@ def build_grid(cfg: dict):
     if not isinstance(section, dict):
         raise ConfigError("grid", "missing grid section")
     n = int(_number(section, "n", "grid"))
-    return build_ball_grid(section.get("center", [0.0] * n),
-                           _number(section, "radius", "grid"),
+    center = section.get("center", [0.0] * n)
+    if not isinstance(center, list) or len(center) != n \
+            or not all(map(_finite, center)):
+        raise ConfigError("grid.center", f"must be a list of {n} finite numbers")
+    return build_ball_grid(center, _number(section, "radius", "grid"),
                            _number(section, "h", "grid"), n)

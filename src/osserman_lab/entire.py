@@ -28,15 +28,22 @@ R_MAX = 0.5       # largest radius the local bound is stated for
 @dataclass(frozen=True)
 class EntireRun:
     problem: ProblemSpec
-    radii: tuple
-    fields: tuple          # ScalarField per radius
+    fields: tuple          # ScalarField per radius k = 1, 2, ...
     reports: tuple         # SolveReport per radius
     stabilization: tuple   # rows {k, k_next, j, sup_diff}
-    flagged: bool          # any non-convergent solve
 
     @property
     def center(self) -> np.ndarray:
         return self.fields[0].grid.center
+
+    @property
+    def radii(self) -> tuple:
+        return tuple(range(1, len(self.fields) + 1))
+
+    @property
+    def flagged(self) -> bool:
+        """A solve did not converge; the run stops at the first such one."""
+        return not self.reports[-1].converged
 
 
 def _shared_interior(a: BallGrid, b: BallGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +107,6 @@ def construct_entire(problem: ProblemSpec, k_max: int, boundary: Callable,
     else:
         center = np.zeros(1)
     fields, reports = [], []
-    flagged = False
     prev = None
     for k in range(1, k_max + 1):
         grid = build_ball_grid(center, float(k), h, n)
@@ -109,7 +115,6 @@ def construct_entire(problem: ProblemSpec, k_max: int, boundary: Callable,
         fields.append(sol)
         reports.append(rep)
         if not rep.converged:
-            flagged = True
             break
         prev = sol
     rows = []
@@ -119,20 +124,15 @@ def construct_entire(problem: ProblemSpec, k_max: int, boundary: Callable,
             rows.append({"k": k, "k_next": k + 1, "j": j,
                          "sup_diff": sup_difference(fields[i], fields[i + 1],
                                                     float(j), center)})
-    return EntireRun(problem=problem, radii=tuple(range(1, len(fields) + 1)),
-                     fields=tuple(fields), reports=tuple(reports),
-                     stabilization=tuple(rows), flagged=flagged)
+    return EntireRun(problem=problem, fields=tuple(fields),
+                     reports=tuple(reports), stabilization=tuple(rows))
 
 
 def separation_table(run_a: EntireRun, run_b: EntireRun,
                      radius: float = 1.0) -> list[dict]:
-    """sup_{B_radius}|u_k^a - u_k^b| per shared radius k."""
-    rows = []
-    for k in sorted(set(run_a.radii) & set(run_b.radii)):
-        a = run_a.fields[run_a.radii.index(k)]
-        b = run_b.fields[run_b.radii.index(k)]
-        rows.append({"k": k, "separation": sup_difference(a, b, radius)})
-    return rows
+    """sup_{B_radius}|u_k^a - u_k^b| per radius k both runs reached."""
+    return [{"k": k, "separation": sup_difference(a, b, radius)}
+            for k, a, b in zip(run_a.radii, run_a.fields, run_b.fields)]
 
 
 def fit_decay_exponent(radii: Sequence[float], values: Sequence[float]) -> float:

@@ -343,7 +343,7 @@ def test_entire_with_two_boundaries(tmp_path):
     assert os.path.exists(os.path.join(out, "separation.csv"))
     summary = _read_summary(out)
     seps = summary["separation"]["values"]
-    assert seps[0] > seps[1] > seps[2]
+    assert seps[0] > seps[1] > seps[2] > 0.0
     assert summary["fitted_decay_exponent"] is None  # only one tail point
 
 
@@ -376,44 +376,12 @@ def test_entire_summary_has_one_solve_row_per_boundary_and_radius(tmp_path):
                if r["boundary"] == 1 and r["k"] > 1)
 
 
-def test_uniqueness_command(tmp_path):
-    cfg = _write_cfg(tmp_path, "cfg.json", {
-        "problem": {
-            "s": 3.0,
-            "operator": {"tag": "laplacian"},
-            "hamiltonian": {"tag": "prototype", "c1": 0.0, "cm": 1.0,
-                            "m": 2.0, "n": 1},
-            "f": {"tag": "zero"},
-        },
-        "uniqueness": {"radii": [1, 2], "h": 0.2, "tol": 1e-7,
-                       "max_iter": 200000,
-                       "boundary_pair": [{"tag": "constant", "value": 0.0},
-                                         {"tag": "constant", "value": 0.0}]},
-    })
-    out = str(tmp_path / "out")
-    rc = main(["uniqueness", "--config", cfg, "--out", out, "--quiet"])
-    assert rc == 0
-    summary = _read_summary(out)
-    assert summary["separation"]["values"] == [0.0, 0.0]
-
-
 SEPARATION_PROBLEM = {
     "s": 3.0,
     "operator": {"tag": "laplacian"},
     "hamiltonian": {"tag": "prototype", "c1": 0.0, "cm": 1.0, "m": 2.0, "n": 1},
     "f": {"tag": "zero"},
 }
-
-
-def _uniqueness_cfg(values, radii, h=0.1, max_iter=500000, hamiltonian=None):
-    problem = dict(SEPARATION_PROBLEM)
-    if hamiltonian is not None:
-        problem["hamiltonian"] = hamiltonian
-    return {"problem": problem,
-            "uniqueness": {"radii": radii, "h": h, "tol": 1e-7,
-                           "max_iter": max_iter,
-                           "boundary_pair": [{"tag": "constant", "value": v}
-                                             for v in values]}}
 
 
 def _read_separation_csv(out):
@@ -423,46 +391,31 @@ def _read_separation_csv(out):
     return [line.split(",") for line in lines[1:]]
 
 
-def test_uniqueness_identical_data_gives_zero_separations(tmp_path):
-    # only the requested radii are tabulated, though the runs grow to k = 3
-    cfg = _write_cfg(tmp_path, "cfg.json", _uniqueness_cfg((0.0, 0.0), [1, 3], h=0.2))
+def test_entire_identical_data_gives_zero_separations(tmp_path):
+    # two runs from the same data solve the same systems, so in 2D too every
+    # separation is exactly 0
+    cfg = _write_cfg(tmp_path, "cfg.json", {
+        "problem": {**SEPARATION_PROBLEM, "hamiltonian": {
+            **SEPARATION_PROBLEM["hamiltonian"], "n": 2}},
+        "entire": {"k_max": 2, "h": 0.25, "tol": 1e-7, "n": 2,
+                   "boundary": {"tag": "constant", "value": 1.0},
+                   "boundary2": {"tag": "constant", "value": 1.0}}})
     out = str(tmp_path / "out")
-    assert main(["uniqueness", "--config", cfg, "--out", out, "--quiet"]) == 0
-    assert _read_separation_csv(out) == [["1", "0"], ["3", "0"]]
+    assert main(["entire", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert _read_separation_csv(out) == [["1", "0"], ["2", "0"]]
     summary = _read_summary(out)
-    assert summary["separation"] == {"radii": [1, 3], "values": [0.0, 0.0]}
+    assert summary["separation"] == {"radii": [1, 2], "values": [0.0, 0.0]}
     assert summary["passed"] is True and summary["flagged"] is False
 
 
-def test_uniqueness_separation_decays(tmp_path):
-    cfg = _write_cfg(tmp_path, "cfg.json", _uniqueness_cfg((0.0, 10.0), [1, 2, 3]))
-    out = str(tmp_path / "out")
-    assert main(["uniqueness", "--config", cfg, "--out", out, "--quiet"]) == 0
-    seps = _read_summary(out)["separation"]["values"]
-    assert seps[0] > seps[1] > seps[2] > 0.0
-
-
-def test_uniqueness_requires_convexity_constants(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, "cfg.json", _uniqueness_cfg(
-        (0.0, 1.0), [1], h=0.2, hamiltonian={"tag": "prototype", "c1": 1.0,
-                                             "cm": 1.0, "m": 1.0, "n": 1}))
-    out = str(tmp_path / "out")
-    assert main(["uniqueness", "--config", cfg, "--out", out, "--quiet"]) == 2
-    assert "config error at problem.hamiltonian" in capsys.readouterr().err
-    assert not os.path.exists(out)
-
-
-@pytest.mark.parametrize("command", ["entire", "uniqueness"])
+@pytest.mark.parametrize("command", ["entire"])
 def test_unconverged_solves_fail_the_run(tmp_path, capsys, command):
     # one Newton step cannot reach tol from data 10, so the second run stops
     # flagged at k = 1 while the first (data 0) converges
-    if command == "entire":
-        cfg = {"problem": SEPARATION_PROBLEM,
-               "entire": {"k_max": 3, "h": 0.1, "tol": 1e-7, "max_iter": 1,
-                          "n": 1, "boundary": {"tag": "constant", "value": 0.0},
-                          "boundary2": {"tag": "constant", "value": 10.0}}}
-    else:
-        cfg = _uniqueness_cfg((0.0, 10.0), [1, 2, 3], max_iter=1)
+    cfg = {"problem": SEPARATION_PROBLEM,
+           "entire": {"k_max": 3, "h": 0.1, "tol": 1e-7, "max_iter": 1,
+                      "n": 1, "boundary": {"tag": "constant", "value": 0.0},
+                      "boundary2": {"tag": "constant", "value": 10.0}}}
     out = str(tmp_path / "out")
     rc = main([command, "--config", _write_cfg(tmp_path, "cfg.json", cfg),
                "--out", out])
@@ -489,6 +442,16 @@ def _weights_cfg(weights):
     operator = {"tag": "weighted_trace", "weights": weights}
     return {**_grid_cfg(n=2, center=[0.0, 0.0], h=0.25),
             "problem": {**SOLVE_CFG["problem"], "operator": operator}}
+
+
+def _condition_cfg(condition):
+    return {"hamiltonian": NO_CONVEXITY_H,
+            "check": {"condition": condition, "samples": 10}}
+
+
+EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
+
+
 BARRIER_FLAGS = ["--s", "3", "--m", "2", "--Lam", "1", "--gamma1", "0",
                  "--gamma", "1", "--delta", "1"]
 
@@ -500,8 +463,20 @@ BARRIER_FLAGS = ["--s", "3", "--m", "2", "--Lam", "1", "--gamma1", "0",
     pytest.param("verify-barrier", None,
                  BARRIER_FLAGS + ["--n", "3", "--R", "1", "--h", "0.1"], None,
                  id="barrier-n"),
-    pytest.param("solve", _grid_cfg(center=[0.0, 0.0]), [], None, id="solve-center"),
+    pytest.param("solve", _grid_cfg(center=[0.0, 0.0]), [], "grid.center",
+                 id="solve-center"),
     pytest.param("solve", _grid_cfg(n=3), [], None, id="solve-n"),
+    pytest.param("solve", _grid_cfg(center=[math.nan]), [], "grid.center",
+                 id="solve-center-nan"),
+    pytest.param("solve", _grid_cfg(center=[math.inf]), [], "grid.center",
+                 id="solve-center-inf"),
+    pytest.param("solve", _grid_cfg(center="a"), [], "grid.center",
+                 id="solve-center-text"),
+    pytest.param("solve", {**_grid_cfg(), "boundary": {**EXP_FAMILY, "n": 2}},
+                 [], "boundary.n", id="solve-exp_family-n"),
+    pytest.param("solve", {**_grid_cfg(),
+                           "boundary": {**EXP_FAMILY, "negated": "yes"}},
+                 [], "boundary.negated", id="solve-negated-text"),
     pytest.param("solve", _grid_cfg(radius=-1.0), [], None, id="solve-radius"),
     pytest.param("solve", _grid_cfg(h=0.6), [], None, id="solve-h"),
     pytest.param("solve", {**_grid_cfg(), "solve": {"tol": 0.0}}, [],
@@ -520,16 +495,21 @@ BARRIER_FLAGS = ["--s", "3", "--m", "2", "--Lam", "1", "--gamma1", "0",
         "k_max": 2, "h": 0.1, "separation_radius": -1.0,
         "boundary2": {"tag": "constant", "value": 1.0}}}, [],
                  "entire.separation_radius", id="entire-separation-radius"),
-    pytest.param("uniqueness", _uniqueness_cfg((0.0, 1.0), [1, "2"]), [],
-                 "uniqueness.radii", id="uniqueness-radii-text"),
-    pytest.param("uniqueness", _uniqueness_cfg((0.0, 1.0), [0.5]), [],
-                 "uniqueness.radii", id="uniqueness-radii-below-1"),
+    pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
+        "k_max": 1, "h": 0.25, "boundary2": {**EXP_FAMILY, "n": 2}}}, [],
+                 "entire.boundary2.n", id="entire-exp_family-n"),
     pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H, "check": {
         "condition": "convexity_type", "samples": 10}}, [], None,
                  id="check-constants"),
     pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H, "check": {
         "condition": "nope", "samples": 10}}, [], "check.condition",
                  id="check-condition"),
+    pytest.param("check-hamiltonian", _condition_cfg(0), [], "check.condition",
+                 id="check-condition-zero"),
+    pytest.param("check-hamiltonian", _condition_cfg(""), [],
+                 "check.condition", id="check-condition-empty"),
+    pytest.param("check-hamiltonian", {"problem": "pucci", "check": {
+        "samples": 10}}, [], "problem", id="check-problem-text"),
     pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H,
                                        "check": {"samples": 0}}, [],
                  "check.samples", id="check-samples"),
@@ -539,6 +519,9 @@ BARRIER_FLAGS = ["--s", "3", "--m", "2", "--Lam", "1", "--gamma1", "0",
                  [], "hamiltonian", id="hamiltonian-unknown-key"),
     pytest.param("check-hamiltonian", _check_cfg(tag="sup_inf"), [],
                  "hamiltonian", id="hamiltonian-missing-key"),
+    pytest.param("check-hamiltonian", _check_cfg(
+        tag="prototype", c1=0.0, cm=1.0, m=2.0, negate="false"), [],
+                 "hamiltonian.negate", id="hamiltonian-negate-text"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", n=math.inf),
                  [], "hamiltonian", id="hamiltonian-n-inf"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", c1=math.nan),
@@ -572,10 +555,6 @@ def test_rejected_config_values_exit_2_and_write_nothing(tmp_path, capsys,
 @pytest.mark.parametrize("command, n, section", [
     ("solve", 2, {"grid": {"n": 2, "radius": 1.0, "h": 0.25}}),
     ("entire", 1, {"entire": {"k_max": 2, "h": 0.25, "n": 1}}),
-    ("uniqueness", 1, {"uniqueness": {
-        "radii": [1], "h": 0.25,
-        "boundary_pair": [{"tag": "constant", "value": 0.0},
-                          {"tag": "constant", "value": 1.0}]}}),
 ])
 def test_weighted_trace_needs_one_weight_per_axis(tmp_path, capsys, command,
                                                   n, section):
