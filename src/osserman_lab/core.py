@@ -66,7 +66,9 @@ class BallGrid:
 
     nodes[:n_interior] are the interior nodes (lexicographic in lattice
     coordinates), followed by the boundary layer. ``projections[k]`` is the
-    radial projection of boundary node k onto the sphere.
+    radial projection of boundary node k onto the sphere. ``spacings2`` is
+    the squared spacing of each stencil direction pair: h^2 on the axes,
+    2 h^2 on the diagonals.
     """
 
     center: np.ndarray
@@ -78,6 +80,7 @@ class BallGrid:
     n_interior: int
     projections: np.ndarray    # (N - n_interior, n)
     neighbors: np.ndarray      # (n_interior, n_dirs) node indices
+    spacings2: np.ndarray      # (n_dirs // 2,)
 
     @property
     def directions(self):
@@ -131,6 +134,8 @@ def build_ball_grid(center, R: float, h: float, n: int) -> BallGrid:
     norms = row_norms(vecs)
     projections = center[None, :] + R * vecs / norms[:, None]
     neighbors = index[stencil]
+    pairs = len(steps) // 2
+    spacings2 = float(h) ** 2 * np.where(np.arange(pairs) < n, 1.0, 2.0)
 
     return BallGrid(
         center=center,
@@ -142,6 +147,7 @@ def build_ball_grid(center, R: float, h: float, n: int) -> BallGrid:
         n_interior=n_interior,
         projections=projections,
         neighbors=neighbors,
+        spacings2=spacings2,
     )
 
 
@@ -287,20 +293,13 @@ def interpolate(field: ScalarField, points) -> np.ndarray:
     return vals
 
 
-def spacings2(grid: BallGrid) -> np.ndarray:
-    """Squared spacing of each stencil direction pair: h^2 on the axes,
-    2 h^2 on the diagonals."""
-    pairs = len(grid.directions) // 2
-    return grid.h ** 2 * np.where(np.arange(pairs) < grid.n, 1.0, 2.0)
-
-
 def second_differences(grid: BallGrid, values: np.ndarray) -> np.ndarray:
     """Second differences of nodal ``values`` along every stencil direction
     pair at all interior nodes, shape (n_interior, n_pairs): the axes first,
     then (in 2D) the two diagonals with spacing h*sqrt(2)."""
     unb = values[grid.neighbors]
     uc = values[: grid.n_interior]
-    return (unb[:, ::2] + unb[:, 1::2] - 2.0 * uc[:, None]) / spacings2(grid)
+    return (unb[:, ::2] + unb[:, 1::2] - 2.0 * uc[:, None]) / grid.spacings2
 
 
 def fd_derivatives(field: ScalarField):

@@ -76,12 +76,16 @@ class HamiltonianH:
     omega(t) = modulus_coeff * t on the x-shift.
     convexity = (c_lower, A, sigma0) when H satisfies the convexity-type
     bound H(x,p) - sigma H(x, p/sigma) <= (1-sigma)(-c_lower|p|^m + A).
+    ``gradient(x, p)`` is dH/dp in closed form, shape (N, n), and 0 at
+    p = 0; the solver's Newton Jacobian needs it. Every library H carries
+    one.
     """
 
     evaluator: Callable
     m: float
     gamma1: float
     gamma_m: float
+    gradient: Optional[Callable] = None
     convexity: Optional[tuple] = None   # (c_lower, A, sigma0)
     modulus_coeff: float = 0.0
     tag: str = "custom"
@@ -377,11 +381,23 @@ CONDITIONS = ("lipschitz_structure", "shift_modulus", "convexity_type",
 # config keys plus n, the dimension in the x-shift modulus constant, so an
 # unknown or missing key raises TypeError.
 
+def _radial_gradient(p: np.ndarray, r: np.ndarray,
+                     slope: np.ndarray) -> np.ndarray:
+    """dH/dp = slope * p / r for an H of r = |p| whose r-derivative is
+    ``slope``, and 0 where p = 0."""
+    scale = np.divide(slope, r, out=np.zeros_like(r), where=r > 0.0)
+    return scale[..., None] * p
+
+
 def _zero(*, m=2.0, n=2) -> HamiltonianH:
     def ev(x, p):
         return np.zeros(np.asarray(p, dtype=float).shape[:-1])
+
+    def grad(x, p):
+        return np.zeros_like(p, dtype=float)
     return HamiltonianH(evaluator=ev, m=float(m), gamma1=0.0, gamma_m=0.0,
-                        convexity=(0.0, 0.0, 0.5), tag="zero", claims=CONDITIONS)
+                        gradient=grad, convexity=(0.0, 0.0, 0.5), tag="zero",
+                        claims=CONDITIONS)
 
 
 def _prototype(*, c1=0.0, cm=1.0, m=2.0, n=2) -> HamiltonianH:
@@ -393,13 +409,17 @@ def _prototype(*, c1=0.0, cm=1.0, m=2.0, n=2) -> HamiltonianH:
         r = row_norms(p)
         return c1(x) * r + cm(x) * r ** m
 
+    def grad(x, p):
+        r = row_norms(p)
+        return _radial_gradient(p, r, c1(x) + m * cm(x) * r ** (m - 1.0))
+
     gamma1 = c1.sup_abs + cm.sup_abs if m == 1 else c1.sup_abs
     gamma_m = 2.0 * m * cm.sup_abs if m > 1 else 0.0
     convexity, claims = None, CONDITIONS[:2]
     if m > 1 and cm.inf > 0:
         convexity, claims = (0.95 * (m - 1) * cm.inf, 0.0, 0.5), CONDITIONS
     return HamiltonianH(evaluator=ev, m=m, gamma1=gamma1, gamma_m=gamma_m,
-                        convexity=convexity,
+                        gradient=grad, convexity=convexity,
                         modulus_coeff=c1.lipschitz(n) + cm.lipschitz(n),
                         tag="prototype", claims=claims)
 
@@ -416,12 +436,17 @@ def _two_power(*, c=1.0, a=0.5, m=2.0, l=1.5, sigma0=0.5, n=2) -> HamiltonianH:
         r = row_norms(p)
         return c(x) * r ** m + a(x) * r ** l
 
+    def grad(x, p):
+        r = row_norms(p)
+        return _radial_gradient(p, r, m * c(x) * r ** (m - 1.0)
+                                + l * a(x) * r ** (l - 1.0))
+
     gamma1 = 2.0 * l * a.sup_abs
     gamma_m = 2.0 * m * c.sup + 2.0 * l * a.sup_abs
     c_lower = 0.5 * (m - 1) * c.inf
     A = _young_constant(a.sup_abs * abs(l - 1.0) / sigma0 ** l, c_lower, l, m)
     return HamiltonianH(evaluator=ev, m=m, gamma1=gamma1, gamma_m=gamma_m,
-                        convexity=(c_lower, A, sigma0),
+                        gradient=grad, convexity=(c_lower, A, sigma0),
                         modulus_coeff=c.lipschitz(n) + a.lipschitz(n),
                         tag="two_power", claims=CONDITIONS)
 
@@ -435,9 +460,16 @@ def _rational_factor(*, c=1.0, n=2) -> HamiltonianH:
         r2 = squared_row_norms(p)
         return c(x) * ((r2 - 1.0) ** 2 - 1.0) / (r2 + 1.0)
 
+    def grad(x, p):
+        # H = c g(|p|^2) with g(t) = ((t-1)^2 - 1)/(t+1):
+        # dH/dp = 2 c g'(|p|^2) p
+        t = squared_row_norms(p)
+        slope = (t * t + 2.0 * t - 2.0) / ((t + 1.0) * (t + 1.0))
+        return (2.0 * c(x) * slope)[..., None] * p
+
     return HamiltonianH(
         evaluator=ev, m=2.0,
-        gamma1=1.5 * c.sup_abs, gamma_m=3.0 * c.sup_abs,
+        gamma1=1.5 * c.sup_abs, gamma_m=3.0 * c.sup_abs, gradient=grad,
         convexity=(_RATIONAL_C_LOWER_FACTOR * c.inf,
                    _RATIONAL_A_FACTOR * c.sup, 0.5),
         modulus_coeff=2.0 * c.lipschitz(n), tag="rational_factor",
@@ -463,8 +495,35 @@ def _sup_inf(*, matrices, m=2.0, n=2) -> HamiltonianH:
             for grp in mats], axis=0)
         return (forms.max(axis=0)) ** (m / 2.0)
 
+    def grad(x, p):
+        # (m/2) Q^{m/2-1} (S + S^T) p at the active form Q = p^T S p: the
+        # first smallest in its group, of the group with the first largest
+        best = best_grad = None
+        for grp in mats:
+            low = low_grad = None
+            for S in grp:
+                form = np.einsum("...i,ij,...j->...", p, S, p)
+                form_grad = p @ (S + S.T)
+                if low is None:
+                    low, low_grad = form, form_grad
+                else:
+                    take = form < low
+                    low = np.where(take, form, low)
+                    low_grad = np.where(take[..., None], form_grad, low_grad)
+            if best is None:
+                best, best_grad = low, low_grad
+            else:
+                take = low > best
+                best = np.where(take, low, best)
+                best_grad = np.where(take[..., None], low_grad, best_grad)
+        # Q >= nu |p|^2, so Q = 0 only at p = 0, where the gradient is 0
+        scale = np.zeros_like(best)
+        np.power(best, m / 2.0 - 1.0, out=scale, where=best > 0.0)
+        return (0.5 * m * scale)[..., None] * best_grad
+
     return HamiltonianH(
         evaluator=ev, m=m, gamma1=0.0, gamma_m=2.0 * m * big ** (m / 2.0),
+        gradient=grad,
         convexity=(0.95 * (m - 1.0) * nu ** (m / 2.0), 0.0, 0.5), tag="sup_inf",
         claims=CONDITIONS)
 
@@ -484,7 +543,11 @@ def negate_hamiltonian(H: HamiltonianH) -> HamiltonianH:
     """-H, used for the concave-Hamiltonian experiments."""
     def ev(x, p):
         return -H(x, p)
+
+    def grad(x, p):
+        return -H.gradient(x, p)
     return HamiltonianH(evaluator=ev, m=H.m, gamma1=H.gamma1, gamma_m=H.gamma_m,
+                        gradient=None if H.gradient is None else grad,
                         convexity=H.convexity, modulus_coeff=H.modulus_coeff,
                         tag="negated_" + H.tag, claims=CONDITIONS[:2])
 

@@ -15,6 +15,8 @@ The residual is piecewise smooth: each node picks a policy (F's stencil
 weights, the upwind slope of every axis). Newton's method with the exact
 Jacobian of the active policy is Howard's algorithm (Bokanowski-Maroso-
 Zidani, SINUM 47, 2009), globalized by backtracking on the sup residual.
+The Jacobian is exact because H carries dH/dp in closed form
+(``HamiltonianH.gradient``); nothing in it is a difference quotient.
 Convergence is judged by the residual alone, so the discrete solution does
 not depend on the path.
 
@@ -42,12 +44,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (BallGrid, ScalarField, build_ball_grid, dissection_order,
-                   evaluate, row_norms, second_differences, spacings2)
+                   evaluate, row_norms, second_differences)
 from .operators import HamiltonianH, OperatorF
 
 ARMIJO = 1e-4      # sufficient-decrease constant of the line search
 ALPHA_MIN = 2.0 ** -30  # a step shorter than this stalls the solve
-_FD_REL = 1e-6     # relative step of the central differences of H
 
 
 class NumericalError(RuntimeError):
@@ -57,7 +58,8 @@ class NumericalError(RuntimeError):
 @dataclass(frozen=True)
 class ProblemSpec:
     """Equation data for F(x,D^2 u) + H(x,Du) - |u|^{s-1}u = f, with f a
-    data callable on (N, n) points (see ``core.evaluate``)."""
+    data callable on (N, n) points (see ``core.evaluate``). H must carry
+    its gradient: the Newton Jacobian is built from it."""
 
     F: OperatorF
     H: HamiltonianH
@@ -67,6 +69,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.s <= 1.0:
             raise ValueError("zero-order exponent s must exceed 1")
+        if self.H.gradient is None:
+            raise ValueError(f"Hamiltonian {self.H.tag!r} carries no gradient")
 
     @property
     def ellipticity(self):
@@ -118,28 +122,25 @@ def _interior_residual(problem: ProblemSpec, grid: BallGrid, vals: np.ndarray,
     return res, _Policy(weights, p, side)
 
 
-def _hamiltonian_slopes(H: HamiltonianH, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Central differences of H(x, p) along each axis of p, shape (ni, n)."""
-    step = _FD_REL * (1.0 + np.abs(p).max(axis=1))
-    eps = step[:, None]
-    return np.stack([(H(x, p + eps * e) - H(x, p - eps * e)) / (2.0 * step)
-                     for e in np.eye(p.shape[1])], axis=1)
-
-
 def _jacobian_table(problem: ProblemSpec, grid: BallGrid, vals: np.ndarray,
                     policy: _Policy) -> np.ndarray:
     """Jacobian of the residual for a fixed policy, as an (ni, 1 + n_dirs)
     table: column 0 is d res_i / d u_i, column 1 + d the derivative with
-    respect to the neighbour in stencil direction d."""
+    respect to the neighbour in stencil direction d.
+
+    F's part is its stencil weights over the grid's squared spacings. H's
+    part is dH/dp at the upwind gradient (``H.gradient``) over h, on the
+    one-sided difference each axis took; an axis that took neither adds
+    nothing. The zero-order term adds -s|u_i|^{s-1} on the diagonal."""
     h, n = grid.h, grid.n
     ni = grid.n_interior
-    coef = policy.weights / spacings2(grid)
+    coef = policy.weights / grid.spacings2
 
     table = np.empty((ni, 1 + len(grid.directions)))
     table[:, 1::2] = table[:, 2::2] = coef
     table[:, 0] = -2.0 * coef.sum(axis=1)
 
-    gH = _hamiltonian_slopes(problem.H, grid.interior_nodes, policy.p) / h
+    gH = problem.H.gradient(grid.interior_nodes, policy.p) / h
     table[:, 2:2 * n + 1:2] += np.where(policy.side == 1, gH, 0.0)
     table[:, 1:2 * n:2] -= np.where(policy.side == -1, gH, 0.0)
     table[:, 0] -= (policy.side * gH).sum(axis=1)

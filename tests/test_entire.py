@@ -309,6 +309,7 @@ def test_continuum_oracle_refuses_what_it_does_not_cover():
     # most 1 more, so u climbs at most 3 in all and u >= 97 throughout; then
     # u'' >= 97^3 drives |u'| past 1 at once and it blows up inside (-1, 1).
     blow_up = HamiltonianH(evaluator=lambda x, p: -np.abs(p[..., 0]) ** 3,
-                           m=3.0, gamma1=0.0, gamma_m=3.0)
+                           m=3.0, gamma1=0.0, gamma_m=3.0,
+                           gradient=lambda x, p: -3.0 * np.abs(p) * p)
     with pytest.raises(RuntimeError), np.errstate(over="ignore"):
         continuum_oracle_1d(_cubic_problem(blow_up), 1.0, 100.0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from osserman_lab import operators
@@ -254,6 +254,70 @@ def test_negate_hamiltonian():
     assert G(x, p)[0] == pytest.approx(-H(x, p)[0])
     rep = check_hamiltonian(G, "convexity_type", samples=50_000, rng=4)
     assert not rep.passed  # -H violates the convexity-type bound
+
+
+# (tag, params for dimension n): every library tag, constant and
+# x-dependent coefficients, prototype at m = 1, 1.5 and 2 with c1 != 0,
+# two_power at l = 1 and l > 1; sup_inf's groups hold two forms, so both
+# its min and its max pick
+def _sup_inf_matrices(n):
+    if n == 1:
+        return [[[[2.0]], [[3.0]]], [[[1.5]]]]
+    return [[[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]],
+            [[[1.5, -0.3], [-0.3, 2.0]]]]
+
+
+GRADIENT_CASES = [
+    ("zero", lambda n: {}),
+    ("prototype", lambda n: {"c1": 0.7, "cm": 1.0, "m": 1.0}),
+    ("prototype", lambda n: {"c1": {"c0": 1.0, "amp": 0.3},
+                             "cm": {"c0": 1.0, "amp": 0.4, "freq": 2.0},
+                             "m": 1.5}),
+    ("prototype", lambda n: {"c1": -0.5, "cm": 2.0, "m": 2.0}),
+    ("two_power", lambda n: {"c": 1.0, "a": 0.5, "m": 2.0, "l": 1.5}),
+    ("two_power", lambda n: {"c": {"c0": 1.0, "amp": 0.2}, "a": -0.5,
+                             "m": 1.8, "l": 1.0}),
+    ("rational_factor", lambda n: {"c": 2.0}),
+    ("rational_factor", lambda n: {"c": {"c0": 1.0, "amp": 0.5}}),
+    ("sup_inf", lambda n: {"matrices": _sup_inf_matrices(n), "m": 1.6}),
+    ("sup_inf", lambda n: {"matrices": _sup_inf_matrices(n), "m": 2.0}),
+]
+GRADIENT_RTOL = 1e-6
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.integers(0, len(GRADIENT_CASES) - 1), n=st.sampled_from([1, 2]),
+       negated=st.booleans(),
+       x=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+       angle=st.floats(0.0, 2.0 * np.pi), log_r=st.floats(-3.0, 2.0))
+def test_gradient_matches_central_differences_of_H(case, n, negated, x, angle,
+                                                   log_r):
+    tag, params = GRADIENT_CASES[case]
+    H = hamiltonian_library(tag, n=n, **params(n))
+    if negated:
+        H = negate_hamiltonian(H)
+    x = np.array([x[:n]])
+    r = 10.0 ** log_r
+    p = r * (np.array([[np.cos(angle)]]) if n == 1
+             else np.array([[np.cos(angle), np.sin(angle)]]))
+    if tag == "sup_inf":
+        # the gradient jumps where two forms tie: keep the central
+        # differences' stencil away from every tie
+        forms = [float(p[0] @ np.asarray(S) @ p[0])
+                 for grp in params(n)["matrices"] for S in grp]
+        gaps = np.abs(np.subtract.outer(forms, forms))
+        assume(gaps[np.triu_indices(len(forms), 1)].min() > 1e-4 * max(forms))
+    grad = H.gradient(x, p)
+    assert grad.shape == (1, n)
+    # |p| >= 1e-3, steps of 1e-6 |p|: truncation (1e-12 relative) and
+    # rounding (about 1e-10 of |H|/|p|) stay far below the tolerance
+    step = 1e-6 * r
+    fd = np.array([(H(x, p + step * e) - H(x, p - step * e))[0] / (2.0 * step)
+                   for e in np.eye(n)])
+    assert np.linalg.norm(grad[0] - fd) <= GRADIENT_RTOL * (
+        1.0 + np.linalg.norm(grad[0])), (tag, grad, fd)
+    zero = H.gradient(x, np.zeros((1, n)))
+    assert zero.shape == (1, n) and np.all(zero == 0.0)
 
 
 def test_nan_margins_fail_every_condition():

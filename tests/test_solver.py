@@ -5,9 +5,10 @@ import pytest
 
 from osserman_lab.core import ScalarField, build_ball_grid, sample_field
 from osserman_lab.entire import radial_power_rhs
-from osserman_lab.operators import (EllipticityPair, hamiltonian_library,
-                                    laplacian_operator, negate_hamiltonian,
-                                    pucci_minus_operator, pucci_plus_operator,
+from osserman_lab.operators import (EllipticityPair, HamiltonianH,
+                                    hamiltonian_library, laplacian_operator,
+                                    negate_hamiltonian, pucci_minus_operator,
+                                    pucci_plus_operator,
                                     weighted_trace_operator)
 from osserman_lab.solver import (NumericalError, ProblemSpec, SolveReport,
                                  _factorize, _initial_guess,
@@ -27,6 +28,15 @@ def test_problem_spec_validates_s():
         _laplace_problem(s=1.0)
     with pytest.raises(ValueError):
         _laplace_problem(s=0.5)
+
+
+def test_problem_spec_requires_the_hamiltonian_gradient():
+    H = hamiltonian_library("prototype", n=1)
+    bare = HamiltonianH(evaluator=H.evaluator, m=H.m, gamma1=H.gamma1,
+                        gamma_m=H.gamma_m)
+    for H in (bare, negate_hamiltonian(bare)):
+        with pytest.raises(ValueError, match="gradient"):
+            _laplace_problem(H=H)
 
 
 def test_residual_zero_field():
@@ -349,6 +359,13 @@ _HAMILTONIANS = {
         "prototype", c1={"c0": 0.5, "amp": 0.2}, cm=1.0, m=2.0, n=n),
     "two_power": lambda n: hamiltonian_library(
         "two_power", c=1.0, a=0.5, m=1.8, l=1.5, n=n),
+    "two_power_l1": lambda n: hamiltonian_library(
+        "two_power", c=1.0, a=0.5, m=1.8, l=1.0, n=n),
+    "sup_inf": lambda n: hamiltonian_library(
+        "sup_inf", m=1.6, n=n, matrices=(
+            [[[[2.0]], [[3.0]]], [[[1.5]]]] if n == 1 else
+            [[[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]],
+             [[[1.5, -0.3], [-0.3, 2.0]]]])),
     "rational_factor": lambda n: hamiltonian_library("rational_factor", n=n),
     "zero": lambda n: hamiltonian_library("zero", n=n),
     "negated_prototype": lambda n: negate_hamiltonian(
