@@ -2,7 +2,8 @@
 
 Subcommands: verify-barrier, solve, entire, check-hamiltonian, oracle.
 ``entire`` with a second boundary is the two-solution separation
-experiment behind the uniqueness result. Each command computes its
+experiment behind the uniqueness result. Every command reads its inputs
+from the ``--config`` file alone. Each command computes its
 results and writes nothing; ``main`` then writes its CSV data files, a
 JSON summary (with the package version, resolved parameters and seed) and
 an echo of the resolved config into the output directory, so a run that
@@ -25,7 +26,8 @@ import numpy as np
 from . import __version__
 from .barrier import barrier_constants, verify_barrier_inequality
 from .config import (ConfigError, build_boundary, build_grid, build_problem,
-                     build_hamiltonian, check_dimension, load_config, _number)
+                     build_hamiltonian, check_dimension, count, load_config,
+                     number, positive)
 from .core import GridError, build_ball_grid
 from .entire import construct_entire, fit_decay_exponent, separation_table
 from .operators import CONDITIONS, MetadataError, check_hamiltonian
@@ -71,13 +73,13 @@ def _write_json(path: str, obj: dict):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each computes (echo, summary, tables) and writes nothing.
-# echo is the resolved config for config.json; summary holds the results for
-# summary.json, whose "parameters" default to the echo; tables maps each CSV
-# file name to (header, columns).
+# subcommands: each takes (cfg, seed), reads its own sections of the config
+# and computes (echo, summary, tables), writing nothing. echo is the resolved
+# config for config.json; summary holds the results for summary.json, whose
+# "parameters" default to the echo; tables maps each CSV file name to
+# (header, columns).
 # ---------------------------------------------------------------------------
 
-_BARRIER_KEYS = ("s", "m", "n", "Lam", "gamma1", "gamma", "delta", "R", "h")
 _ZERO_DATA = {"tag": "constant", "value": 0.0}  # the default boundary data
 
 
@@ -89,33 +91,15 @@ def _section(cfg: dict, name: str) -> dict:
     return sec
 
 
-def _count(sec: dict, key: str, path: str, least: int, default=None) -> int:
-    """A config value, read like ``_number``, of at least ``least``,
-    truncated to an integer."""
-    value = _number(sec, key, path, default)
-    if value < least:
-        raise ConfigError(f"{path}.{key}", f"must be at least {least}")
-    return int(value)
-
-
-def _positive(sec: dict, key: str, path: str, default=None) -> float:
-    """A positive config value, read like ``_number``."""
-    value = _number(sec, key, path, default)
-    if value <= 0.0:
-        raise ConfigError(f"{path}.{key}", "must be positive")
-    return value
-
-
-def _cmd_verify_barrier(args, cfg, seed: int):
-    section = dict(cfg.get("barrier", {})) if cfg else {}
-    for key in _BARRIER_KEYS:
-        if getattr(args, key) is not None:
-            section[key] = getattr(args, key)
-    params = {key: _number(section, key, "barrier") for key in _BARRIER_KEYS}
-    params["n"] = int(params["n"])
+def _cmd_verify_barrier(cfg, seed: int):
+    """Sweep the barrier inequality."""
+    sec = _section(cfg, "barrier")
+    constants = {key: number(sec, key, "barrier")
+                 for key in ("s", "m", "Lam", "gamma1", "gamma", "delta", "R")}
+    constants["n"] = count(sec, "n", "barrier", 1)
+    params = {**constants, "h": number(sec, "h", "barrier")}
     try:
-        spec = barrier_constants(**{key: params[key] for key in _BARRIER_KEYS
-                                    if key != "h"})
+        spec = barrier_constants(**constants)
     except ValueError as exc:
         raise ConfigError("barrier", str(exc))
     grid = build_ball_grid([0.0] * params["n"], 0.999 * params["R"],
@@ -132,15 +116,16 @@ def _cmd_verify_barrier(args, cfg, seed: int):
         header, [np.arange(len(res)), *grid.interior_nodes.T, res])}
 
 
-def _cmd_solve(args, cfg, seed: int):
+def _cmd_solve(cfg, seed: int):
+    """Dirichlet solve on a ball."""
     problem = build_problem(cfg)
     grid = build_grid(cfg)
     data = {"boundary": cfg.get("boundary", _ZERO_DATA)}
     boundary = build_boundary(data["boundary"])
     check_dimension(cfg, grid.n, data)
     sec = cfg.get("solve", {})
-    tol = _positive(sec, "tol", "solve", default=1e-8)
-    max_iter = int(_number(sec, "max_iter", "solve", default=200000.0))
+    tol = positive(sec, "tol", "solve", default=1e-8)
+    max_iter = count(sec, "max_iter", "solve", 1, default=200000)
     field, report = solve_dirichlet(problem, grid, boundary, tol, max_iter)
     header = ["node"] + [f"x{a}" for a in range(grid.n)] + ["value"]
     summary = {"passed": report.converged, "iterations": report.iterations,
@@ -150,20 +135,22 @@ def _cmd_solve(args, cfg, seed: int):
         header, [np.arange(len(grid.nodes)), *grid.nodes.T, field.values])}
 
 
-def _cmd_entire(args, cfg, seed: int):
+def _cmd_entire(cfg, seed: int):
+    """Expanding-ball construction; with boundary2 also the two-solution
+    separation experiment."""
     problem = build_problem(cfg)
     sec = _section(cfg, "entire")
-    k_max = _count(sec, "k_max", "entire", 1)
-    n = int(_number(sec, "n", "entire", default=1.0))
+    k_max = count(sec, "k_max", "entire", 1)
+    n = count(sec, "n", "entire", 1, default=1)
     data = {"entire.boundary": sec.get("boundary", _ZERO_DATA)}
     if "boundary2" in sec:
         data["entire.boundary2"] = sec["boundary2"]
     boundaries = [build_boundary(b, path) for path, b in data.items()]
     check_dimension(cfg, n, data)
-    h = _number(sec, "h", "entire")
-    tol = _positive(sec, "tol", "entire", default=1e-8)
-    max_iter = int(_number(sec, "max_iter", "entire", default=2000000.0))
-    radius = _positive(sec, "separation_radius", "entire", default=1.0)
+    h = number(sec, "h", "entire")
+    tol = positive(sec, "tol", "entire", default=1e-8)
+    max_iter = count(sec, "max_iter", "entire", 1, default=2000000)
+    radius = positive(sec, "separation_radius", "entire", default=1.0)
     runs = [construct_entire(problem, k_max, g, tol, h, max_iter,
                              center=[0.0] * n) for g in boundaries]
     flagged = any(run.flagged for run in runs)
@@ -193,18 +180,14 @@ def _cmd_entire(args, cfg, seed: int):
     return cfg, summary, tables
 
 
-def _cmd_check_hamiltonian(args, cfg, seed: int):
+def _cmd_check_hamiltonian(cfg, seed: int):
+    """Structure-condition sweep of the top-level hamiltonian."""
     sec = _section(cfg, "check")
-    hsec = cfg.get("hamiltonian")
-    if not hsec and "problem" in cfg:
-        hsec = _section(cfg, "problem").get("hamiltonian")
-    if not isinstance(hsec, dict):
-        raise ConfigError("hamiltonian", "missing hamiltonian section")
-    H = build_hamiltonian(hsec, "hamiltonian")
+    H = build_hamiltonian(_section(cfg, "hamiltonian"), "hamiltonian")
     if "condition" in sec and sec["condition"] not in CONDITIONS:
         raise ConfigError("check.condition",
                           f"unknown condition {sec['condition']!r}")
-    samples = _count(sec, "samples", "check", 1, default=1000000.0)
+    samples = count(sec, "samples", "check", 1, default=1000000)
     conditions = [sec["condition"]] if "condition" in sec else list(H.claims)
     rng = np.random.default_rng(seed)
     reports = [check_hamiltonian(H, cond, samples, rng=rng) for cond in conditions]
@@ -216,21 +199,19 @@ def _cmd_check_hamiltonian(args, cfg, seed: int):
          [r.worst_margin for r in reports], [r.passed for r in reports]])}
 
 
-def _cmd_oracle(args, cfg, seed: int):
-    sec = dict((cfg or {}).get("oracle", {}))
-    for key in ("s", "samples"):
-        if getattr(args, key) is not None:
-            sec[key] = getattr(args, key)
-    s = _number(sec, "s", "oracle")
+def _cmd_oracle(cfg, seed: int):
+    """The delta(s) infimum oracle."""
+    sec = _section(cfg, "oracle")
+    s = number(sec, "s", "oracle")
     if s <= 1.0:
         raise ConfigError("oracle.s", "s must exceed 1")
-    samples = _count(sec, "samples", "oracle", 10, default=20000.0)
-    value = delta_s_oracle(s, samples)
+    params = {"s": s, "samples": count(sec, "samples", "oracle", 10,
+                                       default=20000)}
+    value = delta_s_oracle(s, params["samples"])
     candidate = 2.0 ** (1.0 - s)
-    summary = {"parameters": {"which": args.which, "s": s, "samples": samples},
-               "passed": True, "delta_s": value, "candidate": candidate,
-               "abs_difference": abs(value - candidate)}
-    return {"oracle": {"s": s, "samples": samples}}, summary, {}
+    summary = {"parameters": params, "passed": True, "delta_s": value,
+               "candidate": candidate, "abs_difference": abs(value - candidate)}
+    return {"oracle": params}, summary, {}
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +219,7 @@ def _cmd_oracle(args, cfg, seed: int):
 @functools.cache  # built on first use, not at import
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a JSON config file")
+    common.add_argument("--config", help="path to the JSON config file")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--quiet", action="store_true")
@@ -248,25 +229,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for entire solutions of fully "
                     "nonlinear uniformly elliptic equations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    vb = sub.add_parser("verify-barrier", parents=[common],
-                        help="sweep the barrier inequality")
-    for key in _BARRIER_KEYS:
-        vb.add_argument(f"--{key}", type=int if key == "n" else float,
-                        default=None)
-
-    sub.add_parser("solve", parents=[common],
-                   help="Dirichlet solve from a config file")
-    sub.add_parser("entire", parents=[common],
-                   help="expanding-ball construction, with a second "
-                        "boundary the two-solution separation experiment")
-    sub.add_parser("check-hamiltonian", parents=[common],
-                   help="structure-condition sweep")
-
-    orc = sub.add_parser("oracle", parents=[common], help="numeric oracles")
-    orc.add_argument("which", choices=["delta-s"])
-    orc.add_argument("--s", type=float, default=None)
-    orc.add_argument("--samples", type=int, default=None)
+    # no abbreviations: a misspelt or removed option fails instead of
+    # silently meaning another one
+    for name, command in _DISPATCH.items():
+        sub.add_parser(name, parents=[common], help=command.__doc__,
+                       allow_abbrev=False)
     return parser
 
 
@@ -278,18 +245,16 @@ _DISPATCH = {
     "oracle": _cmd_oracle,
 }
 
-_NEEDS_CONFIG = {"solve", "entire", "check-hamiltonian"}
-
 
 def main(argv=None) -> int:
     """Run one subcommand; only here is anything written to ``--out``, and
     only once the command has finished."""
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else None
-        if args.command in _NEEDS_CONFIG and cfg is None:
+        if args.config is None:
             raise ConfigError("--config", "this command requires a config file")
-        echo, results, tables = _DISPATCH[args.command](args, cfg, args.seed)
+        echo, results, tables = _DISPATCH[args.command](
+            load_config(args.config), args.seed)
     except ConfigError as exc:
         print(f"config error at {exc.key}: {exc.message}", file=sys.stderr)
         return 2

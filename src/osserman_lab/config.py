@@ -60,7 +60,7 @@ def _finite(val) -> bool:
         return False
 
 
-def _number(section: dict, key: str, path: str, default=None):
+def number(section: dict, key: str, path: str, default=None):
     if key not in section:
         if default is None:
             raise ConfigError(f"{path}.{key}", "missing required key")
@@ -69,6 +69,25 @@ def _number(section: dict, key: str, path: str, default=None):
     if not _finite(val):
         raise ConfigError(f"{path}.{key}", "must be a finite number")
     return float(val)
+
+
+def count(section: dict, key: str, path: str, least: int, default=None) -> int:
+    """An integer config value of at least ``least``, read like ``number``;
+    an integral float such as 2.0 is accepted."""
+    value = number(section, key, path, default)
+    if value != int(value):
+        raise ConfigError(f"{path}.{key}", "must be an integer")
+    if value < least:
+        raise ConfigError(f"{path}.{key}", f"must be at least {least}")
+    return int(value)
+
+
+def positive(section: dict, key: str, path: str, default=None) -> float:
+    """A positive config value, read like ``number``."""
+    value = number(section, key, path, default)
+    if value <= 0.0:
+        raise ConfigError(f"{path}.{key}", "must be positive")
+    return value
 
 
 def _switch(section: dict, key: str, path: str) -> bool:
@@ -82,8 +101,8 @@ def _switch(section: dict, key: str, path: str) -> bool:
 def build_operator(section: dict, path: str = "problem.operator") -> OperatorF:
     tag = _require(section, "tag", path)
     if tag in ("pucci_plus", "pucci_minus"):
-        lam = _number(section, "lam", path)
-        Lam = _number(section, "Lam", path)
+        lam = number(section, "lam", path)
+        Lam = number(section, "Lam", path)
         if not 0 < lam <= Lam:
             raise ConfigError(f"{path}.lam", "need 0 < lam <= Lam")
         ell = EllipticityPair(lam, Lam)
@@ -121,10 +140,10 @@ def build_f(section: dict, path: str = "problem.f") -> Callable:
     if tag == "zero":
         return lambda x: 0.0
     if tag == "constant":
-        value = _number(section, "value", path)
+        value = number(section, "value", path)
         return lambda x: value
     if tag == "radial_power":
-        rho = _number(section, "rho", path)
+        rho = number(section, "rho", path)
         if rho < 0:
             raise ConfigError(f"{path}.rho", "rho must be nonnegative")
         return radial_power_rhs(rho)
@@ -139,13 +158,13 @@ def build_boundary(section: dict, path: str = "boundary") -> Callable:
     """Dirichlet data g as a data callable on (N, n) points."""
     tag = _require(section, "tag", path)
     if tag == "constant":
-        value = _number(section, "value", path)
+        value = number(section, "value", path)
         return lambda x: value
     if tag == "exp_family":
-        alpha = _number(section, "alpha", path)
+        alpha = number(section, "alpha", path)
         sign = section.get("sign", "+")
-        axis = int(_number(section, "axis", path, default=0.0))
-        n = int(_number(section, "n", path, default=1.0))
+        axis = count(section, "axis", path, 0, default=0)
+        n = count(section, "n", path, 1, default=1)
         try:
             fld = CounterexampleField(alpha=alpha, sign=sign, axis=axis, n=n)
         except ValueError as exc:
@@ -175,7 +194,7 @@ def build_problem(cfg: dict) -> ProblemSpec:
     section = cfg.get("problem")
     if not isinstance(section, dict):
         raise ConfigError("problem", "missing problem section")
-    s = _number(section, "s", "problem")
+    s = number(section, "s", "problem")
     if s <= 1.0:
         raise ConfigError("problem.s", "s must exceed 1")
     F = build_operator(_require(section, "operator", "problem"))
@@ -190,10 +209,10 @@ def build_grid(cfg: dict):
     section = cfg.get("grid")
     if not isinstance(section, dict):
         raise ConfigError("grid", "missing grid section")
-    n = int(_number(section, "n", "grid"))
+    n = count(section, "n", "grid", 1)
     center = section.get("center", [0.0] * n)
     if not isinstance(center, list) or len(center) != n \
             or not all(map(_finite, center)):
         raise ConfigError("grid.center", f"must be a list of {n} finite numbers")
-    return build_ball_grid(center, _number(section, "radius", "grid"),
-                           _number(section, "h", "grid"), n)
+    return build_ball_grid(center, number(section, "radius", "grid"),
+                           number(section, "h", "grid"), n)

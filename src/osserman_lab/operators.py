@@ -390,14 +390,18 @@ def _radial_gradient(p: np.ndarray, r: np.ndarray,
 
 
 def _zero(*, m=2.0, n=2) -> HamiltonianH:
+    m = float(m)
+    if not (m == 1.0 or 1.0 < m <= 2.0):
+        raise ValueError("zero needs m = 1 or m in (1, 2]")
+
     def ev(x, p):
         return np.zeros(np.asarray(p, dtype=float).shape[:-1])
 
     def grad(x, p):
         return np.zeros_like(p, dtype=float)
-    return HamiltonianH(evaluator=ev, m=float(m), gamma1=0.0, gamma_m=0.0,
+    return HamiltonianH(evaluator=ev, m=m, gamma1=0.0, gamma_m=0.0,
                         gradient=grad, convexity=(0.0, 0.0, 0.5), tag="zero",
-                        claims=CONDITIONS)
+                        claims=CONDITIONS if m > 1 else CONDITIONS[:3])
 
 
 def _prototype(*, c1=0.0, cm=1.0, m=2.0, n=2) -> HamiltonianH:

@@ -170,32 +170,34 @@ def _out_files(out) -> dict:
     return contents
 
 
+BARRIER = {"s": 3.0, "m": 2.0, "n": 2, "Lam": 1.0, "gamma1": 0.0,
+           "gamma": 1.0, "delta": 1.0, "R": 1.0, "h": 0.05}
+
+
 def test_cached_parser_keeps_no_state_between_calls(tmp_path):
-    # main's parser is built once per process; a flag given to one call
+    # main's parser is built once per process; an option given to one call
     # must not leak into the next, and a rejected argv must leave it usable
     with pytest.raises(SystemExit) as exc:
-        main(["verify-barrier", "--R"])
+        main(["verify-barrier", "--seed"])
     assert exc.value.code == 2
-    barrier = _write_cfg(tmp_path, "barrier.json", {"barrier": {
-        "s": 3.0, "m": 2.0, "n": 2, "Lam": 1.0, "gamma1": 0.0, "gamma": 1.0,
-        "delta": 1.0, "R": 1.0, "h": 0.1}})
-    oracle = _write_cfg(tmp_path, "oracle.json", {"oracle": {"s": 2.0}})
+    check = _write_cfg(tmp_path, "check.json", {
+        "hamiltonian": {"tag": "prototype", "c1": 0.0, "cm": 1.0, "m": 2.0},
+        "check": {"samples": 200}})
+    oracle = _write_cfg(tmp_path, "oracle.json",
+                        {"oracle": {"s": 2.0, "samples": 50}})
     calls = [
-        ["verify-barrier", "--config", barrier, "--R", "2"],
-        ["verify-barrier", "--config", barrier],
-        ["oracle", "delta-s", "--config", oracle, "--s", "3",
-         "--samples", "50"],
-        ["oracle", "delta-s", "--config", oracle, "--samples", "50"],
+        ["check-hamiltonian", "--config", check, "--seed", "5"],
+        ["check-hamiltonian", "--config", check],
+        ["oracle", "--config", oracle, "--seed", "5"],
+        ["oracle", "--config", oracle],
     ]
     outs = []
     for i, argv in enumerate(calls):
         out = str(tmp_path / f"out{i}")
         assert main([*argv, "--out", out, "--quiet"]) == 0
         outs.append(out)
-    assert _read_summary(outs[0])["parameters"]["R"] == 2.0
-    assert _read_summary(outs[1])["parameters"]["R"] == 1.0
-    assert _read_summary(outs[2])["parameters"]["s"] == 3.0
-    assert _read_summary(outs[3])["parameters"]["s"] == 2.0
+    assert [_read_summary(out)["seed"] for out in outs] == [5, 0, 5, 0]
+    assert _read_summary(outs[0])["margins"] != _read_summary(outs[1])["margins"]
     for i, (argv, out) in enumerate(zip(calls, outs)):
         fresh = str(tmp_path / f"fresh{i}")
         subprocess.run([sys.executable, "-m", "osserman_lab.cli", *argv,
@@ -217,12 +219,10 @@ SOLVE_CFG = {
 }
 
 
-def test_verify_barrier_flags(tmp_path, capsys):
+def test_verify_barrier_from_config(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "cfg.json", {"barrier": BARRIER})
     out = str(tmp_path / "out")
-    rc = main(["verify-barrier", "--s", "3", "--m", "2", "--n", "2",
-               "--Lam", "1", "--gamma1", "0", "--gamma", "1", "--delta", "1",
-               "--R", "1", "--h", "0.05", "--out", out])
-    assert rc == 0
+    assert main(["verify-barrier", "--config", cfg, "--out", out]) == 0
     assert "[verify-barrier] PASS" in capsys.readouterr().out
     for fname in ("residuals.csv", "summary.json", "config.json"):
         assert os.path.exists(os.path.join(out, fname))
@@ -231,14 +231,16 @@ def test_verify_barrier_flags(tmp_path, capsys):
     assert summary["constants"]["C_R"] == pytest.approx(32.0)
     assert summary["max_residual"] <= 1e-9
     assert summary["seed"] == 0
+    assert summary["parameters"] == BARRIER
 
 
 def test_verify_barrier_rejects_bad_s(tmp_path, capsys):
-    rc = main(["verify-barrier", "--s", "0.5", "--m", "1", "--n", "1",
-               "--Lam", "1", "--gamma1", "0", "--gamma", "1", "--delta", "1",
-               "--R", "1", "--h", "0.1", "--out", str(tmp_path / "o")])
-    assert rc == 2
+    cfg = _write_cfg(tmp_path, "cfg.json", {"barrier": {
+        **BARRIER, "s": 0.5, "m": 1.0, "n": 1, "h": 0.1}})
+    out = str(tmp_path / "o")
+    assert main(["verify-barrier", "--config", cfg, "--out", out]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_solve_zero_data(tmp_path):
@@ -279,6 +281,39 @@ def test_solve_requires_config(tmp_path, capsys):
     assert rc == 2
 
 
+# solve's case is test_solve_requires_config
+@pytest.mark.parametrize("command", ["verify-barrier", "entire",
+                                     "check-hamiltonian", "oracle"])
+def test_every_command_requires_config(tmp_path, capsys, command):
+    out = str(tmp_path / "o")
+    assert main([command, "--out", out]) == 2
+    assert "config error at --config:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check-hamiltonian", "--s", "7"], id="check-s-as-seed"),
+    pytest.param(["verify-barrier", "--R", "2"], id="barrier-R"),
+    pytest.param(["verify-barrier", "--s", "3"], id="barrier-s"),
+    pytest.param(["oracle", "--samples", "50"], id="oracle-samples"),
+    pytest.param(["oracle", "delta-s"], id="oracle-delta-s"),
+    pytest.param(["solve", "--se", "1"], id="solve-se-as-seed"),
+    pytest.param(["entire", "--qui"], id="entire-qui-as-quiet"),
+])
+def test_removed_flags_and_option_prefixes_exit_2_and_write_nothing(tmp_path,
+                                                                    argv):
+    # every command gets a config it would run, so only the option fails
+    cfg = _write_cfg(tmp_path, "cfg.json", {
+        "barrier": BARRIER, "oracle": {"s": 2.0, "samples": 50},
+        "hamiltonian": NO_CONVEXITY_H, "check": {"samples": 10},
+        **SOLVE_CFG, "entire": {"k_max": 1, "h": 0.25}})
+    out = str(tmp_path / "out")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", cfg, "--out", out, "--quiet"])
+    assert exc.value.code == 2
+    assert not os.path.exists(out)
+
+
 def test_bad_json_and_bad_tag_are_schema_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -292,10 +327,11 @@ def test_bad_json_and_bad_tag_are_schema_errors(tmp_path, capsys):
 
 
 def test_oracle_delta_s(tmp_path):
+    cfg = _write_cfg(tmp_path, "cfg.json", {"oracle": {"s": 2.0}})
     out = str(tmp_path / "out")
-    rc = main(["oracle", "delta-s", "--s", "2.0", "--out", out, "--quiet"])
-    assert rc == 0
+    assert main(["oracle", "--config", cfg, "--out", out, "--quiet"]) == 0
     summary = _read_summary(out)
+    assert summary["parameters"] == {"s": 2.0, "samples": 20000}
     assert summary["delta_s"] == pytest.approx(0.5, abs=1e-9)
     assert summary["abs_difference"] < 1e-9
 
@@ -321,6 +357,25 @@ def test_check_hamiltonian_pass_and_fail(tmp_path):
     })
     assert main(["check-hamiltonian", "--config", bad,
                  "--out", str(tmp_path / "bad_out"), "--quiet"]) == 1
+
+
+def test_check_hamiltonian_zero_claims_follow_m(tmp_path, capsys):
+    # at m = 1 the zero H claims no sublinearization, which needs m > 1;
+    # m below 1 is rejected like prototype's
+    good = _write_cfg(tmp_path, "good.json", {
+        "hamiltonian": {"tag": "zero", "m": 1}, "check": {"samples": 100}})
+    out = str(tmp_path / "good_out")
+    assert main(["check-hamiltonian", "--config", good, "--out", out,
+                 "--quiet"]) == 0
+    assert set(_read_summary(out)["margins"]) == {
+        "lipschitz_structure", "shift_modulus", "convexity_type"}
+    bad = _write_cfg(tmp_path, "bad.json", {
+        "hamiltonian": {"tag": "zero", "m": 0.5}, "check": {"samples": 100}})
+    out = str(tmp_path / "bad_out")
+    assert main(["check-hamiltonian", "--config", bad, "--out", out,
+                 "--quiet"]) == 2
+    assert "config error at hamiltonian:" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_entire_with_two_boundaries(tmp_path):
@@ -452,101 +507,115 @@ def _condition_cfg(condition):
 EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
 
 
-BARRIER_FLAGS = ["--s", "3", "--m", "2", "--Lam", "1", "--gamma1", "0",
-                 "--gamma", "1", "--delta", "1"]
-
-
-@pytest.mark.parametrize("command, cfg, flags, key", [
-    pytest.param("verify-barrier", None,
-                 BARRIER_FLAGS + ["--n", "2", "--R", "1", "--h", "0.6"], None,
+@pytest.mark.parametrize("command, cfg, key", [
+    pytest.param("verify-barrier", {"barrier": {**BARRIER, "h": 0.6}}, None,
                  id="barrier-h"),
-    pytest.param("verify-barrier", None,
-                 BARRIER_FLAGS + ["--n", "3", "--R", "1", "--h", "0.1"], None,
-                 id="barrier-n"),
-    pytest.param("solve", _grid_cfg(center=[0.0, 0.0]), [], "grid.center",
+    pytest.param("verify-barrier", {"barrier": {**BARRIER, "n": 3, "h": 0.1}},
+                 None, id="barrier-n"),
+    pytest.param("solve", _grid_cfg(center=[0.0, 0.0]), "grid.center",
                  id="solve-center"),
-    pytest.param("solve", _grid_cfg(n=3), [], None, id="solve-n"),
-    pytest.param("solve", _grid_cfg(center=[math.nan]), [], "grid.center",
+    pytest.param("solve", _grid_cfg(n=3), None, id="solve-n"),
+    pytest.param("solve", _grid_cfg(center=[math.nan]), "grid.center",
                  id="solve-center-nan"),
-    pytest.param("solve", _grid_cfg(center=[math.inf]), [], "grid.center",
+    pytest.param("solve", _grid_cfg(center=[math.inf]), "grid.center",
                  id="solve-center-inf"),
-    pytest.param("solve", _grid_cfg(center="a"), [], "grid.center",
+    pytest.param("solve", _grid_cfg(center="a"), "grid.center",
                  id="solve-center-text"),
     pytest.param("solve", {**_grid_cfg(), "boundary": {**EXP_FAMILY, "n": 2}},
-                 [], "boundary.n", id="solve-exp_family-n"),
+                 "boundary.n", id="solve-exp_family-n"),
     pytest.param("solve", {**_grid_cfg(),
                            "boundary": {**EXP_FAMILY, "negated": "yes"}},
-                 [], "boundary.negated", id="solve-negated-text"),
-    pytest.param("solve", _grid_cfg(radius=-1.0), [], None, id="solve-radius"),
-    pytest.param("solve", _grid_cfg(h=0.6), [], None, id="solve-h"),
-    pytest.param("solve", {**_grid_cfg(), "solve": {"tol": 0.0}}, [],
+                 "boundary.negated", id="solve-negated-text"),
+    pytest.param("solve", _grid_cfg(radius=-1.0), None, id="solve-radius"),
+    pytest.param("solve", _grid_cfg(h=0.6), None, id="solve-h"),
+    pytest.param("solve", {**_grid_cfg(), "solve": {"tol": 0.0}},
                  "solve.tol", id="solve-tol"),
-    pytest.param("solve", _grid_cfg(h=float("nan")), [], "grid.h",
+    pytest.param("solve", _grid_cfg(h=float("nan")), "grid.h",
                  id="solve-h-nan"),
     pytest.param("solve", {**_grid_cfg(), "solve": {"max_iter": float("inf")}},
-                 [], "solve.max_iter", id="solve-max_iter-inf"),
+                 "solve.max_iter", id="solve-max_iter-inf"),
     pytest.param("entire", {"problem": SEPARATION_PROBLEM,
-                            "entire": {"k_max": 2, "h": 0.9}}, [], None,
+                            "entire": {"k_max": 2, "h": 0.9}}, None,
                  id="entire-h"),
     pytest.param("entire", {"problem": SEPARATION_PROBLEM,
-                            "entire": {"k_max": 0, "h": 0.1}}, [],
+                            "entire": {"k_max": 0, "h": 0.1}},
                  "entire.k_max", id="entire-k_max"),
     pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
         "k_max": 2, "h": 0.1, "separation_radius": -1.0,
-        "boundary2": {"tag": "constant", "value": 1.0}}}, [],
+        "boundary2": {"tag": "constant", "value": 1.0}}},
                  "entire.separation_radius", id="entire-separation-radius"),
     pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
-        "k_max": 1, "h": 0.25, "boundary2": {**EXP_FAMILY, "n": 2}}}, [],
+        "k_max": 1, "h": 0.25, "boundary2": {**EXP_FAMILY, "n": 2}}},
                  "entire.boundary2.n", id="entire-exp_family-n"),
     pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H, "check": {
-        "condition": "convexity_type", "samples": 10}}, [], None,
+        "condition": "convexity_type", "samples": 10}}, None,
                  id="check-constants"),
     pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H, "check": {
-        "condition": "nope", "samples": 10}}, [], "check.condition",
+        "condition": "nope", "samples": 10}}, "check.condition",
                  id="check-condition"),
-    pytest.param("check-hamiltonian", _condition_cfg(0), [], "check.condition",
+    pytest.param("check-hamiltonian", _condition_cfg(0), "check.condition",
                  id="check-condition-zero"),
-    pytest.param("check-hamiltonian", _condition_cfg(""), [],
+    pytest.param("check-hamiltonian", _condition_cfg(""),
                  "check.condition", id="check-condition-empty"),
     pytest.param("check-hamiltonian", {"problem": "pucci", "check": {
-        "samples": 10}}, [], "problem", id="check-problem-text"),
+        "samples": 10}}, "hamiltonian", id="check-problem-text"),
     pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H,
-                                       "check": {"samples": 0}}, [],
+                                       "check": {"samples": 0}},
                  "check.samples", id="check-samples"),
-    pytest.param("oracle", None, ["delta-s", "--s", "2", "--samples", "5"],
+    pytest.param("oracle", {"oracle": {"s": 2.0, "samples": 5}},
                  "oracle.samples", id="oracle-samples"),
     pytest.param("check-hamiltonian", _check_cfg(tag="two_power", sigma_0=0.9),
-                 [], "hamiltonian", id="hamiltonian-unknown-key"),
-    pytest.param("check-hamiltonian", _check_cfg(tag="sup_inf"), [],
+                 "hamiltonian", id="hamiltonian-unknown-key"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="sup_inf"),
                  "hamiltonian", id="hamiltonian-missing-key"),
     pytest.param("check-hamiltonian", _check_cfg(
-        tag="prototype", c1=0.0, cm=1.0, m=2.0, negate="false"), [],
+        tag="prototype", c1=0.0, cm=1.0, m=2.0, negate="false"),
                  "hamiltonian.negate", id="hamiltonian-negate-text"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", n=math.inf),
-                 [], "hamiltonian", id="hamiltonian-n-inf"),
+                 "hamiltonian", id="hamiltonian-n-inf"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", c1=math.nan),
-                 [], "hamiltonian", id="hamiltonian-c1-nan"),
+                 "hamiltonian", id="hamiltonian-c1-nan"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", n=10 ** 400),
-                 [], "hamiltonian", id="hamiltonian-n-huge-int"),
-    pytest.param("solve", _grid_cfg(h=10 ** 400), [], "grid.h",
+                 "hamiltonian", id="hamiltonian-n-huge-int"),
+    pytest.param("solve", _grid_cfg(h=10 ** 400), "grid.h",
                  id="solve-h-huge-int"),
-    pytest.param("solve", _weights_cfg(["a", 1.0]), [],
+    pytest.param("solve", _weights_cfg(["a", 1.0]),
                  "problem.operator.weights", id="weights-text"),
-    pytest.param("solve", _weights_cfg([math.nan, 1.0]), [],
+    pytest.param("solve", _weights_cfg([math.nan, 1.0]),
                  "problem.operator.weights", id="weights-nan"),
-    pytest.param("solve", _weights_cfg([math.inf, 1.0]), [],
+    pytest.param("solve", _weights_cfg([math.inf, 1.0]),
                  "problem.operator.weights", id="weights-inf"),
+    # integer keys take no fraction (an integral float such as 2.0 is fine)
+    pytest.param("solve", _grid_cfg(n=1.5), "grid.n", id="solve-n-fraction"),
+    pytest.param("verify-barrier", {"barrier": {**BARRIER, "n": 2.9}},
+                 "barrier.n", id="barrier-n-fraction"),
+    pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
+        "k_max": 1, "h": 0.25, "n": 1.5}}, "entire.n", id="entire-n-fraction"),
+    pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
+        "k_max": 1.5, "h": 0.25}}, "entire.k_max", id="entire-k_max-fraction"),
+    pytest.param("solve", {**_grid_cfg(), "solve": {"max_iter": -3}},
+                 "solve.max_iter", id="solve-max_iter-negative"),
+    pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
+        "k_max": 1, "h": 0.25, "max_iter": 2.5}}, "entire.max_iter",
+                 id="entire-max_iter-fraction"),
+    pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H,
+                                       "check": {"samples": 10.5}},
+                 "check.samples", id="check-samples-fraction"),
+    pytest.param("oracle", {"oracle": {"s": 2.0, "samples": 50.5}},
+                 "oracle.samples", id="oracle-samples-fraction"),
+    pytest.param("solve", {**_grid_cfg(), "boundary": {**EXP_FAMILY,
+                                                       "axis": 0.5}},
+                 "boundary.axis", id="solve-exp_family-axis-fraction"),
+    pytest.param("solve", {**_grid_cfg(), "boundary": {**EXP_FAMILY, "n": 1.5}},
+                 "boundary.n", id="solve-exp_family-n-fraction"),
 ])
 def test_rejected_config_values_exit_2_and_write_nothing(tmp_path, capsys,
-                                                          command, cfg, flags,
-                                                          key):
+                                                          command, cfg, key):
     # key: the config key a ConfigError names; None for the library's
     # GridError/MetadataError, which carry no key
     out = str(tmp_path / "out")
-    argv = [command, *flags, "--out", out, "--quiet"]
-    if cfg is not None:
-        argv += ["--config", _write_cfg(tmp_path, "cfg.json", cfg)]
-    assert main(argv) == 2
+    assert main([command, "--config", _write_cfg(tmp_path, "cfg.json", cfg),
+                 "--out", out, "--quiet"]) == 2
     err = capsys.readouterr().err
     assert (f"config error at {key}:" if key else "config error") in err
     assert not os.path.exists(out)

@@ -33,13 +33,11 @@ import json
 import os
 import resource
 import statistics
-import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+from harness import ROOT, peak_rss_mb, run_child
+
 TAGS = ("prototype", "two_power", "rational_factor")
 SAMPLES = 100_000
 SEED = 1
@@ -117,18 +115,8 @@ def _child(repeats: int) -> dict:
                    "minflt": statistics.median(minflt[cond]),
                    "sha256": hashes[cond]}
             for cond in H.claims}
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"samples": SAMPLES, "repeats": repeats, "sweeps": report,
-            "peak_rss_mb": peak}
-
-
-def _run_child(src: str, repeats: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"),
-               **{var: "1" for var in THREAD_VARS})
-    out = subprocess.run([sys.executable, os.path.abspath(__file__),
-                          "--child", "--repeats", str(repeats)],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.splitlines()[-1])
+            "peak_rss_mb": peak_rss_mb()}
 
 
 def main(argv=None) -> int:
@@ -147,7 +135,8 @@ def main(argv=None) -> int:
 
     report = {}
     for src in args.src:
-        row = _run_child(os.path.abspath(src), args.repeats)
+        row = run_child(__file__, ["--child", "--repeats", str(args.repeats)],
+                        os.path.abspath(src))
         print(json.dumps({"src": src, **row}), flush=True)
         report[src] = row
     if len(args.src) > 1:

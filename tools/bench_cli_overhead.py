@@ -6,7 +6,8 @@ Two costs of ``osserman_lab.cli`` are timed, apart from the mathematics:
 
 - the argument parser: one first ``_build_parser()`` call, and the
   parser's part of every ``main`` call, ``_build_parser().parse_args(argv)``
-  for a ``verify-barrier`` argv, as the median of many calls;
+  for a ``verify-barrier --config ... --out ... --quiet`` argv, as the
+  median of many calls;
 - ``_write_csv`` on three tables the commands return: the
   ``verify-barrier`` ``residuals.csv`` for R = 4, h = 0.04 (31,341 rows),
   the ``solve`` ``field.csv`` of the benchmark's 2D solve (radius 1.2,
@@ -22,6 +23,10 @@ threads set to 1. Each child's report is printed as it finishes. The last
 line of standard output is one JSON object: the report of every checkout
 in the order given and, with two or more checkouts, whether every table's
 file is byte-identical to the first checkout's.
+
+The child calls each command as ``cli._DISPATCH[command](cfg, seed)``, so a
+checkout whose commands still took the parsed arguments as well (before
+every command read its inputs from the config file alone) cannot be run.
 """
 
 from __future__ import annotations
@@ -29,18 +34,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
 import statistics
-import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-BARRIER_ARGV = ["verify-barrier", "--s", "3", "--m", "2", "--n", "2",
-                "--Lam", "1", "--gamma1", "0", "--gamma", "1", "--delta", "1",
-                "--R", "4", "--h", "0.04"]
+from harness import ROOT, peak_rss_mb, run_child
+
+BARRIER_ARGV = ["verify-barrier", "--config", "barrier.json", "--out", "out",
+                "--quiet"]
+BARRIER_CFG = {
+    "barrier": {"s": 3.0, "m": 2.0, "n": 2, "Lam": 1.0, "gamma1": 0.0,
+                "gamma": 1.0, "delta": 1.0, "R": 4.0, "h": 0.04},
+}
 SOLVE_CFG = {
     "problem": {"s": 2.0,
                 "operator": {"tag": "pucci_plus", "lam": 1.0, "Lam": 2.0},
@@ -88,11 +93,9 @@ def _child(tmp: str) -> dict:
         lambda: cli._build_parser().parse_args(BARRIER_ARGV))
 
     tables = {}
-    args = cli._build_parser().parse_args(BARRIER_ARGV)
-    tables["verify-barrier/residuals.csv"] = cli._cmd_verify_barrier(
-        args, None, 0)[2]["residuals.csv"]
-    for command, cfg in (("solve", SOLVE_CFG), ("entire", ENTIRE_CFG)):
-        for name, table in cli._DISPATCH[command](None, cfg, 0)[2].items():
+    for command, cfg in (("verify-barrier", BARRIER_CFG), ("solve", SOLVE_CFG),
+                         ("entire", ENTIRE_CFG)):
+        for name, table in cli._DISPATCH[command](cfg, 0)[2].items():
             tables[f"{command}/{name}"] = table
 
     writes = {}
@@ -106,19 +109,9 @@ def _child(tmp: str) -> dict:
         writes[key] = {"rows": rows, "bytes": len(data), "calls": calls,
                        "s_per_call": seconds, "us_per_row": 1e6 * seconds / rows,
                        "sha256": hashlib.sha256(data).hexdigest()}
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"first_build_parser_ms": 1e3 * first_build,
             "parse_per_main_us": 1e6 * parse, "parse_calls": parse_calls,
-            "write_csv": writes, "peak_rss_mb": peak}
-
-
-def _run_child(src: str, tmp: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"),
-               **{var: "1" for var in THREAD_VARS})
-    out = subprocess.run([sys.executable, os.path.abspath(__file__),
-                          "--child", tmp],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.splitlines()[-1])
+            "write_csv": writes, "peak_rss_mb": peak_rss_mb()}
 
 
 def main(argv=None) -> int:
@@ -136,7 +129,7 @@ def main(argv=None) -> int:
     report = {}
     with tempfile.TemporaryDirectory() as tmp:
         for src in args.src:
-            row = _run_child(os.path.abspath(src), tmp)
+            row = run_child(__file__, ["--child", tmp], os.path.abspath(src))
             print(json.dumps({"src": src, **row}), flush=True)
             report[src] = row
     if len(args.src) > 1:

@@ -24,14 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
-import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+from harness import ROOT, peak_rss_mb, run_child
+
 SPACINGS = (0.1, 0.05)
 K_MAX, DATA, TOL, MAX_ITER = 8, 100.0, 1e-8, 5_000_000
 
@@ -62,7 +59,7 @@ def _child(h: float, field_file: str) -> dict:
     run = entire.construct_entire(problem, K_MAX, lambda x: DATA, TOL, h,
                                   MAX_ITER, center=[0.0, 0.0])
     wall = time.perf_counter() - start
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    peak = peak_rss_mb()
     np.save(field_file, run.fields[-1].values)
     radii = [{"k": k, "unknowns": f.grid.n_interior,
               "iterations": rep.iterations, "backtracks": rep.backtracks,
@@ -73,15 +70,6 @@ def _child(h: float, field_file: str) -> dict:
             "steps": sum(r["iterations"] for r in radii),
             "solve_s": sum(seconds), "wall_s": wall, "peak_rss_mb": peak,
             "radii": radii}
-
-
-def _run_child(src: str, h: float, field_file: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"),
-               **{var: "1" for var in THREAD_VARS})
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child",
-                          str(h), field_file],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.splitlines()[-1])
 
 
 def main(argv=None) -> int:
@@ -106,7 +94,8 @@ def main(argv=None) -> int:
             entry, fields = {}, []
             for i, src in enumerate(args.src):
                 field_file = os.path.join(tmp, f"field{i}.npy")
-                row = _run_child(os.path.abspath(src), h, field_file)
+                row = run_child(__file__, ["--child", str(h), field_file],
+                                os.path.abspath(src))
                 print(json.dumps({"src": src, **row}), flush=True)
                 entry[src] = row
                 fields.append(np.load(field_file))

@@ -36,15 +36,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
 import statistics
-import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+from harness import peak_rss_mb, run_child
+
 # name: (Lam, s, boundary value, radius, h)
 CASES = {
     "small": (2.0, 2.0, 10.0, 1.2, 0.05),
@@ -52,10 +49,6 @@ CASES = {
     "large": (1.0, 3.0, 100.0, 8.0, 0.05),
 }
 METHODS = ("spsolve", "mmd", "natural", "factorize")
-
-
-def _peak_mib() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _child(case: str, method: str, step_file: str) -> dict:
@@ -91,7 +84,7 @@ def _child(case: str, method: str, step_file: str) -> dict:
         J = J[rank][:, rank].tocsc()
         J.sort_indices()
 
-    rss_before = _peak_mib()
+    rss_before = peak_rss_mb()
     start = time.perf_counter()
     if method == "spsolve":
         step = spsolve(J, -res)
@@ -104,7 +97,7 @@ def _child(case: str, method: str, step_file: str) -> dict:
         step = np.empty(ni)
         step[order] = lu.solve(-res[order])
     seconds = time.perf_counter() - start
-    rss_after = _peak_mib()
+    rss_after = peak_rss_mb()
     if method == "spsolve":
         lu = splu(J)  # COLAMD, spsolve's ordering
     np.save(step_file, step)
@@ -112,15 +105,6 @@ def _child(case: str, method: str, step_file: str) -> dict:
             "seconds": seconds, "fill": int(lu.L.nnz + lu.U.nnz),
             "order_s": order_s, "peak_rss_before_mb": rss_before,
             "peak_rss_mb": rss_after}
-
-
-def _run_child(case: str, method: str, step_file: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
-               **{var: "1" for var in THREAD_VARS})
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child",
-                          case, method, step_file],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.splitlines()[-1])
 
 
 def main(argv=None) -> int:
@@ -145,7 +129,8 @@ def main(argv=None) -> int:
             for rep in range(args.repeats):
                 # alternate which method starts, so drift falls on both
                 for method in METHODS if rep % 2 == 0 else METHODS[::-1]:
-                    row = _run_child(case, method, os.path.join(tmp, f"{method}.npy"))
+                    step_file = os.path.join(tmp, f"{method}.npy")
+                    row = run_child(__file__, ["--child", case, method, step_file])
                     runs[method].append(row)
                     print(json.dumps(row), flush=True)
             ref = np.load(os.path.join(tmp, f"{METHODS[0]}.npy"))

@@ -37,13 +37,11 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+from harness import ROOT, run_child
+
 CASES = ("entire-1d", "solve-2d")
 LAYERS = ("residual", "jacobian_table", "factorize", "triangular_solve")
 
@@ -142,15 +140,6 @@ def _child(repeats: int, field_prefix: str) -> dict:
     return report
 
 
-def _run_child(src: str, repeats: int, field_prefix: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"),
-               **{var: "1" for var in THREAD_VARS})
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child",
-                          str(repeats), field_prefix],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.splitlines()[-1])
-
-
 def _field_diff(first: str, other: str):
     """Largest |difference| over the fields of two runs of one case, or
     None when they solved different grids."""
@@ -189,7 +178,8 @@ def main(argv=None) -> int:
                     for i, src in enumerate(srcs)}
         for r in range(args.rounds):
             for src in (srcs if r % 2 == 0 else srcs[::-1]):
-                row = _run_child(src, args.repeats, prefixes[src])
+                row = run_child(__file__, ["--child", str(args.repeats),
+                                           prefixes[src]], src)
                 print(json.dumps({"src": src, "round": r, **row}), flush=True)
                 rounds[src].append(row)
         report = {}

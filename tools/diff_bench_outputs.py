@@ -20,11 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+from harness import run_child
 
 
 def _child(seeds: list, outdir: str) -> dict:
@@ -111,15 +109,10 @@ def main(argv=None) -> int:
         outdirs = []
         for i, src in enumerate(srcs):
             outdir = os.path.join(tmp, str(i))
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-                [os.path.join(src, "src"), os.path.join(src, "perfbench")]),
-                **{var: "1" for var in THREAD_VARS})
-            out = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--child", outdir,
-                 "--src", src, "--seeds", *map(str, args.seeds)],
-                env=env, capture_output=True, text=True, check=True)
-            report["failures"][src] = json.loads(
-                out.stdout.splitlines()[-1])["failures"]
+            report["failures"][src] = run_child(
+                __file__, ["--child", outdir, "--src", src, "--seeds",
+                           *map(str, args.seeds)],
+                src, dirs=("src", "perfbench"))["failures"]
             outdirs.append(outdir)
         for src, outdir in zip(srcs[1:], outdirs[1:]):
             report["diff"][src] = _compare(outdirs[0], outdir)
