@@ -253,6 +253,11 @@ def main(argv=None) -> int:
     try:
         if args.config is None:
             raise ConfigError("--config", "this command requires a config file")
+        if args.seed < 0:
+            raise ConfigError("--seed", "must be a nonnegative integer")
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError("--out", f"{args.out!r} exists and is not a "
+                              "directory")
         echo, results, tables = _DISPATCH[args.command](
             load_config(args.config), args.seed)
     except ConfigError as exc:

@@ -14,16 +14,14 @@ from typing import Callable
 
 import numpy as np
 
-# Stencil directions come in (minus, plus) pairs, the axes first. In 2D the
-# two diagonals are part of the stencil: Pucci's rotated frame and the
-# 4-point mixed derivative both need them.
-_DIRECTIONS_1D = ((-1,), (1,))
-_DIRECTIONS_2D = (
-    (-1, 0), (1, 0),
-    (0, -1), (0, 1),
-    (-1, -1), (1, 1),
-    (-1, 1), (1, -1),
-)
+# Stencil offsets per dimension n, in (minus, plus) pairs, the axes first.
+# In 2D the two diagonals are part of the stencil: Pucci's rotated frame and
+# the 4-point mixed derivative both need them.
+_OFFSETS = {
+    1: ((-1,), (1,)),
+    2: ((-1, 0), (1, 0), (0, -1), (0, 1),
+        (-1, -1), (1, 1), (-1, 1), (1, -1)),
+}
 
 
 class GridError(ValueError):
@@ -66,9 +64,10 @@ class BallGrid:
 
     nodes[:n_interior] are the interior nodes (lexicographic in lattice
     coordinates), followed by the boundary layer. ``projections[k]`` is the
-    radial projection of boundary node k onto the sphere. ``spacings2`` is
-    the squared spacing of each stencil direction pair: h^2 on the axes,
-    2 h^2 on the diagonals.
+    radial projection of boundary node k onto the sphere.
+    ``neighbors[i, d]`` is the node at lattice step ``offsets[d]`` from
+    interior node i, and ``spacings2`` the squared length h^2 |e|^2 of each
+    pair's step e: h^2 on the axes, 2 h^2 on the diagonals.
     """
 
     center: np.ndarray
@@ -79,16 +78,25 @@ class BallGrid:
     lattice: np.ndarray        # (N, n) integer offsets from the center
     n_interior: int
     projections: np.ndarray    # (N - n_interior, n)
+    offsets: np.ndarray        # (n_dirs, n) integer stencil steps
     neighbors: np.ndarray      # (n_interior, n_dirs) node indices
     spacings2: np.ndarray      # (n_dirs // 2,)
-
-    @property
-    def directions(self):
-        return _DIRECTIONS_1D if self.n == 1 else _DIRECTIONS_2D
+    box: np.ndarray            # (2m + 1,) * n int32 node indices, -1 off nodes
 
     @property
     def interior_nodes(self) -> np.ndarray:
         return self.nodes[: self.n_interior]
+
+    def node_index(self, lattice) -> np.ndarray:
+        """Node index of each lattice offset, the rows of an (..., n) array
+        of integers or integral floats, shape (...); -1 for an offset that
+        is not a node. Offsets are clipped to the box before the integer
+        cast, so one far outside it cannot overflow."""
+        lattice = np.asarray(lattice)
+        m = self.box.shape[0] // 2
+        inside = np.all((lattice >= -m) & (lattice <= m), axis=-1)
+        k = (np.clip(lattice, -m, m) + m).astype(np.int64)
+        return np.where(inside, self.box[tuple(np.moveaxis(k, -1, 0))], -1)
 
 
 def build_ball_grid(center, R: float, h: float, n: int) -> BallGrid:
@@ -96,7 +104,7 @@ def build_ball_grid(center, R: float, h: float, n: int) -> BallGrid:
 
     Requires h <= R/2 so interior nodes exist with a full stencil.
     """
-    if n not in (1, 2):
+    if n not in _OFFSETS:
         raise GridError("dimension n must be 1 or 2")
     if R <= 0 or h <= 0:
         raise GridError("R and h must be positive")
@@ -108,34 +116,29 @@ def build_ball_grid(center, R: float, h: float, n: int) -> BallGrid:
 
     # Everything happens on the box [-m, m]^n of lattice offsets, addressed
     # by C-order flat index, so sorted flat indices are sorted lattice
-    # tuples. Interior offsets satisfy |i| <= m - 1, so a stencil step from
-    # an interior node stays inside the box and is a fixed flat offset.
-    m = int(np.ceil(R / h)) + 1
+    # tuples. Interior offsets lie a stencil width inside the box, so a
+    # stencil step from an interior node stays inside the box and is a
+    # fixed flat offset.
+    offsets = np.array(_OFFSETS[n])
+    m = int(np.ceil(R / h)) + int(np.abs(offsets).max())
     side = 2 * m + 1
-    squares = np.arange(-m, m + 1) ** 2
-    sq = squares if n == 1 else squares[:, None] + squares[None, :]
-    inside = (h * np.sqrt(sq.astype(float)) < R).ravel()
-    steps = np.array(_DIRECTIONS_1D if n == 1 else _DIRECTIONS_2D) \
-        @ side ** np.arange(n)[::-1]
+    squares = sum(np.ix_(*[np.arange(-m, m + 1) ** 2] * n))
+    inside = (h * np.sqrt(squares.astype(float)) < R).ravel()
+    steps = offsets @ side ** np.arange(n)[::-1]
     interior = np.flatnonzero(inside)
     stencil = interior[:, None] + steps[None, :]
     layer = np.zeros_like(inside)
     layer[stencil] = True
     order = np.concatenate([interior, np.flatnonzero(layer & ~inside)])
-    index = np.empty(inside.size, dtype=np.int64)
+    index = np.full(inside.size, -1, dtype=np.int64)
     index[order] = np.arange(len(order))
 
     lattice = np.stack(np.unravel_index(order, (side,) * n), axis=1) - m
     nodes = center[None, :] + h * lattice.astype(float)
     n_interior = len(interior)
 
-    bpts = nodes[n_interior:]
-    vecs = bpts - center[None, :]
-    norms = row_norms(vecs)
-    projections = center[None, :] + R * vecs / norms[:, None]
-    neighbors = index[stencil]
-    pairs = len(steps) // 2
-    spacings2 = float(h) ** 2 * np.where(np.arange(pairs) < n, 1.0, 2.0)
+    vecs = nodes[n_interior:] - center[None, :]
+    projections = center[None, :] + R * vecs / row_norms(vecs)[:, None]
 
     return BallGrid(
         center=center,
@@ -146,8 +149,11 @@ def build_ball_grid(center, R: float, h: float, n: int) -> BallGrid:
         lattice=lattice,
         n_interior=n_interior,
         projections=projections,
-        neighbors=neighbors,
-        spacings2=spacings2,
+        offsets=offsets,
+        neighbors=index[stencil],
+        spacings2=float(h) ** 2 * squared_row_norms(offsets[::2]),
+        # int32 halves the box every kept grid holds; node counts fit easily
+        box=index.astype(np.int32).reshape((side,) * n),
     )
 
 
@@ -273,16 +279,9 @@ def interpolate(field: ScalarField, points) -> np.ndarray:
         raise ValueError("points must be finite")
     low = np.floor(t)
     frac = t - low
-    # node index per lattice offset on the box [-m, m]^n, -1 off the nodes
-    m = int(np.abs(g.lattice).max())
-    weights = (2 * m + 1) ** np.arange(g.n)[::-1]
-    index = np.full((2 * m + 1) ** g.n, -1)
-    index[(g.lattice + m) @ weights] = np.arange(len(g.nodes))
     corners = low[:, None, :] + np.array(
         list(itertools.product((0, 1), repeat=g.n)))[None, :, :]
-    inside = np.all(np.abs(corners) <= m, axis=2)
-    flat = (np.clip(corners, -m, m) + m).astype(np.int64) @ weights
-    nodes = np.where(inside, index[flat], -1)
+    nodes = g.node_index(corners)
     if np.any(nodes < 0):
         raise ValueError("a point's lattice cell has a corner outside the "
                          "grid's nodes")

@@ -46,21 +46,6 @@ class EntireRun:
         return not self.reports[-1].converged
 
 
-def _shared_interior(a: BallGrid, b: BallGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (ia, ib) of the interior nodes of a and b that sit on
-    the same lattice offset, in a's node order.
-
-    Each offset row becomes one integer key, its C-order index in a box
-    that holds both lattices, so matching is one sorted intersection.
-    """
-    la, lb = a.lattice[: a.n_interior], b.lattice[: b.n_interior]
-    span = int(max(np.abs(la).max(), np.abs(lb).max()))
-    weights = (2 * span + 1) ** np.arange(la.shape[1])[::-1]
-    _, ia, ib = np.intersect1d((la + span) @ weights, (lb + span) @ weights,
-                               assume_unique=True, return_indices=True)
-    return ia, ib
-
-
 def _warm_start(grid: BallGrid, prev: Optional[ScalarField]) -> Optional[np.ndarray]:
     """Seed interior values from the previous (smaller) solution shifted
     outward by the radius increment d: node x takes prev's interpolant at
@@ -85,7 +70,10 @@ def sup_difference(a: ScalarField, b: ScalarField, radius: float,
     if center is None:
         center = ga.center
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    ia, ib = _shared_interior(ga, gb)
+    # b's node at each of a's interior offsets; b's interior nodes come first
+    ib = gb.node_index(ga.lattice[: ga.n_interior])
+    ia = np.flatnonzero((ib >= 0) & (ib < gb.n_interior))
+    ib = ib[ia]
     near = row_norms(ga.nodes[ia] - center[None, :]) < radius
     if not near.any():
         raise ValueError("no shared nodes in the requested ball")

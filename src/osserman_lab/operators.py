@@ -210,7 +210,7 @@ def _axis_stencil(w) -> Callable:
     the linear F = sum_i w_i X_ii."""
     def stencil(x, d2):
         weights = np.zeros_like(d2)
-        weights[:, : min(d2.shape[1], 2)] = w  # the n axis pairs come first
+        weights[:, : x.shape[1]] = w  # the n axis pairs come first
         return weights
     return stencil
 
@@ -317,16 +317,17 @@ def check_uniform_ellipticity(F: OperatorF, samples: int, rng=None) -> CheckRepo
 
 @dataclass(frozen=True)
 class Coeff:
-    """c(x) = c0 + amp * sin(freq * sum(x)); constant when amp = 0."""
+    """c(x) = c0 + amp * sin(freq * sum(x)). When amp = 0 a call returns
+    the number c0 itself, which broadcasts against any array of points."""
 
     c0: float
     amp: float = 0.0
     freq: float = 1.0
 
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def __call__(self, x) -> np.ndarray | float:
         if self.amp == 0.0:
-            return np.full(x.shape[:-1], self.c0)
+            return self.c0
+        x = np.asarray(x, dtype=float)
         return self.c0 + self.amp * np.sin(self.freq * x.sum(axis=-1))
 
     @property

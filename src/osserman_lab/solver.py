@@ -136,7 +136,7 @@ def _jacobian_table(problem: ProblemSpec, grid: BallGrid, vals: np.ndarray,
     ni = grid.n_interior
     coef = policy.weights / grid.spacings2
 
-    table = np.empty((ni, 1 + len(grid.directions)))
+    table = np.empty((ni, 1 + len(grid.offsets)))
     table[:, 1::2] = table[:, 2::2] = coef
     table[:, 0] = -2.0 * coef.sum(axis=1)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import as_points, evaluate, row_norms
 from .operators import CheckReport, MetadataError, pucci, tilde_gamma
-from .solver import ProblemSpec
+from .solver import NumericalError, ProblemSpec
 
 SQRT2 = math.sqrt(2.0)
 
@@ -111,7 +111,8 @@ def delta_s_oracle(s: float, samples: int = 20000) -> float:
 
     The ratio is scale invariant, so it reduces to minimizing
     h(v) = psi(v+1) - psi(v) with psi(t) = |t|^{s-1}t over v; a coarse grid
-    is refined by bounded scalar minimization.
+    is refined by bounded scalar minimization. Raises NumericalError when
+    h overflows on the grid (large s), rather than return NaN.
     """
     from scipy.optimize import minimize_scalar  # kept out of `import osserman_lab`
 
@@ -124,12 +125,17 @@ def delta_s_oracle(s: float, samples: int = 20000) -> float:
         return _signed_power(v + 1.0, s) - _signed_power(v, s)
 
     grid = np.linspace(-25.0, 24.0, samples)
-    k = int(np.argmin(h(grid)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scan = h(grid)
+    if not np.all(np.isfinite(scan)):
+        # |v|^s overflows on the scan for large s, and inf - inf is NaN
+        raise NumericalError(f"delta(s) overflows on the scan for s={s}")
+    k = int(np.argmin(scan))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, samples - 1)]
     res = minimize_scalar(h, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-13})
-    return float(min(res.fun, h(grid).min()))
+    return float(min(res.fun, scan.min()))
 
 
 def _classical_residual(problem: ProblemSpec, field: SmoothField, pts: np.ndarray,

@@ -303,15 +303,42 @@ def test_every_command_requires_config(tmp_path, capsys, command):
 def test_removed_flags_and_option_prefixes_exit_2_and_write_nothing(tmp_path,
                                                                     argv):
     # every command gets a config it would run, so only the option fails
-    cfg = _write_cfg(tmp_path, "cfg.json", {
-        "barrier": BARRIER, "oracle": {"s": 2.0, "samples": 50},
-        "hamiltonian": NO_CONVEXITY_H, "check": {"samples": 10},
-        **SOLVE_CFG, "entire": {"k_max": 1, "h": 0.25}})
+    cfg = _every_command_cfg(tmp_path)
     out = str(tmp_path / "out")
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--config", cfg, "--out", out, "--quiet"])
     assert exc.value.code == 2
     assert not os.path.exists(out)
+
+
+def _every_command_cfg(tmp_path):
+    """A config that every command runs on."""
+    return _write_cfg(tmp_path, "cfg.json", {
+        "barrier": BARRIER, "oracle": {"s": 2.0, "samples": 50},
+        "hamiltonian": NO_CONVEXITY_H, "check": {"samples": 10},
+        **SOLVE_CFG, "entire": {"k_max": 1, "h": 0.25}})
+
+
+COMMANDS = ["verify-barrier", "solve", "entire", "check-hamiltonian", "oracle"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    out = str(tmp_path / "out")
+    assert main([command, "--config", _every_command_cfg(tmp_path),
+                 "--seed", "-1", "--out", out, "--quiet"]) == 2
+    assert "config error at --seed:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    assert main([command, "--config", _every_command_cfg(tmp_path),
+                 "--out", str(out), "--quiet"]) == 2
+    assert "config error at --out:" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
 
 
 def test_bad_json_and_bad_tag_are_schema_errors(tmp_path, capsys):
@@ -334,6 +361,16 @@ def test_oracle_delta_s(tmp_path):
     assert summary["parameters"] == {"s": 2.0, "samples": 20000}
     assert summary["delta_s"] == pytest.approx(0.5, abs=1e-9)
     assert summary["abs_difference"] < 1e-9
+
+
+@pytest.mark.parametrize("s", [400.0, 1e6])
+def test_oracle_overflow_is_a_numerical_error(tmp_path, capsys, s):
+    # |v|^s overflows on the oracle's scan; a NaN delta(s) must not pass
+    cfg = _write_cfg(tmp_path, "cfg.json", {"oracle": {"s": s}})
+    out = str(tmp_path / "out")
+    assert main(["oracle", "--config", cfg, "--out", out, "--quiet"]) == 1
+    assert "numerical error:" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_check_hamiltonian_pass_and_fail(tmp_path):

@@ -101,6 +101,47 @@ def test_full_stencil_and_determinism():
     assert a.neighbors.min() >= 0 and a.neighbors.max() < len(a.nodes)
 
 
+def test_offsets_and_spacings2_keep_their_tables():
+    h = 0.3
+    g1 = build_ball_grid(0.0, 1.0, h, 1)
+    g2 = build_ball_grid([0.0, 0.0], 1.0, h, 2)
+    assert g1.offsets.tolist() == [[-1], [1]]
+    assert g2.offsets.tolist() == [[-1, 0], [1, 0], [0, -1], [0, 1],
+                                   [-1, -1], [1, 1], [-1, 1], [1, -1]]
+    assert g1.spacings2.tolist() == [h ** 2 * 1.0]
+    assert g2.spacings2.tolist() == [h ** 2 * 1.0, h ** 2 * 1.0,
+                                     h ** 2 * 2.0, h ** 2 * 2.0]
+    for g in (g1, g2):
+        ni = g.n_interior
+        assert np.array_equal(g.lattice[g.neighbors],
+                              g.lattice[:ni, None, :] + g.offsets[None])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2]),
+       center=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+       R=st.floats(0.05, 5.0), cells=st.floats(2.0, 20.0),
+       far=st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=2,
+                    max_size=2))
+def test_node_index_matches_dict_lookup(n, center, R, cells, far):
+    g = build_ball_grid(center[:n], R, R / cells, n)
+    index = {tuple(p): i for i, p in enumerate(g.lattice.tolist())}
+    assert np.array_equal(g.node_index(g.lattice), np.arange(len(g.nodes)))
+    # the whole box, the offsets in it that are no node, and a margin
+    # outside it; as integers and as integral floats
+    m = g.box.shape[0] // 2
+    span = np.arange(-m - 3, m + 4)
+    offsets = np.stack(np.meshgrid(*[span] * n, indexing="ij"),
+                       axis=-1).reshape(-1, n)
+    want = [index.get(tuple(p), -1) for p in offsets.tolist()]
+    assert np.array_equal(g.node_index(offsets), want)
+    assert np.array_equal(g.node_index(offsets.astype(float)), want)
+    assert np.array_equal(g.node_index(offsets.reshape(-1, 1, n)),
+                          np.reshape(want, (-1, 1)))
+    far = np.array([far[:n]], dtype=np.int64)
+    assert g.node_index(far).tolist() == [index.get(tuple(far[0]), -1)]
+
+
 def _reference_dissection(grid):
     """Nested dissection as a recursion over node sets: the order, and the
     (below, above) halves of every split."""
@@ -174,6 +215,17 @@ def test_interpolate_is_exact_on_multilinear_fields(n, center, R, h, coef,
 
     with pytest.raises(ValueError):
         interpolate(constant, center[None, :] + (R + 3.0 * h) * dirs[:1])
+
+
+@pytest.mark.parametrize("point", [[1e300], [-1e300], [0.0, 1e300],
+                                   [-1e300, 1e300]])
+def test_interpolate_far_point_raises_without_integer_overflow(point):
+    n = len(point)
+    field = sample_field(build_ball_grid(np.zeros(n), 1.0, 0.25, n),
+                         lambda x: 1.0)
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="corner outside"):
+            interpolate(field, [point])
 
 
 # Entries of like size (where the summation order shows in the last bit),

@@ -160,7 +160,7 @@ def test_coeff_bounds():
     x = np.array([[0.1, 0.2], [1.0, -1.0]])
     assert np.all(c(x) <= c.sup + 1e-12)
     assert np.all(c(x) >= c.inf - 1e-12)
-    assert Coeff(c0=4.0)(x)[0] == 4.0
+    assert np.all(Coeff(c0=4.0)(x) == 4.0)
 
 
 LIBRARY_CASES = [

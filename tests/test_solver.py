@@ -247,7 +247,7 @@ def test_singular_jacobian_ends_the_solve_unconverged(monkeypatch):
     import osserman_lab.solver as solver
 
     def zero_table(problem, grid, vals, policy):
-        return np.zeros((grid.n_interior, 1 + len(grid.directions)))
+        return np.zeros((grid.n_interior, 1 + len(grid.offsets)))
 
     monkeypatch.setattr(solver, "_jacobian_table", zero_table)
     g = build_ball_grid(0.0, 1.0, 0.1, 1)
