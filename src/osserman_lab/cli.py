@@ -246,6 +246,15 @@ _DISPATCH = {
 }
 
 
+def _existing_ancestor(path: str) -> str:
+    """``path`` if it exists, else its nearest existing ancestor: the one
+    path that decides whether ``os.makedirs(path)`` can succeed."""
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    return path
+
+
 def main(argv=None) -> int:
     """Run one subcommand; only here is anything written to ``--out``, and
     only once the command has finished."""
@@ -255,8 +264,9 @@ def main(argv=None) -> int:
             raise ConfigError("--config", "this command requires a config file")
         if args.seed < 0:
             raise ConfigError("--seed", "must be a nonnegative integer")
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise ConfigError("--out", f"{args.out!r} exists and is not a "
+        blocker = _existing_ancestor(args.out)
+        if not os.path.isdir(blocker):
+            raise ConfigError("--out", f"{blocker!r} exists and is not a "
                               "directory")
         echo, results, tables = _DISPATCH[args.command](
             load_config(args.config), args.seed)

@@ -20,7 +20,13 @@ The Jacobian is exact because H carries dH/dp in closed form
 Convergence is judged by the residual alone, so the discrete solution does
 not depend on the path.
 
-Each Newton system is factored by SuperLU in the grid's nested-dissection
+A 1D Newton system is tridiagonal: the interior nodes are consecutive
+lattice points in grid order, so node i's neighbours are i - 1 and i + 1.
+It is solved by LAPACK's ``dgtsv`` (Gaussian elimination with partial
+pivoting, O(n)) straight from the diagonals of the Jacobian table, with no
+sparse matrix; 1D solves never import ``scipy.sparse``.
+
+A 2D Newton system is factored by SuperLU in the grid's nested-dissection
 order (``core.dissection_order``; George, SINUM 10, 1973), computed once per
 solve from the lattice coordinates, with no fill-reducing ordering of its
 own. The stencil couples node i to node j exactly when it couples j to i,
@@ -29,7 +35,6 @@ Pucci weights), and a separator of the lattice separates J. That order
 fills less than a minimum-degree ordering of J + J^T (69,468 against
 72,518 factor entries on a 1,789-unknown 2D Pucci Jacobian, 6.1M against
 7.4M at 80,369) and far less than COLAMD's for J^T J (102,764 at 1,789).
-A 1D Jacobian is tridiagonal, and the order leaves it as it is: no fill.
 SuperLU factors J in panels of one column with no relaxed supernodes
 (``_factorize``): the supernodes of a nested-dissection ordered lattice are
 narrow, and on them that blocking is faster than SuperLU's default, with
@@ -219,6 +224,39 @@ def _factorize(J):
     return splu(J, permc_spec="NATURAL", relax=1, panel_size=1)
 
 
+def _step_solver(grid: BallGrid):
+    """The linear solve of a Newton step on ``grid``: a function of the
+    ``_jacobian_table`` and a right-hand side (which it may overwrite) that
+    returns J^{-1} rhs, or raises RuntimeError if J is exactly singular.
+
+    In 1D, J is tridiagonal in grid order: diagonal ``table[:, 0]``,
+    sub-diagonal ``table[1:, 1]`` (minus neighbours) and super-diagonal
+    ``table[:-1, 2]`` (plus neighbours), solved by LAPACK's ``dgtsv``. In 2D,
+    the table fills the CSC pattern of ``_jacobian_pattern``, factored by
+    ``_factorize`` in nested-dissection order."""
+    if grid.n == 1:
+        from scipy.linalg.lapack import dgtsv  # kept out of `import osserman_lab`
+
+        def solve(table, rhs):
+            *_, step, info = dgtsv(table[1:, 1], table[:, 0], table[:-1, 2],
+                                   rhs, overwrite_b=True)
+            if info > 0:
+                raise RuntimeError("exactly singular Jacobian")
+            return step
+
+        return solve
+
+    J, slot, order = _jacobian_pattern(grid)
+
+    def solve(table, rhs):
+        J.data[:] = table.ravel()[slot]
+        step = np.empty(len(order))
+        step[order] = _factorize(J).solve(rhs[order])
+        return step
+
+    return solve
+
+
 def solve_dirichlet(problem: ProblemSpec, grid: BallGrid, boundary: Callable,
                     tol: float, max_iter: int,
                     initial: Optional[np.ndarray] = None):
@@ -227,9 +265,10 @@ def solve_dirichlet(problem: ProblemSpec, grid: BallGrid, boundary: Callable,
     boundary nodes' projections onto the sphere.
 
     Each step solves J d = -res with the exact Jacobian J of the policy
-    active at the current iterate, by one sparse LU factorization of J
-    with its rows and columns in the grid's nested-dissection order, which
-    is computed once per solve, on its first step. It then halves the step
+    active at the current iterate (``_step_solver``): in 1D by LAPACK's
+    tridiagonal solver, in 2D by one sparse LU factorization of J with its
+    rows and columns in the grid's nested-dissection order, which is
+    computed once per solve, on its first step. It then halves the step
     length alpha until sup|res(u + alpha d)| < (1 - 1e-4 alpha) sup|res(u)|.
     The solve converges when sup|res| <= tol; a step shorter than
     ALPHA_MIN, or an exactly singular J, ends it unconverged.
@@ -251,16 +290,15 @@ def solve_dirichlet(problem: ProblemSpec, grid: BallGrid, boundary: Callable,
     sup_res = float(np.abs(res).max())
     if not np.isfinite(sup_res):
         raise NumericalError("NaN/Inf residual at the starting state")
-    J = None  # the pattern is built on the first step, if one is needed
-    step = np.empty(ni)
+    newton_step = None  # built on the first step, if one is needed
     history = []
     backtracks = 0
     while sup_res > tol and len(history) < max_iter:
-        if J is None:
-            J, slot, order = _jacobian_pattern(grid)
-        J.data[:] = _jacobian_table(problem, grid, vals, policy).ravel()[slot]
+        if newton_step is None:
+            newton_step = _step_solver(grid)
         try:
-            step[order] = _factorize(J).solve(-res[order])
+            step = newton_step(_jacobian_table(problem, grid, vals, policy),
+                               -res)
         except RuntimeError:  # exactly singular J: no Newton direction
             break
         alpha = 1.0

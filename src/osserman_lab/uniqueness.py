@@ -110,9 +110,13 @@ def delta_s_oracle(s: float, samples: int = 20000) -> float:
     """Infimum of (|u|^{s-1}u - |v|^{s-1}v)/(u-v)^s over u > v.
 
     The ratio is scale invariant, so it reduces to minimizing
-    h(v) = psi(v+1) - psi(v) with psi(t) = |t|^{s-1}t over v; a coarse grid
-    is refined by bounded scalar minimization. Raises NumericalError when
-    h overflows on the grid (large s), rather than return NaN.
+    h(v) = psi(v+1) - psi(v) with psi(t) = |t|^{s-1}t over v. Since
+    h'(v) = s(|v+1|^{s-1} - |v|^{s-1}) changes sign only at v = -1/2, where
+    |v+1| = |v|, the minimum lies in any interval around -1/2: a grid on
+    [-3/2, 1/2] is refined by bounded scalar minimization. There
+    |v|, |v+1| <= 3/2, so h is finite for s up to about 1,750 and
+    delta(s) = 2^{1-s} a normal float up to s = 1,022. Raises NumericalError
+    when h overflows on the grid (larger s), rather than return NaN.
     """
     from scipy.optimize import minimize_scalar  # kept out of `import osserman_lab`
 
@@ -124,7 +128,7 @@ def delta_s_oracle(s: float, samples: int = 20000) -> float:
     def h(v):
         return _signed_power(v + 1.0, s) - _signed_power(v, s)
 
-    grid = np.linspace(-25.0, 24.0, samples)
+    grid = np.linspace(-1.5, 0.5, samples)
     with np.errstate(over="ignore", invalid="ignore"):
         scan = h(grid)
     if not np.all(np.isfinite(scan)):

@@ -52,15 +52,31 @@ def _expected_csv(header, columns) -> bytes:
 
 
 def test_import_cli_loads_no_scipy_submodule():
-    # scipy.sparse, scipy.optimize and scipy.integrate are imported inside
-    # the functions that use them, so commands that never solve start fast.
+    # scipy.linalg, scipy.sparse, scipy.optimize and scipy.integrate are
+    # imported inside the functions that use them, so commands that never
+    # solve start fast.
     env = _package_env()
     code = ("import sys, osserman_lab.cli; print(sorted(m for m in sys.modules"
-            " if m.startswith(('scipy.sparse', 'scipy.optimize',"
+            " if m.startswith(('scipy.linalg', 'scipy.sparse', 'scipy.optimize',"
             " 'scipy.integrate'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_1d_solve_loads_no_scipy_sparse(tmp_path):
+    # a 1D Newton step is LAPACK's tridiagonal solve, with no sparse matrix
+    cfg = _write_cfg(tmp_path, "cfg.json", {
+        **SOLVE_CFG, "boundary": {"tag": "constant", "value": 1.0}})
+    out = str(tmp_path / "out")
+    code = ("import sys, osserman_lab.cli as cli; "
+            f"assert cli.main(['solve', '--config', {cfg!r}, '--out', {out!r},"
+            " '--quiet']) == 0; print(sorted(m for m in sys.modules"
+            " if m.startswith('scipy.sparse')))")
+    stdout = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                            check=True, capture_output=True, text=True).stdout
+    assert stdout.strip() == "[]"
+    assert _read_summary(out)["iterations"] > 0
 
 
 def test_write_csv_matches_per_cell_formatting(tmp_path):
@@ -333,12 +349,15 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, command):
+    # --out itself, or a directory above it, is an existing file
     out = tmp_path / "out"
     out.write_text("kept\n")
-    assert main([command, "--config", _every_command_cfg(tmp_path),
-                 "--out", str(out), "--quiet"]) == 2
-    assert "config error at --out:" in capsys.readouterr().err
-    assert out.read_text() == "kept\n"
+    cfg = _every_command_cfg(tmp_path)
+    for target in (out, out / "sub", out / "sub" / "deeper"):
+        assert main([command, "--config", cfg, "--out", str(target),
+                     "--quiet"]) == 2
+        assert "config error at --out:" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
 
 
 def test_bad_json_and_bad_tag_are_schema_errors(tmp_path, capsys):
@@ -363,9 +382,10 @@ def test_oracle_delta_s(tmp_path):
     assert summary["abs_difference"] < 1e-9
 
 
-@pytest.mark.parametrize("s", [400.0, 1e6])
+@pytest.mark.parametrize("s", [2000.0, 1e6])
 def test_oracle_overflow_is_a_numerical_error(tmp_path, capsys, s):
-    # |v|^s overflows on the oracle's scan; a NaN delta(s) must not pass
+    # |v|^s overflows on the oracle's scan (|v| <= 3/2 there, so from
+    # s ~ 1,750 on); a NaN delta(s) must not pass
     cfg = _write_cfg(tmp_path, "cfg.json", {"oracle": {"s": s}})
     out = str(tmp_path / "out")
     assert main(["oracle", "--config", cfg, "--out", out, "--quiet"]) == 1

@@ -21,6 +21,19 @@ def test_1d_grid_h_half():
     assert np.allclose(np.sort(boundary), [-1.0, 1.0])
 
 
+@pytest.mark.parametrize("center, R, h", [
+    (0.0, 1.0, 0.1), (0.0, 2.0, 0.02), (0.37, 1.013, 0.1), (-1.2, 0.9, 0.23)])
+def test_1d_interior_neighbours_are_consecutive(center, R, h):
+    # the tridiagonal Newton step relies on it: interior node i's minus and
+    # plus neighbours are i - 1 and i + 1, and the end nodes' outer
+    # neighbours are boundary nodes
+    g = build_ball_grid(center, R, h, 1)
+    ni = g.n_interior
+    assert np.array_equal(g.neighbors[1:, 0], np.arange(ni - 1))
+    assert np.array_equal(g.neighbors[:-1, 1], np.arange(1, ni))
+    assert g.neighbors[0, 0] >= ni and g.neighbors[-1, 1] >= ni
+
+
 def test_2d_grid_interior_count():
     g = build_ball_grid([0.0, 0.0], 1.0, 0.25, 2)
     assert g.n_interior == 45

@@ -221,25 +221,60 @@ def _newton_systems(monkeypatch, problem, g, boundary):
 
 def test_factorize_blocking_keeps_default_pivots_fill_and_step(monkeypatch):
     # panel_size and relax change only how SuperLU groups columns: on the
-    # first and last Jacobians of the perfbench solve-2d solve and on a 1D
-    # Jacobian, the pivots and fill are those of SuperLU's default blocking
+    # first and last Jacobians of the perfbench solve-2d solve, the pivots
+    # and fill are those of SuperLU's default blocking
     from scipy.sparse.linalg import splu
 
     solve_2d = _newton_systems(monkeypatch, _solve_2d_problem(),
                                build_ball_grid([0.0, 0.0], 1.2, 0.05, 2),
                                lambda x: 10.0)
     assert solve_2d[0][0].shape == (1789, 1789) and len(solve_2d) > 2
-    H = hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=1)
-    solve_1d = _newton_systems(monkeypatch, _laplace_problem(s=3.0, H=H),
-                               build_ball_grid(0.0, 2.0, 0.02, 1),
-                               lambda x: 100.0)
-    for J, rhs in (solve_2d[0], solve_2d[-1], solve_1d[0]):
+    for J, rhs in (solve_2d[0], solve_2d[-1]):
         lu, default = _factorize(J), splu(J, permc_spec="NATURAL")
         assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
         assert np.array_equal(lu.perm_r, default.perm_r)
         assert np.array_equal(lu.perm_c, default.perm_c)
         exact = np.linalg.solve(J.toarray(), rhs)
         step = lu.solve(rhs)
+        assert np.abs(step - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def test_1d_newton_step_is_the_dense_solve_without_sparse_factors(monkeypatch):
+    # every Newton system of a 1D solve goes to the tridiagonal solver: no
+    # sparse pattern or factorization is built, and each step equals the
+    # dense solve of J as ``_jacobian_pattern`` assembles it
+    import osserman_lab.solver as solver
+
+    def no_sparse(*args):
+        raise AssertionError("sparse Jacobian built for a 1D solve")
+
+    systems = []
+    step_solver = solver._step_solver
+
+    def recorded(grid):
+        solve = step_solver(grid)
+
+        def record(table, rhs):
+            rhs = rhs.copy()
+            step = solve(table, rhs.copy())
+            systems.append((table, rhs, step))
+            return step
+
+        return record
+
+    H = hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=1)
+    g = build_ball_grid(0.0, 2.0, 0.02, 1)
+    monkeypatch.setattr(solver, "_jacobian_pattern", no_sparse)
+    monkeypatch.setattr(solver, "_factorize", no_sparse)
+    monkeypatch.setattr(solver, "_step_solver", recorded)
+    _, report = solve_dirichlet(_laplace_problem(s=3.0, H=H), g,
+                                lambda x: 100.0, tol=1e-8, max_iter=100)
+    assert report.converged and len(systems) == report.iterations > 2
+    J, slot, order = _jacobian_pattern(g)
+    for table, rhs, step in systems:
+        J.data[:] = table.ravel()[slot]
+        exact = np.empty(g.n_interior)
+        exact[order] = np.linalg.solve(J.toarray(), rhs[order])
         assert np.abs(step - exact).max() <= 1e-12 * np.abs(exact).max()
 
 

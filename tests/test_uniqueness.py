@@ -23,6 +23,13 @@ def test_delta_oracle_closed_form():
         assert delta_s_oracle(s) == pytest.approx(2.0 ** (1.0 - s), abs=1e-9)
 
 
+@pytest.mark.parametrize("s", [225.0, 400.0, 1000.0])
+def test_delta_oracle_large_s(s):
+    # the scan stays near v = -1/2, so |v|^s stays finite where 2^{1-s}
+    # is still a normal float
+    assert delta_s_oracle(s) == pytest.approx(2.0 ** (1.0 - s), rel=1e-9)
+
+
 def test_delta_oracle_monotone_and_validated():
     vals = [delta_s_oracle(s) for s in (1.2, 1.8, 2.6, 3.5)]
     assert all(b < a for a, b in zip(vals, vals[1:]))

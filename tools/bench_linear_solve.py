@@ -1,19 +1,15 @@
-"""Time one cold factor-and-solve of a first Newton Jacobian: scipy's
-``spsolve`` (COLAMD column ordering), SuperLU's minimum-degree ordering of
-J + J^T in symmetric mode (``mmd``, the solver's factorization before the
-nested-dissection order), the Jacobian in the grid's nested-dissection
-order factored with SuperLU's default column blocking (``natural``, the
-solver's factorization before its blocking constants), and the solver's own
-``factorize`` arm: the same ordered Jacobian factored by
-``solver._factorize`` (panel size 1, relax 1).
+"""Time one cold factor-and-solve of a first 2D Newton Jacobian: scipy's
+``spsolve`` (COLAMD column ordering), the reference step, and the solver's
+own ``factorize`` arm: the Jacobian in the grid's nested-dissection order
+factored by ``solver._factorize`` (SuperLU, panel size 1, relax 1).
 
     python3 tools/bench_linear_solve.py [--repeats 3] [--cases small,mid,large]
 
 Each (case, method, repeat) runs in a fresh child process with BLAS and
 OpenMP threads set to 1. The child builds the grid, the cold initial guess,
 its residual and the policy Jacobian (``solver._jacobian_pattern``, whose
-rows and columns follow ``core.dissection_order``; the ``spsolve`` and
-``mmd`` arms get it back in grid order), then times one factor-and-solve of
+rows and columns follow ``core.dissection_order``; the ``spsolve`` arm gets
+it back in grid order), then times one factor-and-solve of
 J d = -res. It reports the time, the child's peak RSS before and after that
 call, the fill L.nnz + U.nnz (for ``spsolve`` that of ``splu`` with the
 same COLAMD ordering, computed after the peak is read) and the time of one
@@ -48,7 +44,7 @@ CASES = {
     "mid": (2.0, 2.0, 10.0, 1.2, 0.0125),
     "large": (1.0, 3.0, 100.0, 8.0, 0.05),
 }
-METHODS = ("spsolve", "mmd", "natural", "factorize")
+METHODS = ("spsolve", "factorize")
 
 
 def _child(case: str, method: str, step_file: str) -> dict:
@@ -78,7 +74,7 @@ def _child(case: str, method: str, step_file: str) -> dict:
     order_s = time.perf_counter() - start
     J, slot, order = _jacobian_pattern(grid)
     J.data[:] = _jacobian_table(problem, grid, vals, policy).ravel()[slot]
-    if method in ("spsolve", "mmd"):  # back to grid order
+    if method == "spsolve":  # back to grid order
         rank = np.empty(ni, dtype=np.int64)
         rank[order] = np.arange(ni)
         J = J[rank][:, rank].tocsc()
@@ -88,12 +84,8 @@ def _child(case: str, method: str, step_file: str) -> dict:
     start = time.perf_counter()
     if method == "spsolve":
         step = spsolve(J, -res)
-    elif method == "mmd":
-        lu = splu(J, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-        step = lu.solve(-res)
     else:
-        lu = (splu(J, permc_spec="NATURAL") if method == "natural"
-              else _factorize(J))
+        lu = _factorize(J)
         step = np.empty(ni)
         step[order] = lu.solve(-res[order])
     seconds = time.perf_counter() - start

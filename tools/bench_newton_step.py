@@ -5,8 +5,12 @@
 
 A Newton step of ``solver.solve_dirichlet`` evaluates the residual
 (``_interior_residual``, once per line-search trial), fills the policy
-Jacobian (``_jacobian_table``), factors it (``_factorize``) and solves with
-the factors (the triangular solves of ``SuperLU.solve``). Two cases:
+Jacobian table (``_jacobian_table``) and solves J d = -res from that table
+(``linear_solve``). The linear solve is the one the checkout's solver runs:
+``solver._step_solver(grid)`` where the checkout has it (LAPACK ``dgtsv`` in
+1D, SuperLU in 2D), else SuperLU as the solver ran it before: the table
+scattered into ``_jacobian_pattern``'s CSC matrix, ``_factorize`` and the
+triangular solves. Two cases:
 
 - entire-1d: the perfbench ``entire-1d`` data-100 chain, Pucci+ with
   lam = Lam = 1, H = |p|^2, s = 3, f = 0, boundary data 100 on B_1..B_4 at
@@ -43,7 +47,7 @@ import time
 from harness import ROOT, run_child
 
 CASES = ("entire-1d", "solve-2d")
-LAYERS = ("residual", "jacobian_table", "factorize", "triangular_solve")
+LAYERS = ("residual", "jacobian_table", "linear_solve")
 
 
 def _run_case(case: str):
@@ -85,31 +89,47 @@ def _run_case(case: str):
     return fields, steps
 
 
+def _linear_solver(grid):
+    """The checkout's Newton-step solve on ``grid``, as a function of the
+    Jacobian table and the right-hand side."""
+    import numpy as np
+
+    from osserman_lab import solver
+
+    if hasattr(solver, "_step_solver"):
+        return solver._step_solver(grid)
+    J, slot, order = solver._jacobian_pattern(grid)
+
+    def solve(table, rhs):
+        J.data[:] = table.ravel()[slot]
+        step = np.empty(len(order))
+        step[order] = solver._factorize(J).solve(rhs[order])
+        return step
+
+    return solve
+
+
 def _time_layers(steps, repeats: int) -> dict:
     """Median over ``repeats`` sweeps of each layer's seconds per step."""
     from osserman_lab import solver
     from osserman_lab.core import evaluate
 
     prepared = []
-    patterns = {}
+    solvers = {}
     for problem, grid, vals, policy in steps:
-        if id(grid) not in patterns:
-            patterns[id(grid)] = solver._jacobian_pattern(grid)
-        J, slot, order = patterns[id(grid)]
+        if id(grid) not in solvers:  # built once per solve, as the solver does
+            solvers[id(grid)] = _linear_solver(grid)
         f_vals = evaluate(problem.f, grid.interior_nodes)
         res = solver._interior_residual(problem, grid, vals, f_vals)[0]
-        J = J.copy()
-        J.data[:] = solver._jacobian_table(problem, grid, vals,
-                                           policy).ravel()[slot]
-        prepared.append((problem, grid, vals, policy, f_vals, J,
-                         solver._factorize(J), -res[order]))
+        table = solver._jacobian_table(problem, grid, vals, policy)
+        prepared.append((problem, grid, vals, policy, f_vals, table, res,
+                         solvers[id(grid)]))
 
     calls = {
         "residual": lambda s: solver._interior_residual(s[0], s[1], s[2], s[4]),
         "jacobian_table": lambda s: solver._jacobian_table(s[0], s[1], s[2],
                                                            s[3]),
-        "factorize": lambda s: solver._factorize(s[5]),
-        "triangular_solve": lambda s: s[6].solve(s[7]),
+        "linear_solve": lambda s: s[7](s[5], -s[6]),
     }
     per_step = {}
     for layer in LAYERS:
