@@ -264,6 +264,8 @@ def main(argv=None) -> int:
             raise ConfigError("--config", "this command requires a config file")
         if args.seed < 0:
             raise ConfigError("--seed", "must be a nonnegative integer")
+        if not args.out:
+            raise ConfigError("--out", "must name a directory")
         blocker = _existing_ancestor(args.out)
         if not os.path.isdir(blocker):
             raise ConfigError("--out", f"{blocker!r} exists and is not a "

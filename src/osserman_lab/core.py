@@ -187,7 +187,7 @@ def dissection_order(grid: BallGrid) -> np.ndarray:
     at most one lattice line along any axis, so no stencil edge joins the
     two halves. A part whose box lies on a single lattice line is not
     split further and keeps its lexicographic order: a path has no fill in
-    that order, and a 1D grid keeps its natural order.
+    that order.
 
     Each axis is bisected independently of the others, so node x's place
     is a closed form: the digits (below, above, on the line) of its
@@ -197,10 +197,7 @@ def dissection_order(grid: BallGrid) -> np.ndarray:
     lattice = grid.lattice[: grid.n_interior]
     n, ni = grid.n, grid.n_interior
     coords = [lattice[:, a] - lattice[:, a].min() for a in range(n)]
-    sizes = [int(coord.max()) + 1 for coord in coords]
-    if sum(size > 1 for size in sizes) <= 1:
-        return np.arange(ni)  # the whole grid lies on one lattice line
-    tables = [_bisections(size) for size in sizes]
+    tables = [_bisections(int(coord.max()) + 1) for coord in coords]
     depth = max(len(digits) for digits, _ in tables)
     keys = np.full((depth * n, ni), 2, dtype=np.int8)
     # the level from which at most one axis of x's part spans several

@@ -7,16 +7,18 @@ on ball grids, and a Newton (policy-iteration) Dirichlet solver.
 F is discretized by its own stencil: nonnegative weights on the second
 differences along the stencil direction pairs (the axes, and in 2D the
 diagonals), so F_h = sum(weights * d2). The gradient slot is the
-Rouy-Tourin upwind gradient, oriented so the scheme stays monotone for
-Hamiltonians that are nondecreasing in |p|. The zero-order term is strictly
-decreasing in u.
+Rouy-Tourin upwind gradient: per axis, the steeper of node i's two arm
+slopes (u_nb - u_i)/h that rise away from it, signed by its arm (0 where
+neither rises). The scheme is monotone for Hamiltonians nondecreasing in
+|p|, and its zero-order term is strictly decreasing in u.
 
 The residual is piecewise smooth: each node picks a policy (F's stencil
-weights, the upwind slope of every axis). Newton's method with the exact
+weights, the upwind arm of every axis). Newton's method with the exact
 Jacobian of the active policy is Howard's algorithm (Bokanowski-Maroso-
 Zidani, SINUM 47, 2009), globalized by backtracking on the sup residual.
-The Jacobian is exact because H carries dH/dp in closed form
-(``HamiltonianH.gradient``); nothing in it is a difference quotient.
+The Jacobian holds the residual's partials through the arms, its diagonal
+derived from them (``_jacobian_table``). It is exact because H carries
+dH/dp in closed form (``HamiltonianH.gradient``).
 Convergence is judged by the residual alone, so the discrete solution does
 not depend on the path.
 
@@ -98,7 +100,7 @@ class SolveReport:
 class _Policy(NamedTuple):
     """The branches the residual took at every interior node: F's stencil
     weight on each second difference; the upwind gradient p and, per axis,
-    the slope it took (+1 forward, -1 backward, 0 neither)."""
+    the arm whose slope it took (+1 plus, -1 minus, 0 neither)."""
 
     weights: np.ndarray  # (ni, n_dirs // 2)
     p: np.ndarray        # (ni, n)
@@ -115,12 +117,11 @@ def _interior_residual(problem: ProblemSpec, grid: BallGrid, vals: np.ndarray,
     weights = problem.F.stencil(x, d2)
     Fv = (weights * d2).sum(axis=1)
 
-    unb = vals[grid.neighbors[:, : 2 * n]]  # axis (minus, plus) pairs
-    dplus = (unb[:, 1::2] - uc[:, None]) / h
-    dminus = (uc[:, None] - unb[:, ::2]) / h
-    side = np.where((dplus >= -dminus) & (dplus > 0.0), 1,
-                    np.where((-dminus > dplus) & (dminus < 0.0), -1, 0))
-    p = np.where(side == 1, dplus, np.where(side == -1, dminus, 0.0))
+    slopes = (vals[grid.neighbors[:, : 2 * n]] - uc[:, None]) / h  # axis arms
+    minus, plus = slopes[:, ::2], slopes[:, 1::2]
+    steep = np.maximum(minus, plus)
+    side = np.where(steep > 0.0, np.where(plus >= minus, 1, -1), 0)
+    p = np.where(side != 0, side * steep, 0.0)
     Hv = problem.H(x, p)
 
     res = Fv + Hv - np.abs(uc) ** (problem.s - 1.0) * uc - f_vals
@@ -130,26 +131,24 @@ def _interior_residual(problem: ProblemSpec, grid: BallGrid, vals: np.ndarray,
 def _jacobian_table(problem: ProblemSpec, grid: BallGrid, vals: np.ndarray,
                     policy: _Policy) -> np.ndarray:
     """Jacobian of the residual for a fixed policy, as an (ni, 1 + n_dirs)
-    table: column 0 is d res_i / d u_i, column 1 + d the derivative with
-    respect to the neighbour in stencil direction d.
-
-    F's part is its stencil weights over the grid's squared spacings. H's
-    part is dH/dp at the upwind gradient (``H.gradient``) over h, on the
-    one-sided difference each axis took; an axis that took neither adds
-    nothing. The zero-order term adds -s|u_i|^{s-1} on the diagonal."""
+    table of its partials through node i's arms. Column 1 + d is
+    d res_i / d u_nb(i, d): F's stencil weight over the squared spacing on
+    both arms of each pair, and side * dH/dp at the upwind gradient
+    (``H.gradient``) over h on the axis arm the gradient took. F_h and H_h
+    see u_i only through the arm differences u_nb - u_i, so column 0,
+    d res_i / d u_i, is minus the row sum of the arm columns, less
+    s|u_i|^{s-1}. A monotone policy has every arm column >= 0."""
     h, n = grid.h, grid.n
     ni = grid.n_interior
-    coef = policy.weights / grid.spacings2
-
     table = np.empty((ni, 1 + len(grid.offsets)))
-    table[:, 1::2] = table[:, 2::2] = coef
-    table[:, 0] = -2.0 * coef.sum(axis=1)
+    arms = table[:, 1:]
+    arms[:, ::2] = arms[:, 1::2] = policy.weights / grid.spacings2
 
-    gH = problem.H.gradient(grid.interior_nodes, policy.p) / h
-    table[:, 2:2 * n + 1:2] += np.where(policy.side == 1, gH, 0.0)
-    table[:, 1:2 * n:2] -= np.where(policy.side == -1, gH, 0.0)
-    table[:, 0] -= (policy.side * gH).sum(axis=1)
+    dH = policy.side * problem.H.gradient(grid.interior_nodes, policy.p) / h
+    arms[:, :2 * n:2] += np.where(policy.side == -1, dH, 0.0)
+    arms[:, 1:2 * n:2] += np.where(policy.side == 1, dH, 0.0)
 
+    table[:, 0] = -arms.sum(axis=1)
     table[:, 0] -= problem.s * np.abs(vals[:ni]) ** (problem.s - 1.0)
     return table
 

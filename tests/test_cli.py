@@ -348,16 +348,20 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, command):
-    # --out itself, or a directory above it, is an existing file
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                            command):
+    # --out itself, or a directory above it, is an existing file; or --out
+    # is empty, which names no directory
     out = tmp_path / "out"
     out.write_text("kept\n")
     cfg = _every_command_cfg(tmp_path)
-    for target in (out, out / "sub", out / "sub" / "deeper"):
+    monkeypatch.chdir(tmp_path)
+    for target in (out, out / "sub", out / "sub" / "deeper", ""):
         assert main([command, "--config", cfg, "--out", str(target),
                      "--quiet"]) == 2
         assert "config error at --out:" in capsys.readouterr().err
         assert out.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out"]
 
 
 def test_bad_json_and_bad_tag_are_schema_errors(tmp_path, capsys):

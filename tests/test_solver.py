@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from osserman_lab.core import ScalarField, build_ball_grid, sample_field
-from osserman_lab.entire import radial_power_rhs
+from osserman_lab.entire import construct_entire, radial_power_rhs
 from osserman_lab.operators import (EllipticityPair, HamiltonianH,
                                     hamiltonian_library, laplacian_operator,
                                     negate_hamiltonian, pucci_minus_operator,
@@ -293,6 +293,46 @@ def test_singular_jacobian_ends_the_solve_unconverged(monkeypatch):
     assert np.all(np.isfinite(sol.values))
 
 
+def _criterion_7_problem():
+    # the acceptance expanding-ball problem: Pucci+ (lam = Lam = 1),
+    # H = |p|^2, s = 3
+    H = hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=1)
+    return ProblemSpec(F=pucci_plus_operator(EllipticityPair(1.0, 1.0)),
+                       H=H, s=3.0, f=lambda x: 0.0)
+
+
+@pytest.mark.parametrize("case, data", [("solve-2d", 9.5), ("solve-2d", 10.0),
+                                        ("solve-2d", 10.5),
+                                        ("criterion-7", 100.0)])
+def test_every_newton_jacobian_has_nonnegative_off_diagonals(monkeypatch,
+                                                             case, data):
+    # the scheme is monotone at every iterate: each residual is
+    # nondecreasing in every neighbour value, so off the diagonal the policy
+    # Jacobian is >= 0 (an H decreasing in |p|, such as -|p|^2, breaks this)
+    import osserman_lab.solver as solver
+
+    tables = []
+    table = solver._jacobian_table
+
+    def recorded(*args):
+        tables.append(table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(solver, "_jacobian_table", recorded)
+    if case == "solve-2d":  # the perfbench solve-2d problem
+        reports = [solve_dirichlet(_solve_2d_problem(),
+                                   build_ball_grid([0.0, 0.0], 1.2, 0.05, 2),
+                                   lambda x: data, tol=1e-8,
+                                   max_iter=100)[1]]
+    else:
+        reports = construct_entire(_criterion_7_problem(), 8, lambda x: data,
+                                   1e-8, 0.02, 100).reports
+    assert all(r.converged for r in reports)
+    assert len(tables) == sum(r.iterations for r in reports) > 0
+    for t in tables:
+        assert (t[:, 1:] >= 0.0).all()
+
+
 def test_discrete_comparison():
     # larger boundary data gives a pointwise larger solution
     H = hamiltonian_library("prototype", c1=1.0, cm=1.0, m=2.0, n=1)
@@ -444,9 +484,7 @@ def test_policy_jacobian_matches_finite_differences(n, f_tag, h_tag):
 
 def test_cold_large_ball_solve_takes_few_newton_steps():
     # the acceptance expanding-ball problem at its largest radius, cold
-    H = hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=1)
-    problem = ProblemSpec(F=pucci_plus_operator(EllipticityPair(1.0, 1.0)),
-                          H=H, s=3.0, f=lambda x: 0.0)
+    problem = _criterion_7_problem()
     g = build_ball_grid(0.0, 8.0, 0.02, 1)
     sol, report = solve_dirichlet(problem, g, lambda x: 100.0, tol=1e-8,
                                   max_iter=40)

@@ -1,16 +1,14 @@
 """Time the layers of one Newton step on one or more checkouts.
 
-    python3 tools/bench_newton_step.py [--src CHECKOUT ...] [--rounds 3]
+    python3 tools/bench_newton_step.py [--src CHECKOUT ...] [--rounds 8]
                                        [--repeats 30]
 
 A Newton step of ``solver.solve_dirichlet`` evaluates the residual
 (``_interior_residual``, once per line-search trial), fills the policy
 Jacobian table (``_jacobian_table``) and solves J d = -res from that table
 (``linear_solve``). The linear solve is the one the checkout's solver runs:
-``solver._step_solver(grid)`` where the checkout has it (LAPACK ``dgtsv`` in
-1D, SuperLU in 2D), else SuperLU as the solver ran it before: the table
-scattered into ``_jacobian_pattern``'s CSC matrix, ``_factorize`` and the
-triangular solves. Two cases:
+``solver._step_solver(grid)`` (LAPACK ``dgtsv`` in 1D, SuperLU in 2D). Two
+cases:
 
 - entire-1d: the perfbench ``entire-1d`` data-100 chain, Pucci+ with
   lam = Lam = 1, H = |p|^2, s = 3, f = 0, boundary data 100 on B_1..B_4 at
@@ -89,26 +87,6 @@ def _run_case(case: str):
     return fields, steps
 
 
-def _linear_solver(grid):
-    """The checkout's Newton-step solve on ``grid``, as a function of the
-    Jacobian table and the right-hand side."""
-    import numpy as np
-
-    from osserman_lab import solver
-
-    if hasattr(solver, "_step_solver"):
-        return solver._step_solver(grid)
-    J, slot, order = solver._jacobian_pattern(grid)
-
-    def solve(table, rhs):
-        J.data[:] = table.ravel()[slot]
-        step = np.empty(len(order))
-        step[order] = solver._factorize(J).solve(rhs[order])
-        return step
-
-    return solve
-
-
 def _time_layers(steps, repeats: int) -> dict:
     """Median over ``repeats`` sweeps of each layer's seconds per step."""
     from osserman_lab import solver
@@ -118,7 +96,7 @@ def _time_layers(steps, repeats: int) -> dict:
     solvers = {}
     for problem, grid, vals, policy in steps:
         if id(grid) not in solvers:  # built once per solve, as the solver does
-            solvers[id(grid)] = _linear_solver(grid)
+            solvers[id(grid)] = solver._step_solver(grid)
         f_vals = evaluate(problem.f, grid.interior_nodes)
         res = solver._interior_residual(problem, grid, vals, f_vals)[0]
         table = solver._jacobian_table(problem, grid, vals, policy)
@@ -175,7 +153,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", nargs="+", default=[ROOT],
                         help="checkout roots to run, each with a src/ directory")
-    parser.add_argument("--rounds", type=int, default=3,
+    parser.add_argument("--rounds", type=int, default=8,
                         help="fresh children per checkout, order alternating")
     parser.add_argument("--repeats", type=int, default=30,
                         help="timed sweeps over the recorded steps per layer")
