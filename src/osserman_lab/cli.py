@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__
 from .barrier import barrier_constants, verify_barrier_inequality
-from .config import (ConfigError, build_boundary, build_grid, build_problem,
-                     build_hamiltonian, check_dimension, count, load_config,
-                     number, positive)
+from .config import (ConfigError, _section, build_boundary, build_grid,
+                     build_problem, build_hamiltonian, check_dimension, count,
+                     load_config, number, positive)
 from .core import GridError, build_ball_grid
 from .entire import construct_entire, fit_decay_exponent, separation_table
 from .operators import CONDITIONS, MetadataError, check_hamiltonian
@@ -83,14 +83,6 @@ def _write_json(path: str, obj: dict):
 _ZERO_DATA = {"tag": "constant", "value": 0.0}  # the default boundary data
 
 
-def _section(cfg: dict, name: str) -> dict:
-    sec = cfg.get(name)
-    if not isinstance(sec, dict):
-        raise ConfigError(name, f"missing {name} section" if sec is None
-                          else "must be an object")
-    return sec
-
-
 def _cmd_verify_barrier(cfg, seed: int):
     """Sweep the barrier inequality."""
     sec = _section(cfg, "barrier")
@@ -120,10 +112,10 @@ def _cmd_solve(cfg, seed: int):
     """Dirichlet solve on a ball."""
     problem = build_problem(cfg)
     grid = build_grid(cfg)
-    data = {"boundary": cfg.get("boundary", _ZERO_DATA)}
+    data = {"boundary": _section(cfg, "boundary", default=_ZERO_DATA)}
     boundary = build_boundary(data["boundary"])
     check_dimension(cfg, grid.n, data)
-    sec = cfg.get("solve", {})
+    sec = _section(cfg, "solve", default={})
     tol = positive(sec, "tol", "solve", default=1e-8)
     max_iter = count(sec, "max_iter", "solve", 1, default=200000)
     field, report = solve_dirichlet(problem, grid, boundary, tol, max_iter)
@@ -142,9 +134,9 @@ def _cmd_entire(cfg, seed: int):
     sec = _section(cfg, "entire")
     k_max = count(sec, "k_max", "entire", 1)
     n = count(sec, "n", "entire", 1, default=1)
-    data = {"entire.boundary": sec.get("boundary", _ZERO_DATA)}
+    data = {"entire.boundary": _section(sec, "boundary", "entire", _ZERO_DATA)}
     if "boundary2" in sec:
-        data["entire.boundary2"] = sec["boundary2"]
+        data["entire.boundary2"] = _section(sec, "boundary2", "entire")
     boundaries = [build_boundary(b, path) for path, b in data.items()]
     check_dimension(cfg, n, data)
     h = number(sec, "h", "entire")

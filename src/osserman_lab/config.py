@@ -49,6 +49,18 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
+def _section(parent: dict, key: str, path: str = "", default=None) -> dict:
+    """The JSON object at ``parent[key]``, or ``default`` (if given) when
+    the key is absent; ``path`` is ``parent``'s key path, empty at the root."""
+    where = f"{path}.{key}" if path else key
+    if key not in parent and default is not None:
+        return default
+    if not isinstance(parent.get(key), dict):
+        raise ConfigError(where, "must be an object" if key in parent
+                          else "missing required section")
+    return parent[key]
+
+
 def _finite(val) -> bool:
     """A JSON number that is a finite float: no bool, NaN or infinity, and
     no integer too large for a float."""
@@ -191,24 +203,20 @@ def check_dimension(cfg: dict, n: int, boundaries: dict) -> None:
 
 
 def build_problem(cfg: dict) -> ProblemSpec:
-    section = cfg.get("problem")
-    if not isinstance(section, dict):
-        raise ConfigError("problem", "missing problem section")
+    section = _section(cfg, "problem")
     s = number(section, "s", "problem")
     if s <= 1.0:
         raise ConfigError("problem.s", "s must exceed 1")
-    F = build_operator(_require(section, "operator", "problem"))
-    H = build_hamiltonian(_require(section, "hamiltonian", "problem"))
-    f = build_f(section.get("f", {"tag": "zero"}))
+    F = build_operator(_section(section, "operator", "problem"))
+    H = build_hamiltonian(_section(section, "hamiltonian", "problem"))
+    f = build_f(_section(section, "f", "problem", {"tag": "zero"}))
     return ProblemSpec(F=F, H=H, s=s, f=f)
 
 
 def build_grid(cfg: dict):
     """The ball grid of the ``grid`` section; ``build_ball_grid`` rejects a
     dimension, radius or spacing it cannot use with a GridError."""
-    section = cfg.get("grid")
-    if not isinstance(section, dict):
-        raise ConfigError("grid", "missing grid section")
+    section = _section(cfg, "grid")
     n = count(section, "n", "grid", 1)
     center = section.get("center", [0.0] * n)
     if not isinstance(center, list) or len(center) != n \

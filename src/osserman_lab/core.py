@@ -317,27 +317,21 @@ def fd_derivatives(field: ScalarField):
     return grad, hess
 
 
-def _subdomain_mask(grid: BallGrid, center, radius: float) -> np.ndarray:
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    pts = grid.interior_nodes
-    return row_norms(pts - center[None, :]) < radius
-
-
 def norm(field: ScalarField, kind: str = "sup", p: float | None = None,
          center=None, radius: float | None = None) -> float:
     """Discrete sup or L^p norm over interior nodes of a subdomain ball.
 
     L^p uses the Riemann weight h^n per node. The default subdomain is the
-    whole grid ball.
+    whole grid ball; any other must lie inside it, up to 1e-12.
     """
     g = field.grid
-    if center is None:
-        center = g.center
+    center = g.center if center is None else \
+        np.atleast_1d(np.asarray(center, dtype=float))
     if radius is None:
         radius = g.radius
-    if radius > g.radius + 1e-12:
+    if radius + float(np.linalg.norm(center - g.center)) > g.radius + 1e-12:
         raise ValueError("subdomain must lie inside the grid ball")
-    mask = _subdomain_mask(g, center, radius)
+    mask = row_norms(g.interior_nodes - center[None, :]) < radius
     if not mask.any():
         raise ValueError("empty subdomain")
     vals = np.abs(field.interior_values[mask])

@@ -669,6 +669,20 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
                  "boundary.axis", id="solve-exp_family-axis-fraction"),
     pytest.param("solve", {**_grid_cfg(), "boundary": {**EXP_FAMILY, "n": 1.5}},
                  "boundary.n", id="solve-exp_family-n-fraction"),
+    # every object-valued key must hold a JSON object
+    pytest.param("solve", {**_grid_cfg(), "problem": {**SOLVE_CFG["problem"],
+                                                      "f": 3}},
+                 "problem.f", id="solve-f-number"),
+    pytest.param("solve", {**_grid_cfg(), "problem": {
+        **SOLVE_CFG["problem"], "operator": "laplacian"}},
+                 "problem.operator", id="solve-operator-text"),
+    pytest.param("solve", {**_grid_cfg(), "boundary": 5}, "boundary",
+                 id="solve-boundary-number"),
+    pytest.param("solve", {**_grid_cfg(), "solve": 3}, "solve",
+                 id="solve-section-number"),
+    pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
+        "k_max": 1, "h": 0.25, "boundary": "tag"}}, "entire.boundary",
+                 id="entire-boundary-text"),
 ])
 def test_rejected_config_values_exit_2_and_write_nothing(tmp_path, capsys,
                                                           command, cfg, key):

@@ -414,3 +414,5 @@ def test_norm_errors():
         norm(f, kind="sup", center=0.0, radius=2.0)
     with pytest.raises(ValueError):
         norm(f, kind="sup", center=5.0, radius=0.01)
+    with pytest.raises(ValueError):  # radius fits, but the ball pokes out
+        norm(f, kind="sup", center=0.5, radius=0.9)

@@ -1,29 +1,37 @@
 """Time the structure-condition sweeps of ``check-hamiltonian`` on one or
 more checkouts.
 
-    python3 tools/bench_checkers.py [--src CHECKOUT ...] [--repeats N]
+    python3 tools/bench_checkers.py [--src CHECKOUT ...] [--sweeps 10]
 
 For each of the three Hamiltonians of the benchmark's ``structure-checks``
 workload (``prototype``, ``two_power`` and ``rational_factor`` with their
-default constants) every claimed condition is swept at 100,000 samples,
-the conditions sharing one generator as the CLI does. Each checkout runs
-in a fresh child process that imports the package from ``CHECKOUT/src``
-(default: this script's checkout), with BLAS and OpenMP threads set to 1.
-After one warm-up pass, N passes (default 5) report per condition:
+default constants) every claimed condition is swept at 100,000 samples.
+One process imports every checkout's package (default: this script's
+checkout) under a name of its own (``harness.load_checkout``). Each
+checkout first runs the conditions as the CLI does, sharing one generator
+seeded with 1, and records the generator state each condition starts
+from. Then, per condition, one call per checkout runs that condition from
+its recorded state, and ``harness.paired`` times these calls in
+``--sweeps`` sweeps, the checkouts' order alternating from sweep to sweep.
 
-- ``ms``: the median milliseconds of one ``check_hamiltonian`` call;
-- ``rng_ms``: the same generator calls with the same shapes and in the
-  same order, and no margins: the floor no sweep gets below while the
-  seeds fix its draws. The child checks that these calls leave the
-  generator in the state the sweep left it in;
+Per condition the report holds, for each checkout:
+
+- ``worst_margin``: the worst margin of its CLI-order run;
+- ``ms``: the median milliseconds of one ``check_hamiltonian`` call and,
+  after the first checkout, ``lower_than_first_in``: the sweeps in which
+  it was lower than the first ("k of N");
 - ``minflt``: the median minor page faults of one call (``ru_minflt``);
-- ``sha256``: a hash of the worst margin and the witness, floats written
-  exactly (``float.hex``).
 
-Each child also reports its peak RSS (``ru_maxrss``). Each child's report
-is printed as it finishes. The last line of standard output is one JSON
-object: the report of every checkout in the order given and, with two or
-more checkouts, whether every hash equals the first checkout's.
+and, once, ``rng_ms``: the median milliseconds of the same generator calls
+with the same shapes and in the same order, and no margins: the floor no
+sweep gets below while the seeds fix its draws. It runs no checkout code,
+so it is timed once; it must leave the generator in the state each
+checkout's sweep left it in.
+
+The one line of standard output is a JSON object: the checkouts in the
+order given, the report of every condition and, per later checkout,
+whether every condition's worst margin and witness equal the first
+checkout's exactly.
 """
 
 from __future__ import annotations
@@ -31,19 +39,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
-import statistics
 import sys
-import time
 
-from harness import ROOT, peak_rss_mb, run_child
+from harness import ROOT, load_checkout, paired
 
 TAGS = ("prototype", "two_power", "rational_factor")
 SAMPLES = 100_000
 SEED = 1
 
 
-def _rng_floor(rng, condition: str, count: int):
+def _rng_floor(condition: str, count: int, rng):
     """The generator calls of one ``check_hamiltonian`` chunk (SAMPLES is
     below its 200,000), in its order: x, then each sampled vector (normal
     direction, log-magnitude, zero mask), then the shift's vector or the
@@ -62,90 +67,78 @@ def _rng_floor(rng, condition: str, count: int):
         rng.uniform(0.0, 8.0, count)
 
 
-def _exact(value):
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, list):
-        return [_exact(v) for v in value]
-    return value
-
-
-def _child(repeats: int) -> dict:
-    import hashlib
-
+def _from_state(state: dict, run, *args):
+    """A call that sets one generator to ``state``, runs
+    ``run(*args, rng=generator)`` and returns the generator's state."""
     import numpy as np
 
-    from osserman_lab.operators import check_hamiltonian, hamiltonian_library
+    rng = np.random.default_rng(SEED)
 
-    def faults():
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    def call():
+        rng.bit_generator.state = state
+        run(*args, rng=rng)
+        return rng.bit_generator.state
+    return call
 
-    report = {}
-    for tag in TAGS:
-        H = hamiltonian_library(tag)
-        times = {c: [] for c in H.claims}
-        floor = {c: [] for c in H.claims}
-        minflt = {c: [] for c in H.claims}
-        margins, hashes = {}, {}
-        for rep in range(repeats + 1):  # the first pass warms up
-            rng = np.random.default_rng(SEED)
-            plain = np.random.default_rng(SEED)
-            for cond in H.claims:
-                f0, t0 = faults(), time.perf_counter()
-                result = check_hamiltonian(H, cond, SAMPLES, rng=rng)
-                t1, f1 = time.perf_counter(), faults()
-                _rng_floor(plain, cond, SAMPLES)
-                t2 = time.perf_counter()
-                if plain.bit_generator.state != rng.bit_generator.state:
-                    raise RuntimeError(f"{tag}/{cond}: the floor's draws "
-                                       "are not the sweep's")
-                if rep:
-                    times[cond].append(t1 - t0)
-                    floor[cond].append(t2 - t1)
-                    minflt[cond].append(f1 - f0)
-                margins[cond] = result.worst_margin
-                text = json.dumps([_exact(result.worst_margin),
-                                   {k: _exact(v) for k, v in
-                                    result.witness.items()}], sort_keys=True)
-                hashes[cond] = hashlib.sha256(text.encode()).hexdigest()
-        report[tag] = {
-            cond: {"worst_margin": margins[cond],
-                   "ms": 1e3 * statistics.median(times[cond]),
-                   "rng_ms": 1e3 * statistics.median(floor[cond]),
-                   "minflt": statistics.median(minflt[cond]),
-                   "sha256": hashes[cond]}
-            for cond in H.claims}
-    return {"samples": SAMPLES, "repeats": repeats, "sweeps": report,
-            "peak_rss_mb": peak_rss_mb()}
+
+def _cli_order(lab, tag: str):
+    """Run every claimed condition of ``tag`` as the CLI does; return the
+    Hamiltonian and, per condition, the generator state before and after
+    it and its report."""
+    import numpy as np
+
+    H = lab.operators.hamiltonian_library(tag)
+    rng = np.random.default_rng(SEED)
+    runs = {}
+    for cond in H.claims:
+        before = rng.bit_generator.state
+        result = lab.operators.check_hamiltonian(H, cond, SAMPLES, rng=rng)
+        runs[cond] = (before, rng.bit_generator.state, result)
+    return H, runs
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", nargs="+", default=[ROOT],
                         help="checkout roots to run, each with a src/ directory")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timed passes after one warm-up pass")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--sweeps", type=int, default=10,
+                        help="timed sweeps per condition, checkouts alternating")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-    if args.child:
-        print(json.dumps(_child(args.repeats)))
-        return 0
+    if args.sweeps < 1:
+        parser.error("--sweeps must be at least 1")
 
-    report = {}
-    for src in args.src:
-        row = run_child(__file__, ["--child", "--repeats", str(args.repeats)],
-                        os.path.abspath(src))
-        print(json.dumps({"src": src, **row}), flush=True)
-        report[src] = row
-    if len(args.src) > 1:
-        first = report[args.src[0]]["sweeps"]
-        report["identical"] = {
-            src: all(report[src]["sweeps"][tag][cond]["sha256"] == row["sha256"]
-                     for tag, conds in first.items()
-                     for cond, row in conds.items())
-            for src in args.src[1:]}
+    srcs = [os.path.abspath(src) for src in args.src]
+    labs = [load_checkout(src, f"lab{i}") for i, src in enumerate(srcs)]
+    report = {"src": srcs, "samples": SAMPLES, "sweeps": args.sweeps}
+    identical = [True] * (len(labs) - 1)
+    for tag in TAGS:
+        orders = [_cli_order(lab, tag) for lab in labs]
+        entry = {}
+        for cond in orders[0][1]:
+            runs = [cli[cond] for _, cli in orders]
+            for before, after, _ in runs:
+                if _from_state(before, _rng_floor, cond, SAMPLES)() != after:
+                    raise RuntimeError(f"{tag}/{cond}: the floor's draws "
+                                       "are not the sweep's")
+            rows = paired([_from_state(before, lab.operators.check_hamiltonian,
+                                       H, cond, SAMPLES)
+                           for lab, (H, _), (before, _, _)
+                           in zip(labs, orders, runs)], args.sweeps)
+            floor = paired([_from_state(runs[0][0], _rng_floor, cond,
+                                        SAMPLES)], args.sweeps)[0]
+            results = [result for _, _, result in runs]
+            for i, result in enumerate(results[1:]):
+                identical[i] &= (result.worst_margin == results[0].worst_margin
+                                 and result.witness == results[0].witness)
+            entry[cond] = {
+                "worst_margin": [result.worst_margin for result in results],
+                "ms": [1e3 * row["median_s"] for row in rows],
+                "lower_than_first_in": [row["lower_than_first_in"]
+                                        for row in rows[1:]],
+                "minflt": [row["minflt"] for row in rows],
+                "rng_ms": 1e3 * floor["median_s"]}
+        report[tag] = entry
+    report["identical"] = identical
     print(json.dumps(report))
     return 0
 

@@ -1,7 +1,6 @@
 """Time the layers of one Newton step on one or more checkouts.
 
-    python3 tools/bench_newton_step.py [--src CHECKOUT ...] [--rounds 8]
-                                       [--repeats 30]
+    python3 tools/bench_newton_step.py [--src CHECKOUT ...] [--sweeps 40]
 
 A Newton step of ``solver.solve_dirichlet`` evaluates the residual
 (``_interior_residual``, once per line-search trial), fills the policy
@@ -16,21 +15,22 @@ cases:
 - solve-2d: the perfbench ``solve-2d`` problem, Pucci+ with lam = 1,
   Lam = 2, H = |p|^2, s = 2, f = 0, data 10 on B_1.2 at h = 0.05, tol 1e-8.
 
-Each (round, checkout) runs in a fresh child process that imports the
-package from ``CHECKOUT/src`` (default: this script's checkout), with BLAS
-and OpenMP threads set to 1; the checkouts' order alternates from round to
-round. The child runs each case once, recording the state (iterate and
-policy) of every Newton step through a wrapper bound over
-``solver._jacobian_table``. It then times each layer over all recorded
-steps in turn, ``--repeats`` times, and reports the median over the repeats
-of the time per step in microseconds, with the case's Newton steps.
+One process imports every checkout's package (default: this script's
+checkout) under a name of its own (``harness.load_checkout``). Each
+checkout solves each case once, recording the state (iterate and policy)
+of every Newton step through a wrapper bound over its
+``solver._jacobian_table``. Then, per case and layer, one call per
+checkout runs the layer over all of that checkout's recorded steps, and
+``harness.paired`` times these calls in ``--sweeps`` sweeps, the checkouts'
+order alternating from sweep to sweep.
 
-Each child's report is printed as it finishes. The last line of standard
-output is one JSON object: per checkout and case, the Newton steps and the
-median over the rounds of each layer's time per step, every round's
-values, and, with two or more checkouts, the largest difference of each
-checkout's final fields from the first one's (None where the grids
-differ).
+The one line of standard output is a JSON object: the checkouts in the
+order given and, per case, each checkout's Newton steps, per layer each
+checkout's median microseconds per step and, after the first checkout,
+the sweeps in which it was lower than the first ("k of N"; with equal
+step counts the sweeps time the same work), and the largest difference of
+each later checkout's final fields from the first one's (None where the
+grids differ).
 """
 
 from __future__ import annotations
@@ -38,24 +38,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
-import time
 
-from harness import ROOT, run_child
+from harness import ROOT, load_checkout, paired
 
 CASES = ("entire-1d", "solve-2d")
 LAYERS = ("residual", "jacobian_table", "linear_solve")
 
 
-def _run_case(case: str):
-    """Solve ``case``; return its final fields and the recorded steps as
-    (problem, grid, iterate, policy) tuples."""
-    from osserman_lab import entire, solver
-    from osserman_lab.core import build_ball_grid
-    from osserman_lab.operators import (EllipticityPair, hamiltonian_library,
-                                        pucci_plus_operator)
-
+def _run_case(lab, case: str):
+    """Solve ``case`` with the package ``lab``; return its final fields and
+    the recorded steps as (problem, grid, iterate, policy) tuples."""
+    solver, ops = lab.solver, lab.operators
     steps = []
     table = solver._jacobian_table
 
@@ -67,18 +61,20 @@ def _run_case(case: str):
     try:
         if case == "entire-1d":
             problem = solver.ProblemSpec(
-                F=pucci_plus_operator(EllipticityPair(1.0, 1.0)),
-                H=hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=1),
+                F=ops.pucci_plus_operator(ops.EllipticityPair(1.0, 1.0)),
+                H=ops.hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0,
+                                          n=1),
                 s=3.0, f=lambda x: 0.0)
-            run = entire.construct_entire(problem, 4, lambda x: 100.0, 1e-8,
-                                          0.04, 5_000_000)
+            run = lab.entire.construct_entire(problem, 4, lambda x: 100.0,
+                                              1e-8, 0.04, 5_000_000)
             fields = [f.values for f in run.fields]
         else:
             problem = solver.ProblemSpec(
-                F=pucci_plus_operator(EllipticityPair(1.0, 2.0)),
-                H=hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=2),
+                F=ops.pucci_plus_operator(ops.EllipticityPair(1.0, 2.0)),
+                H=ops.hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0,
+                                          n=2),
                 s=2.0, f=lambda x: 0.0)
-            grid = build_ball_grid([0.0, 0.0], 1.2, 0.05, 2)
+            grid = lab.core.build_ball_grid([0.0, 0.0], 1.2, 0.05, 2)
             field, _ = solver.solve_dirichlet(problem, grid, lambda x: 10.0,
                                               1e-8, 2_000_000)
             fields = [field.values]
@@ -87,17 +83,15 @@ def _run_case(case: str):
     return fields, steps
 
 
-def _time_layers(steps, repeats: int) -> dict:
-    """Median over ``repeats`` sweeps of each layer's seconds per step."""
-    from osserman_lab import solver
-    from osserman_lab.core import evaluate
-
+def _layer_sweeps(lab, steps) -> dict:
+    """Per layer, a call that runs the layer once over every step."""
+    solver = lab.solver
     prepared = []
     solvers = {}
     for problem, grid, vals, policy in steps:
         if id(grid) not in solvers:  # built once per solve, as the solver does
             solvers[id(grid)] = solver._step_solver(grid)
-        f_vals = evaluate(problem.f, grid.interior_nodes)
+        f_vals = lab.core.evaluate(problem.f, grid.interior_nodes)
         res = solver._interior_residual(problem, grid, vals, f_vals)[0]
         table = solver._jacobian_table(problem, grid, vals, policy)
         prepared.append((problem, grid, vals, policy, f_vals, table, res,
@@ -109,98 +103,52 @@ def _time_layers(steps, repeats: int) -> dict:
                                                            s[3]),
         "linear_solve": lambda s: s[7](s[5], -s[6]),
     }
-    per_step = {}
-    for layer in LAYERS:
-        call = calls[layer]
-        for s in prepared:  # warm-up
-            call(s)
-        sweeps = []
-        for _ in range(repeats):
-            start = time.perf_counter()
+
+    def sweep(call):
+        def run():
             for s in prepared:
                 call(s)
-            sweeps.append((time.perf_counter() - start) / len(prepared))
-        per_step[layer] = statistics.median(sweeps)
-    return per_step
+        return run
+    return {layer: sweep(calls[layer]) for layer in LAYERS}
 
 
-def _child(repeats: int, field_prefix: str) -> dict:
-    import numpy as np
-
-    report = {}
-    for case in CASES:
-        fields, steps = _run_case(case)
-        np.savez(f"{field_prefix}-{case}.npz", *fields)
-        us = {layer: 1e6 * s
-              for layer, s in _time_layers(steps, repeats).items()}
-        report[case] = {"steps": len(steps), "us_per_step": us,
-                        "layers_us_per_step": sum(us.values())}
-    return report
-
-
-def _field_diff(first: str, other: str):
+def _field_diff(first: list, other: list):
     """Largest |difference| over the fields of two runs of one case, or
     None when they solved different grids."""
-    import numpy as np
-
-    with np.load(first) as a, np.load(other) as b:
-        if a.files != b.files or any(a[k].shape != b[k].shape for k in a.files):
-            return None
-        return max(float(np.abs(a[k] - b[k]).max()) for k in a.files)
+    if len(first) != len(other) or any(a.shape != b.shape
+                                       for a, b in zip(first, other)):
+        return None
+    return max(float(abs(a - b).max()) for a, b in zip(first, other))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", nargs="+", default=[ROOT],
                         help="checkout roots to run, each with a src/ directory")
-    parser.add_argument("--rounds", type=int, default=8,
-                        help="fresh children per checkout, order alternating")
-    parser.add_argument("--repeats", type=int, default=30,
-                        help="timed sweeps over the recorded steps per layer")
-    parser.add_argument("--child", nargs=2, metavar=("REPEATS", "PREFIX"),
-                        help=argparse.SUPPRESS)
+    parser.add_argument("--sweeps", type=int, default=40,
+                        help="timed sweeps per layer, checkouts alternating")
     args = parser.parse_args(argv)
-    if args.child:
-        repeats, prefix = args.child
-        print(json.dumps(_child(int(repeats), prefix)))
-        return 0
-    if args.rounds < 1 or args.repeats < 1:
-        parser.error("--rounds and --repeats must be at least 1")
-
-    import tempfile
+    if args.sweeps < 1:
+        parser.error("--sweeps must be at least 1")
 
     srcs = [os.path.abspath(src) for src in args.src]
-    rounds = {src: [] for src in srcs}
-    with tempfile.TemporaryDirectory() as tmp:
-        prefixes = {src: os.path.join(tmp, f"fields{i}")
-                    for i, src in enumerate(srcs)}
-        for r in range(args.rounds):
-            for src in (srcs if r % 2 == 0 else srcs[::-1]):
-                row = run_child(__file__, ["--child", str(args.repeats),
-                                           prefixes[src]], src)
-                print(json.dumps({"src": src, "round": r, **row}), flush=True)
-                rounds[src].append(row)
-        report = {}
-        for src in srcs:
-            entry = {}
-            for case in CASES:
-                runs = [row[case] for row in rounds[src]]
-                entry[case] = {
-                    "steps": runs[0]["steps"],
-                    "us_per_step": {
-                        layer: statistics.median(run["us_per_step"][layer]
-                                                 for run in runs)
-                        for layer in LAYERS},
-                    "layers_us_per_step": statistics.median(
-                        run["layers_us_per_step"] for run in runs),
-                    "rounds": runs}
-            report[src] = entry
-        if len(srcs) > 1:
-            report["field_max_diff"] = {
-                src: {case: _field_diff(f"{prefixes[srcs[0]]}-{case}.npz",
-                                        f"{prefixes[src]}-{case}.npz")
-                      for case in CASES}
-                for src in srcs[1:]}
+    labs = [load_checkout(src, f"lab{i}") for i, src in enumerate(srcs)]
+    report = {"src": srcs, "sweeps": args.sweeps}
+    for case in CASES:
+        runs = [_run_case(lab, case) for lab in labs]
+        sweeps = [_layer_sweeps(lab, steps)
+                  for lab, (_, steps) in zip(labs, runs)]
+        entry = {"steps": [len(steps) for _, steps in runs],
+                 "field_max_diff": [_field_diff(runs[0][0], fields)
+                                    for fields, _ in runs[1:]]}
+        for layer in LAYERS:
+            rows = paired([calls[layer] for calls in sweeps], args.sweeps)
+            entry[layer] = {
+                "us_per_step": [1e6 * row["median_s"] / len(steps)
+                                for row, (_, steps) in zip(rows, runs)],
+                "lower_than_first_in": [row["lower_than_first_in"]
+                                        for row in rows[1:]]}
+        report[case] = entry
     print(json.dumps(report))
     return 0
 
