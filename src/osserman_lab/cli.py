@@ -175,7 +175,10 @@ def _cmd_entire(cfg, seed: int):
 def _cmd_check_hamiltonian(cfg, seed: int):
     """Structure-condition sweep of the top-level hamiltonian."""
     sec = _section(cfg, "check")
-    H = build_hamiltonian(_section(cfg, "hamiltonian"), "hamiltonian")
+    hamiltonian = _section(cfg, "hamiltonian")
+    H = build_hamiltonian(hamiltonian, "hamiltonian")
+    if hamiltonian.get("n", 2) != 2:
+        raise ConfigError("hamiltonian.n", "must be 2: the checkers sample in 2D")
     if "condition" in sec and sec["condition"] not in CONDITIONS:
         raise ConfigError("check.condition",
                           f"unknown condition {sec['condition']!r}")

@@ -15,8 +15,8 @@ from .core import build_ball_grid
 from .entire import radial_power_rhs
 from .operators import (EllipticityPair, HamiltonianH, OperatorF,
                         hamiltonian_library, laplacian_operator,
-                        negate_hamiltonian, pucci_minus_operator,
-                        pucci_plus_operator, weighted_trace_operator)
+                        negate_hamiltonian, pucci_operator,
+                        weighted_trace_operator)
 from .solver import ProblemSpec
 from .uniqueness import CounterexampleField
 
@@ -117,9 +117,8 @@ def build_operator(section: dict, path: str = "problem.operator") -> OperatorF:
         Lam = number(section, "Lam", path)
         if not 0 < lam <= Lam:
             raise ConfigError(f"{path}.lam", "need 0 < lam <= Lam")
-        ell = EllipticityPair(lam, Lam)
-        return pucci_plus_operator(ell) if tag == "pucci_plus" \
-            else pucci_minus_operator(ell)
+        return pucci_operator(EllipticityPair(lam, Lam),
+                              "+" if tag == "pucci_plus" else "-")
     if tag == "laplacian":
         return laplacian_operator()
     if tag == "weighted_trace":
@@ -189,14 +188,19 @@ def build_boundary(section: dict, path: str = "boundary") -> Callable:
 
 def check_dimension(cfg: dict, n: int, boundaries: dict) -> None:
     """Reject weighted_trace weights that are not one per axis of the
-    dimension-n grids, and exp_family boundary data of another dimension.
-    ``cfg`` must have passed build_problem, and each section of
-    ``boundaries`` (key path -> section) build_boundary."""
+    dimension-n grids, a sup_inf Hamiltonian whose matrices are not n x n,
+    and exp_family boundary data of another dimension. ``cfg`` must have
+    passed build_problem, and each section of ``boundaries`` (key path ->
+    section) build_boundary."""
     section = cfg["problem"]["operator"]
     if section["tag"] == "weighted_trace" and len(section["weights"]) != n:
         raise ConfigError("problem.operator.weights",
                           f"need {n} weights, one per axis, got "
                           f"{len(section['weights'])}")
+    section = cfg["problem"]["hamiltonian"]
+    if section["tag"] == "sup_inf" and int(section.get("n", 2)) != n:
+        raise ConfigError("problem.hamiltonian.n",
+                          f"must be the grid dimension {n}")
     for path, data in boundaries.items():
         if data["tag"] == "exp_family" and int(data.get("n", 1)) != n:
             raise ConfigError(f"{path}.n", f"must be the grid dimension {n}")

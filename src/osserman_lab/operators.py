@@ -186,10 +186,13 @@ def _batch_eigs(X: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(X)
 
 
-def _pucci_stencil(ell: EllipticityPair, plus: bool) -> Callable:
+def _pucci_stencil(ell: EllipticityPair, extremal: str) -> Callable:
     """Lam or lam on each second difference by its sign; in 2D only the
     frame (axes or diagonals) with the larger (P+) or smaller (P-) sum
     keeps its weights."""
+    if extremal not in ("+", "-"):
+        raise ValueError("extremal must be '+' or '-'")
+    plus = extremal == "+"
     up, down = (ell.Lam, ell.lam) if plus else (ell.lam, ell.Lam)
 
     def stencil(x, d2):
@@ -215,18 +218,10 @@ def _axis_stencil(w) -> Callable:
     return stencil
 
 
-def pucci_plus_operator(ell: EllipticityPair) -> OperatorF:
-    def ev(x, X):
-        return pucci_batch(_batch_eigs(X), ell.lam, ell.Lam, "+")
-    return OperatorF(evaluator=ev, ellipticity=ell,
-                     stencil=_pucci_stencil(ell, plus=True))
-
-
-def pucci_minus_operator(ell: EllipticityPair) -> OperatorF:
-    def ev(x, X):
-        return pucci_batch(_batch_eigs(X), ell.lam, ell.Lam, "-")
-    return OperatorF(evaluator=ev, ellipticity=ell,
-                     stencil=_pucci_stencil(ell, plus=False))
+def pucci_operator(ell: EllipticityPair, extremal: str) -> OperatorF:
+    """The Pucci operator P+ (extremal "+") or P- ("-") at the pair ell."""
+    return OperatorF(evaluator=lambda x, X: pucci(X, ell, extremal),
+                     ellipticity=ell, stencil=_pucci_stencil(ell, extremal))
 
 
 def laplacian_operator() -> OperatorF:
@@ -378,28 +373,44 @@ CONDITIONS = ("lipschitz_structure", "shift_modulus", "convexity_type",
               "sublinearization")
 
 
+def _power_law(terms: tuple) -> tuple[Callable, Callable]:
+    """H(x, p) = sum_k c_k(x) |p|^{e_k} over the (coefficient, exponent)
+    ``terms`` and dH/dp = H'(|p|) p/|p|, 0 at p = 0; both 0 with no terms."""
+    if not terms:
+        return (lambda x, p: np.zeros(p.shape[:-1]),
+                lambda x, p: np.zeros_like(p, dtype=float))
+
+    def radial(x, r, slope):
+        # the first term starts the sum; r^1 = r and r^0 = 1 exactly
+        total = None
+        for c, e in terms:
+            power = e - 1.0 if slope else e
+            term = (e * c(x) if slope else c(x)) \
+                * (1.0 if power == 0.0 else r if power == 1.0 else r ** power)
+            total = term if total is None else total + term
+        return total
+
+    def ev(x, p):
+        return radial(x, row_norms(p), False)
+
+    def grad(x, p):
+        r = row_norms(p)
+        scale = np.divide(radial(x, r, True), r, out=np.zeros_like(r),
+                          where=r > 0.0)
+        return scale[..., None] * p
+    return ev, grad
+
+
 # One constructor per library tag. Its keyword parameters are the tag's
-# config keys plus n, the dimension in the x-shift modulus constant, so an
-# unknown or missing key raises TypeError.
-
-def _radial_gradient(p: np.ndarray, r: np.ndarray,
-                     slope: np.ndarray) -> np.ndarray:
-    """dH/dp = slope * p / r for an H of r = |p| whose r-derivative is
-    ``slope``, and 0 where p = 0."""
-    scale = np.divide(slope, r, out=np.zeros_like(r), where=r > 0.0)
-    return scale[..., None] * p
-
+# config keys plus n, the dimension in the x-shift modulus constant (and
+# the size of sup_inf's matrices), so an unknown or missing key raises
+# TypeError.
 
 def _zero(*, m=2.0, n=2) -> HamiltonianH:
     m = float(m)
     if not (m == 1.0 or 1.0 < m <= 2.0):
         raise ValueError("zero needs m = 1 or m in (1, 2]")
-
-    def ev(x, p):
-        return np.zeros(np.asarray(p, dtype=float).shape[:-1])
-
-    def grad(x, p):
-        return np.zeros_like(p, dtype=float)
+    ev, grad = _power_law(())
     return HamiltonianH(evaluator=ev, m=m, gamma1=0.0, gamma_m=0.0,
                         gradient=grad, convexity=(0.0, 0.0, 0.5), tag="zero",
                         claims=CONDITIONS if m > 1 else CONDITIONS[:3])
@@ -409,15 +420,7 @@ def _prototype(*, c1=0.0, cm=1.0, m=2.0, n=2) -> HamiltonianH:
     c1, cm, m, n = _as_coeff(c1), _as_coeff(cm), float(m), int(n)
     if not (m == 1.0 or 1.0 < m <= 2.0):
         raise ValueError("prototype needs m = 1 or m in (1, 2]")
-
-    def ev(x, p):
-        r = row_norms(p)
-        return c1(x) * r + cm(x) * r ** m
-
-    def grad(x, p):
-        r = row_norms(p)
-        return _radial_gradient(p, r, c1(x) + m * cm(x) * r ** (m - 1.0))
-
+    ev, grad = _power_law(((c1, 1.0), (cm, m)))
     gamma1 = c1.sup_abs + cm.sup_abs if m == 1 else c1.sup_abs
     gamma_m = 2.0 * m * cm.sup_abs if m > 1 else 0.0
     convexity, claims = None, CONDITIONS[:2]
@@ -436,16 +439,7 @@ def _two_power(*, c=1.0, a=0.5, m=2.0, l=1.5, sigma0=0.5, n=2) -> HamiltonianH:
         raise ValueError("two_power needs 1 < m <= 2 and 1 <= l < m")
     if c.inf <= 0:
         raise ValueError("two_power needs inf c > 0")
-
-    def ev(x, p):
-        r = row_norms(p)
-        return c(x) * r ** m + a(x) * r ** l
-
-    def grad(x, p):
-        r = row_norms(p)
-        return _radial_gradient(p, r, m * c(x) * r ** (m - 1.0)
-                                + l * a(x) * r ** (l - 1.0))
-
+    ev, grad = _power_law(((c, m), (a, l)))
     gamma1 = 2.0 * l * a.sup_abs
     gamma_m = 2.0 * m * c.sup + 2.0 * l * a.sup_abs
     c_lower = 0.5 * (m - 1) * c.inf
@@ -482,49 +476,44 @@ def _rational_factor(*, c=1.0, n=2) -> HamiltonianH:
 
 
 def _sup_inf(*, matrices, m=2.0, n=2) -> HamiltonianH:
-    m = float(m)
+    m, n = float(m), int(n)
     if not 1.0 < m <= 2.0:
         raise ValueError("sup_inf needs m in (1, 2]")
-    mats = [[np.asarray(S, dtype=float) for S in grp] for grp in matrices]
-    all_eigs = np.concatenate([np.linalg.eigvalsh(S) for grp in mats for S in grp])
+    sizes = [len(grp) for grp in matrices]
+    flat = [np.asarray(S, dtype=float) for grp in matrices for S in grp]
+    if 0 in sizes or not all(S.shape == (n, n) and np.array_equal(S, S.T)
+                             for S in flat):
+        raise ValueError(f"sup_inf needs nonempty groups of symmetric {n} x {n}"
+                         " matrices")
+    ends = np.cumsum(sizes)
+    spans = list(zip(ends - sizes, ends))  # each group's slice of flat
+    all_eigs = np.concatenate([np.linalg.eigvalsh(S) for S in flat])
     nu = float(all_eigs.min())
     big = float(all_eigs.max())
     if nu <= 0:
         raise ValueError("sup_inf needs all matrices >= nu I with nu > 0")
 
+    def active(p):
+        """Each row's active form Q = p^T S p, the first smallest in its
+        group of the group with the first largest, and the index of its S
+        in ``flat``."""
+        forms = np.stack([np.einsum("...i,ij,...j->...", p, S, p) for S in flat])
+        lows = np.stack([lo + forms[lo:hi].argmin(axis=0) for lo, hi in spans])
+        group = np.take_along_axis(forms, lows, 0).argmax(axis=0)
+        k = np.take_along_axis(lows, group[None], 0)[0]
+        return np.take_along_axis(forms, k[None], 0)[0], k
+
     def ev(x, p):
-        p = np.asarray(p, dtype=float)
-        forms = np.stack([
-            np.stack([np.einsum("...i,ij,...j->...", p, S, p) for S in grp],
-                     axis=0).min(axis=0)
-            for grp in mats], axis=0)
-        return (forms.max(axis=0)) ** (m / 2.0)
+        return active(p)[0] ** (m / 2.0)
 
     def grad(x, p):
-        # (m/2) Q^{m/2-1} (S + S^T) p at the active form Q = p^T S p: the
-        # first smallest in its group, of the group with the first largest
-        best = best_grad = None
-        for grp in mats:
-            low = low_grad = None
-            for S in grp:
-                form = np.einsum("...i,ij,...j->...", p, S, p)
-                form_grad = p @ (S + S.T)
-                if low is None:
-                    low, low_grad = form, form_grad
-                else:
-                    take = form < low
-                    low = np.where(take, form, low)
-                    low_grad = np.where(take[..., None], form_grad, low_grad)
-            if best is None:
-                best, best_grad = low, low_grad
-            else:
-                take = low > best
-                best = np.where(take, low, best)
-                best_grad = np.where(take[..., None], low_grad, best_grad)
+        # (m/2) Q^{m/2-1} (S + S^T) p at the active form Q = p^T S p
+        Q, k = active(p)
+        form_grad = np.choose(k[..., None], [p @ (S + S.T) for S in flat])
         # Q >= nu |p|^2, so Q = 0 only at p = 0, where the gradient is 0
-        scale = np.zeros_like(best)
-        np.power(best, m / 2.0 - 1.0, out=scale, where=best > 0.0)
-        return (0.5 * m * scale)[..., None] * best_grad
+        scale = np.zeros_like(Q)
+        np.power(Q, m / 2.0 - 1.0, out=scale, where=Q > 0.0)
+        return (0.5 * m * scale)[..., None] * form_grad
 
     return HamiltonianH(
         evaluator=ev, m=m, gamma1=0.0, gamma_m=2.0 * m * big ** (m / 2.0),
@@ -665,7 +654,7 @@ def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
 
     def sublinearization(x, p, q, sigma):
         c_lower, A, _ = H.convexity
-        tg = tilde_gamma(gm, m, c_lower) if gm > 0 else 0.0
+        tg = tilde_gamma(gm, m, c_lower)
         quantity = H(x, p + q) - sigma * H(x, _divide_rows(p, sigma))
         qn = row_norms(q)
         bound = tg * (1.0 - sigma) ** (1.0 - m) * qn ** m + g1 * qn \

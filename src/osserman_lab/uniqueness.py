@@ -172,7 +172,7 @@ def extremal_difference_check(u: SmoothField, v: SmoothField, sigma: float,
     c_lower, A, _ = H.convexity
     if H.m <= 1.0:
         raise MetadataError("requires m > 1")
-    tg = tilde_gamma(H.gamma_m, H.m, c_lower) if H.gamma_m > 0 else 0.0
+    tg = tilde_gamma(H.gamma_m, H.m, c_lower)
     s = problem.s
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     f_vals = evaluate(problem.f, pts)

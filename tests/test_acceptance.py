@@ -31,7 +31,7 @@ from osserman_lab.entire import (continuum_separation_table,
 from osserman_lab.operators import (EllipticityPair, check_hamiltonian,
                                     hamiltonian_library, laplacian_operator,
                                     pucci, pucci_bruteforce_sweep,
-                                    pucci_plus_operator)
+                                    pucci_operator)
 from osserman_lab.solver import ProblemSpec, mms_convergence, solve_dirichlet
 from osserman_lab.uniqueness import (CounterexampleField,
                                      counterexample_residual, delta_s_oracle)
@@ -184,7 +184,7 @@ def test_criterion_6_mms_convergence():
 
     ell = EllipticityPair(1.0, 1.0)
     prob2 = ProblemSpec(
-        F=pucci_plus_operator(ell), H=hamiltonian_library("zero", n=2),
+        F=pucci_operator(ell, "+"), H=hamiltonian_library("zero", n=2),
         s=2.0,
         f=lambda x: -4.0 - np.abs(paraboloid(x)) * paraboloid(x))
     errs = {}

@@ -554,6 +554,13 @@ def _check_cfg(**hamiltonian):
     return {"hamiltonian": hamiltonian, "check": {"samples": 10}}
 
 
+def _sup_inf_cfg(**keys):
+    hamiltonian = {"tag": "sup_inf", "matrices": [[[[2.0, 0.0], [0.0, 1.0]]]],
+                   **keys}
+    return {**_grid_cfg(), "problem": {**SOLVE_CFG["problem"],
+                                       "hamiltonian": hamiltonian}}
+
+
 def _weights_cfg(weights):
     operator = {"tag": "weighted_trace", "weights": weights}
     return {**_grid_cfg(n=2, center=[0.0, 0.0], h=0.25),
@@ -638,6 +645,21 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
                  "hamiltonian", id="hamiltonian-c1-nan"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", n=10 ** 400),
                  "hamiltonian", id="hamiltonian-n-huge-int"),
+    # the checkers draw their points, matrices and gradients in 2D
+    pytest.param("check-hamiltonian", _check_cfg(
+        tag="two_power", c={"c0": 1.0, "amp": 0.5, "freq": 3.0}, n=1),
+                 "hamiltonian.n", id="hamiltonian-n-1"),
+    # sup_inf matrices are symmetric n x n: eigvalsh reads one triangle
+    pytest.param("check-hamiltonian", _check_cfg(
+        tag="sup_inf", matrices=[[[[2.0, 2.0], [0.0, 1.0]]]]),
+                 "hamiltonian", id="sup_inf-asymmetric"),
+    pytest.param("check-hamiltonian", _check_cfg(
+        tag="sup_inf", matrices=[[np.eye(3).tolist()]]),
+                 "hamiltonian", id="sup_inf-3x3"),
+    pytest.param("solve", _sup_inf_cfg(n=1), "problem.hamiltonian",
+                 id="solve-1d-sup_inf-2x2"),
+    pytest.param("solve", _sup_inf_cfg(), "problem.hamiltonian.n",
+                 id="solve-1d-sup_inf-n"),
     pytest.param("solve", _grid_cfg(h=10 ** 400), "grid.h",
                  id="solve-h-huge-int"),
     pytest.param("solve", _weights_cfg(["a", 1.0]),

@@ -17,7 +17,7 @@ from osserman_lab.entire import (check_local_bound, construct_entire,
                                  sup_difference)
 from osserman_lab.operators import (EllipticityPair, HamiltonianH, OperatorF,
                                     hamiltonian_library, laplacian_operator,
-                                    pucci_minus_operator)
+                                    pucci_operator)
 from osserman_lab.solver import ProblemSpec, solve_dirichlet
 from osserman_lab.uniqueness import CounterexampleField
 
@@ -275,7 +275,7 @@ def test_fd_solution_converges_to_continuum_oracle():
     # Pucci- with lam < Lam (so u'' is inverted on two branches), an
     # x-dependent f, m = 1.5 and data of either sign: first-order agreement
     problem = ProblemSpec(
-        F=pucci_minus_operator(EllipticityPair(0.5, 2.0)),
+        F=pucci_operator(EllipticityPair(0.5, 2.0), "-"),
         H=hamiltonian_library("prototype", c1=0.0, cm=1.0, m=1.5, n=1),
         s=2.5, f=lambda x: -1.0 + 0.5 * np.sin(x[:, 0]))
     for g in (-5.0, 3.0):

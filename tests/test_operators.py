@@ -15,8 +15,8 @@ from osserman_lab.operators import (CONDITIONS, Coeff, EllipticityPair,
                                     laplacian_operator, negate_hamiltonian,
                                     pucci, pucci_bruteforce,
                                     pucci_bruteforce_sweep,
-                                    pucci_minus_operator, pucci_plus_operator,
-                                    tilde_gamma, weighted_trace_operator)
+                                    pucci_operator, tilde_gamma,
+                                    weighted_trace_operator)
 
 ELL = EllipticityPair(1.0, 2.0)
 
@@ -91,7 +91,7 @@ def test_bruteforce_sweep_matches_scalar():
 
 
 def test_uniform_ellipticity_pucci_and_laplacian():
-    for F in (pucci_plus_operator(ELL), pucci_minus_operator(ELL),
+    for F in (pucci_operator(ELL, "+"), pucci_operator(ELL, "-"),
               laplacian_operator()):
         rep = check_uniform_ellipticity(F, samples=20_000, rng=0)
         assert rep.passed, (F.ellipticity, rep.worst_margin)
@@ -101,8 +101,8 @@ def test_uniform_ellipticity_pucci_and_laplacian():
 # (axes first, then in 2D the diagonals): P+ the max, P- the min, and a
 # linear F the axis frame
 _LIBRARY_F = {
-    "pucci_plus": (lambda ell, n: pucci_plus_operator(ell), np.max),
-    "pucci_minus": (lambda ell, n: pucci_minus_operator(ell), np.min),
+    "pucci_plus": (lambda ell, n: pucci_operator(ell, "+"), np.max),
+    "pucci_minus": (lambda ell, n: pucci_operator(ell, "-"), np.min),
     "laplacian": (lambda ell, n: laplacian_operator(), None),
     "weighted_trace": (lambda ell, n: weighted_trace_operator(
         [ell.lam, ell.Lam][:n]), None),
@@ -358,8 +358,8 @@ def _sweeps():
             yield (f"{tag}-params{i}-{condition}",
                    lambda samples, H=H, c=condition:
                    check_hamiltonian(H, c, samples, rng=5))
-    for name, F in (("pucci_plus", pucci_plus_operator(ELL)),
-                    ("pucci_minus", pucci_minus_operator(ELL)),
+    for name, F in (("pucci_plus", pucci_operator(ELL, "+")),
+                    ("pucci_minus", pucci_operator(ELL, "-")),
                     ("laplacian", laplacian_operator()),
                     ("weighted_trace", weighted_trace_operator([1.0, 3.0]))):
         yield (f"ellipticity-{name}",

@@ -7,8 +7,7 @@ from osserman_lab.core import ScalarField, build_ball_grid, sample_field
 from osserman_lab.entire import construct_entire, radial_power_rhs
 from osserman_lab.operators import (EllipticityPair, HamiltonianH,
                                     hamiltonian_library, laplacian_operator,
-                                    negate_hamiltonian, pucci_minus_operator,
-                                    pucci_plus_operator,
+                                    negate_hamiltonian, pucci_operator,
                                     weighted_trace_operator)
 from osserman_lab.solver import (NumericalError, ProblemSpec, SolveReport,
                                  _factorize, _initial_guess,
@@ -123,7 +122,7 @@ def test_solve_is_deterministic():
 def _solve_2d_problem():
     # Pucci+ (lam = 1, Lam = 2), H = |p|^2, s = 2: a non-symmetric policy
     H = hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=2)
-    return ProblemSpec(F=pucci_plus_operator(EllipticityPair(1.0, 2.0)), H=H,
+    return ProblemSpec(F=pucci_operator(EllipticityPair(1.0, 2.0), "+"), H=H,
                        s=2.0, f=lambda x: 0.0)
 
 
@@ -297,7 +296,7 @@ def _criterion_7_problem():
     # the acceptance expanding-ball problem: Pucci+ (lam = Lam = 1),
     # H = |p|^2, s = 3
     H = hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=1)
-    return ProblemSpec(F=pucci_plus_operator(EllipticityPair(1.0, 1.0)),
+    return ProblemSpec(F=pucci_operator(EllipticityPair(1.0, 1.0), "+"),
                        H=H, s=3.0, f=lambda x: 0.0)
 
 
@@ -396,7 +395,7 @@ def test_mms_errors_decrease_first_order():
 
 def test_2d_pucci_quadratic_first_order():
     ell = EllipticityPair(1.0, 2.0)
-    F = pucci_plus_operator(ell)
+    F = pucci_operator(ell, "+")
     H = hamiltonian_library("zero", n=2)
 
     def u_star(x):
@@ -422,8 +421,8 @@ def test_2d_pucci_quadratic_first_order():
 
 _ELL = EllipticityPair(0.5, 2.0)
 _OPERATORS = {
-    "pucci_plus": lambda n: pucci_plus_operator(_ELL),
-    "pucci_minus": lambda n: pucci_minus_operator(_ELL),
+    "pucci_plus": lambda n: pucci_operator(_ELL, "+"),
+    "pucci_minus": lambda n: pucci_operator(_ELL, "-"),
     "laplacian": lambda n: laplacian_operator(),
     "weighted_trace": lambda n: weighted_trace_operator([0.7, 1.6][:n]),
 }
@@ -502,7 +501,7 @@ def test_2d_pucci_with_first_order_hamiltonian_converges():
     # residual ~2. With Lam = 1, with the Laplacian or with c1 = 0 it
     # converges in a few steps.
     problem = ProblemSpec(
-        F=pucci_plus_operator(EllipticityPair(1.0, 2.0)),
+        F=pucci_operator(EllipticityPair(1.0, 2.0), "+"),
         H=hamiltonian_library("prototype", c1=1.0, cm=0.0, m=1.0, n=2),
         s=3.0, f=radial_power_rhs(0.5))
     grid = build_ball_grid([0.0, 0.0], 1.0, 0.1, 2)

@@ -41,14 +41,12 @@ def _child(h: float, field_file: str) -> dict:
     import numpy as np
 
     from osserman_lab import entire
-    from osserman_lab.operators import (EllipticityPair, hamiltonian_library,
-                                        pucci_plus_operator)
-    from osserman_lab.solver import ProblemSpec
+    from osserman_lab.config import build_problem
 
-    problem = ProblemSpec(
-        F=pucci_plus_operator(EllipticityPair(1.0, 1.0)),
-        H=hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=2),
-        s=3.0, f=lambda x: 0.0)
+    problem = build_problem({"problem": {
+        "s": 3.0, "operator": {"tag": "pucci_plus", "lam": 1.0, "Lam": 1.0},
+        "hamiltonian": {"tag": "prototype", "c1": 0.0, "cm": 1.0, "m": 2.0,
+                        "n": 2}}})
     seconds = []
     solve = entire.solve_dirichlet
 

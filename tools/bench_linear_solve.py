@@ -51,18 +51,17 @@ def _child(case: str, method: str, step_file: str) -> dict:
     import numpy as np
     from scipy.sparse.linalg import splu, spsolve
 
+    from osserman_lab.config import build_problem
     from osserman_lab.core import build_ball_grid, dissection_order, evaluate
-    from osserman_lab.operators import (EllipticityPair, hamiltonian_library,
-                                        pucci_plus_operator)
-    from osserman_lab.solver import (ProblemSpec, _factorize, _initial_guess,
+    from osserman_lab.solver import (_factorize, _initial_guess,
                                      _interior_residual, _jacobian_pattern,
                                      _jacobian_table)
 
     Lam, s, value, radius, h = CASES[case]
-    problem = ProblemSpec(
-        F=pucci_plus_operator(EllipticityPair(1.0, Lam)),
-        H=hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=2),
-        s=s, f=lambda x: 0.0)
+    problem = build_problem({"problem": {
+        "s": s, "operator": {"tag": "pucci_plus", "lam": 1.0, "Lam": Lam},
+        "hamiltonian": {"tag": "prototype", "c1": 0.0, "cm": 1.0, "m": 2.0,
+                        "n": 2}}})
     grid = build_ball_grid([0.0, 0.0], radius, h, 2)
     ni = grid.n_interior
     vals = np.empty(len(grid.nodes))

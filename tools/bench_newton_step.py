@@ -36,6 +36,7 @@ grids differ).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -46,10 +47,20 @@ CASES = ("entire-1d", "solve-2d")
 LAYERS = ("residual", "jacobian_table", "linear_solve")
 
 
+def _problem(lab, Lam: float, s: float, n: int):
+    """Pucci+ with lam = 1 and Lam, H = |p|^2, s and f = 0 in dimension n,
+    built by ``lab``'s config from the section every checkout reads."""
+    config = importlib.import_module(lab.__name__ + ".config")
+    return config.build_problem({"problem": {
+        "s": s, "operator": {"tag": "pucci_plus", "lam": 1.0, "Lam": Lam},
+        "hamiltonian": {"tag": "prototype", "c1": 0.0, "cm": 1.0, "m": 2.0,
+                        "n": n}}})
+
+
 def _run_case(lab, case: str):
     """Solve ``case`` with the package ``lab``; return its final fields and
     the recorded steps as (problem, grid, iterate, policy) tuples."""
-    solver, ops = lab.solver, lab.operators
+    solver = lab.solver
     steps = []
     table = solver._jacobian_table
 
@@ -60,20 +71,12 @@ def _run_case(lab, case: str):
     solver._jacobian_table = recording_table
     try:
         if case == "entire-1d":
-            problem = solver.ProblemSpec(
-                F=ops.pucci_plus_operator(ops.EllipticityPair(1.0, 1.0)),
-                H=ops.hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0,
-                                          n=1),
-                s=3.0, f=lambda x: 0.0)
+            problem = _problem(lab, 1.0, 3.0, 1)
             run = lab.entire.construct_entire(problem, 4, lambda x: 100.0,
                                               1e-8, 0.04, 5_000_000)
             fields = [f.values for f in run.fields]
         else:
-            problem = solver.ProblemSpec(
-                F=ops.pucci_plus_operator(ops.EllipticityPair(1.0, 2.0)),
-                H=ops.hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0,
-                                          n=2),
-                s=2.0, f=lambda x: 0.0)
+            problem = _problem(lab, 2.0, 2.0, 2)
             grid = lab.core.build_ball_grid([0.0, 0.0], 1.2, 0.05, 2)
             field, _ = solver.solve_dirichlet(problem, grid, lambda x: 10.0,
                                               1e-8, 2_000_000)
