@@ -143,8 +143,8 @@ def _cmd_entire(cfg, seed: int):
     tol = positive(sec, "tol", "entire", default=1e-8)
     max_iter = count(sec, "max_iter", "entire", 1, default=2000000)
     radius = positive(sec, "separation_radius", "entire", default=1.0)
-    runs = [construct_entire(problem, k_max, g, tol, h, max_iter,
-                             center=[0.0] * n) for g in boundaries]
+    runs = construct_entire(problem, k_max, boundaries, tol, h, max_iter,
+                            center=[0.0] * n)
     flagged = any(run.flagged for run in runs)
     # one row per boundary data and radius k: that solve's Newton report;
     # wall times stay out, so reruns still write identical files

@@ -138,6 +138,8 @@ def build_hamiltonian(section: dict, path: str = "problem.hamiltonian") -> Hamil
         json.dumps(params, allow_nan=False)
     except ValueError:
         raise ConfigError(path, "numbers must be finite")
+    if "n" in params:
+        params["n"] = count(section, "n", path, 1)
     try:
         H = hamiltonian_library(tag, **params)
     except (ValueError, TypeError, OverflowError) as exc:
@@ -198,7 +200,8 @@ def check_dimension(cfg: dict, n: int, boundaries: dict) -> None:
                           f"need {n} weights, one per axis, got "
                           f"{len(section['weights'])}")
     section = cfg["problem"]["hamiltonian"]
-    if section["tag"] == "sup_inf" and int(section.get("n", 2)) != n:
+    dim = count(section, "n", "problem.hamiltonian", 1, default=2)
+    if section["tag"] == "sup_inf" and dim != n:
         raise ConfigError("problem.hamiltonian.n",
                           f"must be the grid dimension {n}")
     for path, data in boundaries.items():

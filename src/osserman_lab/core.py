@@ -260,33 +260,41 @@ def sample_field(grid: BallGrid, fn: Callable) -> ScalarField:
     return ScalarField(grid=grid, values=evaluate(fn, grid.nodes))
 
 
-def interpolate(field: ScalarField, points) -> np.ndarray:
-    """The n-linear interpolant of ``field`` at (N, n) ``points``, shape (N,).
-
-    Each point takes the 2^n corners of its lattice cell from the grid's
-    nodes, interior and boundary layer alike, and blends them one axis at a
-    time as a + t (b - a), so a constant field comes back exactly. A cell
-    with a corner outside the node set raises ValueError. Every point of
-    the open ball has all its corners: the corner nearest the center is
-    interior, and the others are its stencil neighbours.
-    """
-    g = field.grid
-    t = (as_points(points, g.n) - g.center[None, :]) / g.h
+def interpolation_plan(grid: BallGrid, points) -> tuple[np.ndarray, np.ndarray]:
+    """The node indices of the 2^n lattice cell corners of each of the
+    (N, n) ``points``, shape (N,) + (2,) * n, and the points' fractions
+    along the axes, shape (N, n). A corner outside the grid's nodes
+    (interior and boundary layer) raises ValueError. Every point of the
+    open ball has all its corners: the corner nearest the center is
+    interior, and the others are its stencil neighbours."""
+    t = (as_points(points, grid.n) - grid.center[None, :]) / grid.h
     if not np.all(np.isfinite(t)):
         raise ValueError("points must be finite")
     low = np.floor(t)
-    frac = t - low
     corners = low[:, None, :] + np.array(
-        list(itertools.product((0, 1), repeat=g.n)))[None, :, :]
-    nodes = g.node_index(corners)
+        list(itertools.product((0, 1), repeat=grid.n)))[None, :, :]
+    nodes = grid.node_index(corners)
     if np.any(nodes < 0):
         raise ValueError("a point's lattice cell has a corner outside the "
                          "grid's nodes")
-    vals = field.values[nodes].reshape((len(t),) + (2,) * g.n)
-    for axis in range(g.n - 1, -1, -1):
+    return nodes.reshape((len(t),) + (2,) * grid.n), t - low
+
+
+def blend(plan: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
+    """The n-linear interpolant of nodal ``values`` at the points of an
+    `interpolation_plan`: the corners are blended one axis at a time as
+    a + t (b - a), so constant values come back exactly."""
+    nodes, frac = plan
+    vals = values[nodes]
+    for axis in range(frac.shape[1] - 1, -1, -1):
         w = frac[:, axis].reshape((-1,) + (1,) * axis)
         vals = vals[..., 0] + w * (vals[..., 1] - vals[..., 0])
     return vals
+
+
+def interpolate(field: ScalarField, points) -> np.ndarray:
+    """The n-linear interpolant of ``field`` at (N, n) ``points``, shape (N,)."""
+    return blend(interpolation_plan(field.grid, points), field.values)
 
 
 def second_differences(grid: BallGrid, values: np.ndarray) -> np.ndarray:

@@ -9,13 +9,13 @@ live on nested sublattices and can be compared node-by-node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .barrier import barrier_constants, exponent_mu
-from .core import (BallGrid, ScalarField, build_ball_grid, evaluate,
-                   interpolate, norm, row_norms, sample_field)
+from .core import (BallGrid, ScalarField, blend, build_ball_grid, evaluate,
+                   interpolation_plan, norm, row_norms, sample_field)
 from .operators import CheckReport
 from .solver import ProblemSpec, solve_dirichlet
 
@@ -46,18 +46,29 @@ class EntireRun:
         return not self.reports[-1].converged
 
 
-def _warm_start(grid: BallGrid, prev: Optional[ScalarField]) -> Optional[np.ndarray]:
-    """Seed interior values from the previous (smaller) solution shifted
-    outward by the radius increment d: node x takes prev's interpolant at
-    y = x - d x/|x|, or at the center when |x| <= d. y lies as far inside
-    prev's sphere as x lies inside the new one, so prev's boundary layer
-    starts at the new sphere. None leaves the solver's radial interpolation."""
-    if prev is None:
-        return None
-    d = grid.radius - prev.grid.radius
+def _warm_starts(prev: BallGrid, grid: BallGrid, solutions: Sequence) -> list:
+    """Seed grid's interior from each of ``solutions`` on the smaller ball
+    prev, shifted outward by the radius increment d: node x takes the
+    solution's interpolant at y = x - d x/|x|, or at the center when
+    |x| <= d. y lies as far inside prev's sphere as x lies inside the new
+    one, so prev's boundary layer starts at the new sphere. The corners
+    and fractions are found once for all solutions."""
+    d = grid.radius - prev.radius
     vecs = grid.interior_nodes - grid.center[None, :]
     scale = 1.0 - d / np.maximum(row_norms(vecs), d)
-    return interpolate(prev, grid.center[None, :] + scale[:, None] * vecs)
+    plan = interpolation_plan(prev, grid.center[None, :] + scale[:, None] * vecs)
+    return [blend(plan, u.values) for u in solutions]
+
+
+def _lattice_match(ga: BallGrid, gb: BallGrid):
+    """(ia, ib): ga's interior nodes that are interior nodes of gb, and
+    gb's index of each, matched through the shared integer lattice. A grid
+    matches itself node for node, with no lookup."""
+    if ga is gb:
+        return slice(ga.n_interior), slice(ga.n_interior)
+    ib = gb.node_index(ga.lattice[: ga.n_interior])  # interior nodes first
+    ia = np.flatnonzero((ib >= 0) & (ib < gb.n_interior))
+    return ia, ib[ia]
 
 
 def sup_difference(a: ScalarField, b: ScalarField, radius: float,
@@ -70,50 +81,52 @@ def sup_difference(a: ScalarField, b: ScalarField, radius: float,
     if center is None:
         center = ga.center
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    # b's node at each of a's interior offsets; b's interior nodes come first
-    ib = gb.node_index(ga.lattice[: ga.n_interior])
-    ia = np.flatnonzero((ib >= 0) & (ib < gb.n_interior))
-    ib = ib[ia]
+    ia, ib = _lattice_match(ga, gb)
     near = row_norms(ga.nodes[ia] - center[None, :]) < radius
     if not near.any():
         raise ValueError("no shared nodes in the requested ball")
-    return float(np.abs(a.values[ia[near]] - b.values[ib[near]]).max())
+    return float(np.abs(a.values[ia][near] - b.values[ib][near]).max())
 
 
-def construct_entire(problem: ProblemSpec, k_max: int, boundary: Callable,
+def construct_entire(problem: ProblemSpec, k_max: int, boundaries: Sequence,
                      tol: float, h: float, max_iter: int,
-                     center=None) -> EntireRun:
-    """Solve the Dirichlet problem on B_k with the boundary data callable
-    ``boundary`` for k = 1..k_max, each solve warm-started from the
-    previous radius, and record the stabilization table
-    sup_{B_j}|u_k - u_{k+1}| for j < k."""
+                     center=None) -> tuple[EntireRun, ...]:
+    """One EntireRun per data callable in ``boundaries``: the Dirichlet
+    problem on B_k for k = 1..k_max, each solve warm-started from the same
+    data's solution on B_{k-1}, and the stabilization table
+    sup_{B_j}|u_k - u_{k+1}| for j < k; a run stops at its first
+    unconverged solve. The runs share one grid B_k per k, one warm-start
+    plan per B_{k-1} -> B_k and one lattice match per (B_k, B_{k+1})."""
     if k_max < 1:
         raise ValueError("k_max >= 1 required")
-    n = 1
-    if center is not None:
-        n = len(np.atleast_1d(center))
-    else:
-        center = np.zeros(1)
-    fields, reports = [], []
-    prev = None
+    center = np.array(0.0 if center is None else center, float, ndmin=1)
+    grids, runs = [], [([], []) for _ in boundaries]  # fields, reports
     for k in range(1, k_max + 1):
-        grid = build_ball_grid(center, float(k), h, n)
-        sol, rep = solve_dirichlet(problem, grid, boundary, tol, max_iter,
-                                   initial=_warm_start(grid, prev))
-        fields.append(sol)
-        reports.append(rep)
-        if not rep.converged:
+        live = [(g, run) for g, run in zip(boundaries, runs)
+                if not run[1] or run[1][-1].converged]
+        if not live:
             break
-        prev = sol
-    rows = []
-    for i in range(len(fields) - 1):
-        k = i + 1
-        for j in range(1, k):
-            rows.append({"k": k, "k_next": k + 1, "j": j,
-                         "sup_diff": sup_difference(fields[i], fields[i + 1],
-                                                    float(j), center)})
-    return EntireRun(problem=problem, fields=tuple(fields),
-                     reports=tuple(reports), stabilization=tuple(rows))
+        grids.append(build_ball_grid(center, float(k), h, len(center)))
+        starts = (_warm_starts(grids[-2], grids[-1], [r[0][-1] for _, r in live])
+                  if k > 1 else [None] * len(live))
+        for (g, (fields, reports)), start in zip(live, starts):
+            sol, rep = solve_dirichlet(problem, grids[-1], g, tol, max_iter,
+                                       initial=start)
+            fields.append(sol)
+            reports.append(rep)
+    tables = [[] for _ in runs]
+    for k in range(2, len(grids)):  # the pair (B_k, B_{k+1}) has rows j < k
+        ia, ib = _lattice_match(grids[k - 1], grids[k])
+        dist = row_norms(grids[k - 1].nodes[ia] - center[None, :])
+        for (fields, _), rows in zip(runs, tables):
+            if len(fields) > k:
+                diff = np.abs(fields[k - 1].values[ia] - fields[k].values[ib])
+                rows += [{"k": k, "k_next": k + 1, "j": j,
+                          "sup_diff": float(diff[dist < j].max())}
+                         for j in range(1, k)]
+    return tuple(EntireRun(problem=problem, fields=tuple(fields),
+                           reports=tuple(reports), stabilization=tuple(rows))
+                 for (fields, reports), rows in zip(runs, tables))
 
 
 def separation_table(run_a: EntireRun, run_b: EntireRun,
@@ -362,7 +375,8 @@ def growth_profile(problem: ProblemSpec, radii: Sequence[int], rho: float,
     mu = exponent_mu(s, m)
     expo = mu * s * rho / 2.0
     prob = ProblemSpec(F=problem.F, H=problem.H, s=s, f=radial_power_rhs(rho))
-    run = construct_entire(prob, int(max(radii)), lambda x: 0.0, tol, h, max_iter)
+    run, = construct_entire(prob, int(max(radii)), [lambda x: 0.0], tol, h,
+                            max_iter)
     u = run.fields[-1]
     grid = u.grid
     dist = row_norms(grid.interior_nodes - grid.center[None, :])

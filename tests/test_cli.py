@@ -463,6 +463,27 @@ def test_entire_with_two_boundaries(tmp_path):
     assert summary["fitted_decay_exponent"] is None  # only one tail point
 
 
+def test_two_boundary_entire_builds_each_radius_once(tmp_path, monkeypatch):
+    import osserman_lab.entire as entire
+
+    radii = []
+    build = entire.build_ball_grid
+
+    def counted(center, R, h, n):
+        radii.append(R)
+        return build(center, R, h, n)
+
+    monkeypatch.setattr(entire, "build_ball_grid", counted)
+    cfg = _write_cfg(tmp_path, "cfg.json", {
+        "problem": SEPARATION_PROBLEM,
+        "entire": {"k_max": 3, "h": 0.1, "tol": 1e-7, "max_iter": 500000,
+                   "boundary": {"tag": "constant", "value": 0.0},
+                   "boundary2": {"tag": "constant", "value": 10.0}}})
+    assert main(["entire", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    assert radii == [1.0, 2.0, 3.0]
+
+
 def test_entire_summary_has_one_solve_row_per_boundary_and_radius(tmp_path):
     # the criterion-7 problem at h = 0.04, k <= 4: each larger ball starts
     # from the previous solution shifted outward, so after k = 1 the
@@ -552,6 +573,12 @@ NO_CONVEXITY_H = {"tag": "prototype", "c1": 1.0, "cm": 1.0, "m": 1.0}
 
 def _check_cfg(**hamiltonian):
     return {"hamiltonian": hamiltonian, "check": {"samples": 10}}
+
+
+def _hamiltonian_n_cfg(n):
+    hamiltonian = {**SOLVE_CFG["problem"]["hamiltonian"], "n": n}
+    return {**_grid_cfg(), "problem": {**SOLVE_CFG["problem"],
+                                       "hamiltonian": hamiltonian}}
 
 
 def _sup_inf_cfg(**keys):
@@ -644,7 +671,7 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", c1=math.nan),
                  "hamiltonian", id="hamiltonian-c1-nan"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", n=10 ** 400),
-                 "hamiltonian", id="hamiltonian-n-huge-int"),
+                 "hamiltonian.n", id="hamiltonian-n-huge-int"),
     # the checkers draw their points, matrices and gradients in 2D
     pytest.param("check-hamiltonian", _check_cfg(
         tag="two_power", c={"c0": 1.0, "amp": 0.5, "freq": 3.0}, n=1),
@@ -660,6 +687,17 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
                  id="solve-1d-sup_inf-2x2"),
     pytest.param("solve", _sup_inf_cfg(), "problem.hamiltonian.n",
                  id="solve-1d-sup_inf-n"),
+    # the Hamiltonian's dimension n is an integer of at least 1
+    pytest.param("solve", _hamiltonian_n_cfg(1.5), "problem.hamiltonian.n",
+                 id="solve-hamiltonian-n-fraction"),
+    pytest.param("solve", _hamiltonian_n_cfg(True), "problem.hamiltonian.n",
+                 id="solve-hamiltonian-n-bool"),
+    pytest.param("solve", _hamiltonian_n_cfg("1"), "problem.hamiltonian.n",
+                 id="solve-hamiltonian-n-text"),
+    pytest.param("solve", _hamiltonian_n_cfg(0), "problem.hamiltonian.n",
+                 id="solve-hamiltonian-n-0"),
+    pytest.param("solve", _hamiltonian_n_cfg(-1), "problem.hamiltonian.n",
+                 id="solve-hamiltonian-n-negative"),
     pytest.param("solve", _grid_cfg(h=10 ** 400), "grid.h",
                  id="solve-h-huge-int"),
     pytest.param("solve", _weights_cfg(["a", 1.0]),

@@ -28,8 +28,8 @@ def _problem(s=3.0, m=1.0, c1=1.0, cm=0.0, f=lambda x: 0.0):
 
 
 def test_zero_data_run_is_exactly_zero():
-    run = construct_entire(_problem(), 3, lambda x: 0.0, tol=1e-10,
-                           h=0.25, max_iter=1000)
+    run, = construct_entire(_problem(), 3, [lambda x: 0.0], tol=1e-10,
+                            h=0.25, max_iter=1000)
     assert run.radii == (1, 2, 3)
     assert not run.flagged
     for f in run.fields:
@@ -42,11 +42,55 @@ def test_zero_data_run_is_exactly_zero():
 
 def test_construct_entire_rejects_bad_kmax_and_flags_nonconvergence():
     with pytest.raises(ValueError):
-        construct_entire(_problem(), 0, lambda x: 0.0, 1e-8, 0.25, 10)
-    run = construct_entire(_problem(), 3, lambda x: 50.0, tol=1e-12,
-                           h=0.25, max_iter=2)
+        construct_entire(_problem(), 0, [lambda x: 0.0], 1e-8, 0.25, 10)
+    run, = construct_entire(_problem(), 3, [lambda x: 50.0], tol=1e-12,
+                            h=0.25, max_iter=2)
     assert run.flagged
     assert len(run.fields) == 1  # stopped at the first non-convergent ball
+
+
+def _same_run(joint, alone):
+    assert len(joint.fields) == len(alone.fields)
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(joint.fields, alone.fields))
+    for a, b in zip(joint.reports, alone.reports):
+        assert np.array_equal(a.residual_history, b.residual_history)
+        assert (a.iterations, a.final_residual, a.backtracks, a.converged) \
+            == (b.iterations, b.final_residual, b.backtracks, b.converged)
+    assert joint.stabilization == alone.stabilization
+
+
+@pytest.mark.parametrize("n, k_max, h", [(1, 4, 0.04), (2, 3, 0.1)])
+def test_joint_ladder_gives_each_boundary_its_one_boundary_run(n, k_max, h):
+    # the criterion-7 problem (Pucci+ with lam = Lam = 1, H = |p|^2, s = 3)
+    # with data 0 and 100: every run of a shared ladder is the run that
+    # boundary gets alone, bit for bit
+    H = hamiltonian_library("prototype", c1=0.0, cm=1.0, m=2.0, n=n)
+    prob = ProblemSpec(F=pucci_operator(EllipticityPair(1.0, 1.0), "+"), H=H,
+                       s=3.0, f=lambda x: 0.0)
+    data = [lambda x: 0.0, lambda x: 100.0]
+    center = [0.0] * n
+    joint = construct_entire(prob, k_max, data, 1e-8, h, 5_000_000, center)
+    assert len(joint) == 2
+    alone = [construct_entire(prob, k_max, [g], 1e-8, h, 5_000_000, center)[0]
+             for g in data]
+    for run, own in zip(joint, alone):
+        assert not own.flagged and own.radii == tuple(range(1, k_max + 1))
+        _same_run(run, own)
+    # each radius is one grid, so the joint runs compare node for node; the
+    # separate runs' grids are matched through the lattice to the same table
+    assert all(a.grid is b.grid for a, b in zip(*(r.fields for r in joint)))
+    assert separation_table(*joint) == separation_table(*alone)
+
+
+def test_joint_ladder_goes_on_after_one_boundary_stops():
+    data = [lambda x: 50.0, lambda x: 0.0]
+    joint = construct_entire(_problem(), 3, data, tol=1e-12, h=0.25,
+                             max_iter=2)
+    assert [len(run.fields) for run in joint] == [1, 3]
+    for run, g in zip(joint, data):
+        _same_run(run, construct_entire(_problem(), 3, [g], tol=1e-12,
+                                        h=0.25, max_iter=2)[0])
 
 
 def test_sup_difference_requires_matching_lattices():
@@ -102,8 +146,8 @@ def test_sup_difference_rejects_other_center_or_spacing():
 def test_decay_exponent_matches_barrier_exponent_for_m1():
     # s=3, m=1: mu = 2/(s-1) = 1 agrees with the true far-field decay, so
     # sup_{B_1} u_k ~ C/k and the tail fit lands near 1.
-    run = construct_entire(_problem(), 6, lambda x: 100.0, tol=1e-7,
-                           h=0.1, max_iter=500_000)
+    run, = construct_entire(_problem(), 6, [lambda x: 100.0], tol=1e-7,
+                            h=0.1, max_iter=500_000)
     assert not run.flagged
     vals = [norm(f, kind="sup", center=[0.0], radius=1.0) for f in run.fields]
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -113,10 +157,8 @@ def test_decay_exponent_matches_barrier_exponent_for_m1():
 
 def test_separation_decays_for_s_greater_than_m():
     prob = _problem()
-    ra = construct_entire(prob, 4, lambda x: 0.0, tol=1e-7, h=0.1,
-                          max_iter=500_000)
-    rb = construct_entire(prob, 4, lambda x: 100.0, tol=1e-7, h=0.1,
-                          max_iter=500_000)
+    ra, rb = construct_entire(prob, 4, [lambda x: 0.0, lambda x: 100.0],
+                              tol=1e-7, h=0.1, max_iter=500_000)
     seps = [row["separation"] for row in separation_table(ra, rb)]
     assert len(seps) == 4
     assert all(b < a for a, b in zip(seps, seps[1:]))
@@ -127,9 +169,9 @@ def test_separation_persists_for_s_equal_m():
     # s = m = 2 with the closed-form boundary family: different alpha give
     # different entire solutions, so the separation does not vanish
     prob = _problem(s=2.0, m=2.0, c1=0.0, cm=0.5, f=lambda x: -1.0)
-    ra, rb = (construct_entire(prob, 3, CounterexampleField(alpha=a).boundary_function(),
-                               tol=1e-7, h=0.1, max_iter=2_000_000)
-              for a in (0.0, 1.0))
+    ra, rb = construct_entire(
+        prob, 3, [CounterexampleField(alpha=a).boundary_function()
+                  for a in (0.0, 1.0)], tol=1e-7, h=0.1, max_iter=2_000_000)
     seps = [row["separation"] for row in separation_table(ra, rb)]
     assert min(seps) > 0.9
     # alpha = 0 solves u = 1 exactly, so its stabilization table is zero
@@ -188,8 +230,8 @@ def test_abp_fit_and_local_bound_check():
         fit_abp_constant(factory, [-1.0], r=0.4, h=0.05, tol=1e-9,
                          max_iter=100, n=1)
 
-    run = construct_entire(prob, 2, lambda x: 100.0, tol=1e-8, h=0.05,
-                           max_iter=400_000)
+    run, = construct_entire(prob, 2, [lambda x: 100.0], tol=1e-8, h=0.05,
+                            max_iter=400_000)
     rep = check_local_bound(run, 0.4, [0.0], C_emp=C)
     assert rep.passed
     assert rep.worst_margin > 0.0

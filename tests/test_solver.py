@@ -324,8 +324,8 @@ def test_every_newton_jacobian_has_nonnegative_off_diagonals(monkeypatch,
                                    lambda x: data, tol=1e-8,
                                    max_iter=100)[1]]
     else:
-        reports = construct_entire(_criterion_7_problem(), 8, lambda x: data,
-                                   1e-8, 0.02, 100).reports
+        reports = construct_entire(_criterion_7_problem(), 8, [lambda x: data],
+                                   1e-8, 0.02, 100)[0].reports
     assert all(r.converged for r in reports)
     assert len(tables) == sum(r.iterations for r in reports) > 0
     for t in tables:

@@ -2,17 +2,18 @@
 
     python3 tools/bench_entire_2d.py [--src CHECKOUT ...] [--runs 3]
 
-The run is ``entire.construct_entire`` on B_1..B_8 at spacing h = 0.1 and
-h = 0.05 for Pucci+ with lam = Lam = 1, H = |p|^2, s = 3, f = 0 and boundary
-data 100, with tol 1e-8. Each (h, run, checkout) runs in a fresh child
-process that imports the package from ``CHECKOUT/src`` (default: this
-script's checkout), with BLAS and OpenMP threads set to 1; the checkouts'
-order alternates from run to run. The child times each Dirichlet solve by
-binding a timer over ``entire.solve_dirichlet``, and reports per radius the
+The run is the CLI command ``entire`` (``cli.main``) on B_1..B_8 at spacing
+h = 0.1 and h = 0.05 for Pucci+ with lam = Lam = 1, H = |p|^2, s = 3, f = 0
+and boundary data 100, with tol 1e-8. Each (h, run, checkout) runs in a
+fresh child process that imports the package from ``CHECKOUT/src``
+(default: this script's checkout), with BLAS and OpenMP threads set to 1;
+the checkouts' order alternates from run to run. The child times each
+Dirichlet solve by binding a timer over ``entire.solve_dirichlet``, which
+also keeps each solve's field and report, and reports per radius the
 interior node count, Newton steps, backtracks, final residual and seconds,
-plus the whole run's wall time and the child's peak RSS. One peak-RSS
-reading varies by several MiB between runs of the same code, so each
-checkout runs ``--runs`` times per h.
+plus the wall time of the whole command and the child's peak RSS. One
+peak-RSS reading varies by several MiB between runs of the same code, so
+each checkout runs ``--runs`` times per h.
 
 Each child's report is printed as it finishes. The last line of standard
 output is one JSON object: per h and checkout, the median, minimum and
@@ -35,43 +36,48 @@ from harness import ROOT, peak_rss_mb, run_child
 
 SPACINGS = (0.1, 0.05)
 K_MAX, DATA, TOL, MAX_ITER = 8, 100.0, 1e-8, 5_000_000
+PROBLEM = {"s": 3.0, "operator": {"tag": "pucci_plus", "lam": 1.0, "Lam": 1.0},
+           "hamiltonian": {"tag": "prototype", "c1": 0.0, "cm": 1.0, "m": 2.0,
+                           "n": 2}}
 
 
 def _child(h: float, field_file: str) -> dict:
+    import tempfile
+
     import numpy as np
 
-    from osserman_lab import entire
-    from osserman_lab.config import build_problem
+    from osserman_lab import cli, entire
 
-    problem = build_problem({"problem": {
-        "s": 3.0, "operator": {"tag": "pucci_plus", "lam": 1.0, "Lam": 1.0},
-        "hamiltonian": {"tag": "prototype", "c1": 0.0, "cm": 1.0, "m": 2.0,
-                        "n": 2}}})
-    seconds = []
+    solves = []  # (field, report, seconds) per Dirichlet solve
     solve = entire.solve_dirichlet
 
     def timed_solve(*args, **kwargs):
         start = time.perf_counter()
         result = solve(*args, **kwargs)
-        seconds.append(time.perf_counter() - start)
+        solves.append((*result, time.perf_counter() - start))
         return result
 
     entire.solve_dirichlet = timed_solve
-    start = time.perf_counter()
-    run = entire.construct_entire(problem, K_MAX, lambda x: DATA, TOL, h,
-                                  MAX_ITER, center=[0.0, 0.0])
-    wall = time.perf_counter() - start
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "entire.json")
+        with open(config, "w") as fh:
+            json.dump({"problem": PROBLEM, "entire": {
+                "k_max": K_MAX, "h": h, "tol": TOL, "max_iter": MAX_ITER,
+                "n": 2, "boundary": {"tag": "constant", "value": DATA}}}, fh)
+        start = time.perf_counter()
+        cli.main(["entire", "--config", config, "--out",
+                  os.path.join(tmp, "out"), "--quiet"])
+        wall = time.perf_counter() - start
     peak = peak_rss_mb()
-    np.save(field_file, run.fields[-1].values)
+    np.save(field_file, solves[-1][0].values)
     radii = [{"k": k, "unknowns": f.grid.n_interior,
               "iterations": rep.iterations, "backtracks": rep.backtracks,
               "final_residual": rep.final_residual, "seconds": s}
-             for k, f, rep, s in zip(run.radii, run.fields, run.reports,
-                                     seconds)]
-    return {"h": h, "flagged": run.flagged,
+             for k, (f, rep, s) in enumerate(solves, start=1)]
+    return {"h": h, "flagged": not solves[-1][1].converged,
             "steps": sum(r["iterations"] for r in radii),
-            "solve_s": sum(seconds), "wall_s": wall, "peak_rss_mb": peak,
-            "radii": radii}
+            "solve_s": sum(s for _, _, s in solves), "wall_s": wall,
+            "peak_rss_mb": peak, "radii": radii}
 
 
 def _spread(values: list) -> dict:

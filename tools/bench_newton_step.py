@@ -11,15 +11,20 @@ cases:
 
 - entire-1d: the perfbench ``entire-1d`` data-100 chain, Pucci+ with
   lam = Lam = 1, H = |p|^2, s = 3, f = 0, boundary data 100 on B_1..B_4 at
-  h = 0.04, tol 1e-8 (``entire.construct_entire``, warm-started);
+  h = 0.04, tol 1e-8 (the CLI command ``entire``, warm-started);
 - solve-2d: the perfbench ``solve-2d`` problem, Pucci+ with lam = 1,
-  Lam = 2, H = |p|^2, s = 2, f = 0, data 10 on B_1.2 at h = 0.05, tol 1e-8.
+  Lam = 2, H = |p|^2, s = 2, f = 0, data 10 on B_1.2 at h = 0.05, tol 1e-8
+  (the CLI command ``solve``).
+
+Each case runs through the checkout's ``cli.main`` on a config file, so
+checkouts whose library signatures differ run the same problem.
 
 One process imports every checkout's package (default: this script's
 checkout) under a name of its own (``harness.load_checkout``). Each
 checkout solves each case once, recording the state (iterate and policy)
 of every Newton step through a wrapper bound over its
-``solver._jacobian_table``. Then, per case and layer, one call per
+``solver._jacobian_table`` and each solve's field through one bound over
+the command's ``solve_dirichlet``. Then, per case and layer, one call per
 checkout runs the layer over all of that checkout's recorded steps, and
 ``harness.paired`` times these calls in ``--sweeps`` sweeps, the checkouts'
 order alternating from sweep to sweep.
@@ -40,49 +45,67 @@ import importlib
 import json
 import os
 import sys
+import tempfile
 
 from harness import ROOT, load_checkout, paired
 
-CASES = ("entire-1d", "solve-2d")
 LAYERS = ("residual", "jacobian_table", "linear_solve")
 
 
-def _problem(lab, Lam: float, s: float, n: int):
-    """Pucci+ with lam = 1 and Lam, H = |p|^2, s and f = 0 in dimension n,
-    built by ``lab``'s config from the section every checkout reads."""
-    config = importlib.import_module(lab.__name__ + ".config")
-    return config.build_problem({"problem": {
-        "s": s, "operator": {"tag": "pucci_plus", "lam": 1.0, "Lam": Lam},
-        "hamiltonian": {"tag": "prototype", "c1": 0.0, "cm": 1.0, "m": 2.0,
-                        "n": n}}})
+def _problem(Lam: float, s: float, n: int) -> dict:
+    """The config section every checkout reads as Pucci+ with lam = 1 and
+    Lam, H = |p|^2, s and f = 0 in dimension n."""
+    return {"s": s, "operator": {"tag": "pucci_plus", "lam": 1.0, "Lam": Lam},
+            "hamiltonian": {"tag": "prototype", "c1": 0.0, "cm": 1.0,
+                            "m": 2.0, "n": n}}
+
+
+# per case: the CLI command, the module whose solve_dirichlet it calls and
+# its config
+CASES = {
+    "entire-1d": ("entire", "entire", {
+        "problem": _problem(1.0, 3.0, 1),
+        "entire": {"k_max": 4, "h": 0.04, "tol": 1e-8, "max_iter": 5_000_000,
+                   "boundary": {"tag": "constant", "value": 100.0}}}),
+    "solve-2d": ("solve", "cli", {
+        "problem": _problem(2.0, 2.0, 2),
+        "grid": {"n": 2, "radius": 1.2, "h": 0.05},
+        "boundary": {"tag": "constant", "value": 10.0},
+        "solve": {"tol": 1e-8, "max_iter": 2_000_000}}),
+}
 
 
 def _run_case(lab, case: str):
-    """Solve ``case`` with the package ``lab``; return its final fields and
-    the recorded steps as (problem, grid, iterate, policy) tuples."""
-    solver = lab.solver
-    steps = []
-    table = solver._jacobian_table
+    """Run ``case``'s CLI command with the package ``lab``; return the field
+    of each Dirichlet solve and the recorded steps as (problem, grid,
+    iterate, policy) tuples."""
+    command, module, cfg = CASES[case]
+    cli = importlib.import_module(lab.__name__ + ".cli")
+    solver, site = lab.solver, getattr(lab, module)
+    fields, steps = [], []
+    table, solve = solver._jacobian_table, site.solve_dirichlet
 
     def recording_table(problem, grid, vals, policy):
         steps.append((problem, grid, vals.copy(), policy))
         return table(problem, grid, vals, policy)
 
+    def keeping_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        fields.append(result[0].values)
+        return result
+
     solver._jacobian_table = recording_table
+    site.solve_dirichlet = keeping_solve
     try:
-        if case == "entire-1d":
-            problem = _problem(lab, 1.0, 3.0, 1)
-            run = lab.entire.construct_entire(problem, 4, lambda x: 100.0,
-                                              1e-8, 0.04, 5_000_000)
-            fields = [f.values for f in run.fields]
-        else:
-            problem = _problem(lab, 2.0, 2.0, 2)
-            grid = lab.core.build_ball_grid([0.0, 0.0], 1.2, 0.05, 2)
-            field, _ = solver.solve_dirichlet(problem, grid, lambda x: 10.0,
-                                              1e-8, 2_000_000)
-            fields = [field.values]
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w") as fh:
+                json.dump(cfg, fh)
+            cli.main([command, "--config", config, "--out",
+                      os.path.join(tmp, "out"), "--quiet"])
     finally:
         solver._jacobian_table = table
+        site.solve_dirichlet = solve
     return fields, steps
 
 
