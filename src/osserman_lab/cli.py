@@ -28,7 +28,7 @@ from .barrier import barrier_constants, verify_barrier_inequality
 from .config import (ConfigError, _section, build_boundary, build_grid,
                      build_problem, build_hamiltonian, check_dimension, count,
                      load_config, number, positive)
-from .core import GridError, build_ball_grid
+from .core import GridError, build_ball_grid, origin
 from .entire import construct_entire, fit_decay_exponent, separation_table
 from .operators import CONDITIONS, MetadataError, check_hamiltonian
 from .solver import NumericalError, solve_dirichlet
@@ -94,8 +94,7 @@ def _cmd_verify_barrier(cfg, seed: int):
         spec = barrier_constants(**constants)
     except ValueError as exc:
         raise ConfigError("barrier", str(exc))
-    grid = build_ball_grid([0.0] * params["n"], 0.999 * params["R"],
-                           params["h"], params["n"])
+    grid = build_ball_grid(None, 0.999 * params["R"], params["h"], params["n"])
     report = verify_barrier_inequality(spec, grid)
     res = report.extra["residuals"]
     header = ["node"] + [f"x{a}" for a in range(grid.n)] + ["residual"]
@@ -144,7 +143,7 @@ def _cmd_entire(cfg, seed: int):
     max_iter = count(sec, "max_iter", "entire", 1, default=2000000)
     radius = positive(sec, "separation_radius", "entire", default=1.0)
     runs = construct_entire(problem, k_max, boundaries, tol, h, max_iter,
-                            center=[0.0] * n)
+                            center=origin(n))
     flagged = any(run.flagged for run in runs)
     # one row per boundary data and radius k: that solve's Newton report;
     # wall times stay out, so reruns still write identical files

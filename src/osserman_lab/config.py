@@ -225,9 +225,10 @@ def build_grid(cfg: dict):
     dimension, radius or spacing it cannot use with a GridError."""
     section = _section(cfg, "grid")
     n = count(section, "n", "grid", 1)
-    center = section.get("center", [0.0] * n)
-    if not isinstance(center, list) or len(center) != n \
-            or not all(map(_finite, center)):
+    center = section.get("center")  # None: the origin
+    if "center" in section and (not isinstance(center, list)
+                                or len(center) != n
+                                or not all(map(_finite, center))):
         raise ConfigError("grid.center", f"must be a list of {n} finite numbers")
     return build_ball_grid(center, number(section, "radius", "grid"),
                            number(section, "h", "grid"), n)

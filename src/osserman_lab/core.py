@@ -99,18 +99,27 @@ class BallGrid:
         return np.where(inside, self.box[tuple(np.moveaxis(k, -1, 0))], -1)
 
 
+def origin(n: int) -> np.ndarray:
+    """The origin of R^n. Raises GridError, before making anything of size
+    n, unless the grids take dimension n (1 or 2)."""
+    if n not in _OFFSETS:
+        raise GridError("dimension n must be 1 or 2")
+    return np.zeros(n)
+
+
 def build_ball_grid(center, R: float, h: float, n: int) -> BallGrid:
-    """Build the lattice grid on the open ball B_R(center).
+    """Build the lattice grid on the open ball B_R(center), or B_R(0) when
+    center is None.
 
     Requires h <= R/2 so interior nodes exist with a full stencil.
     """
-    if n not in _OFFSETS:
-        raise GridError("dimension n must be 1 or 2")
+    zero = origin(n)
     if R <= 0 or h <= 0:
         raise GridError("R and h must be positive")
     if h > R / 2:
         raise GridError(f"h={h} too coarse for R={R}: need h <= R/2")
-    center = np.atleast_1d(np.asarray(center, dtype=float))
+    center = zero if center is None else np.atleast_1d(
+        np.asarray(center, dtype=float))
     if center.shape != (n,):
         raise GridError(f"center must have shape ({n},)")
 

@@ -1,6 +1,6 @@
-"""Expanding-ball construction of entire solutions and checkers for the
-local uniform bound sup_{B_r}|u| <= sup_{B_r} phi_{2r} + C r ||f^-||_{L^n}
-and for the growth profile (u^+)^s / |x|^{mu s rho / 2}.
+"""Expanding-ball construction of entire solutions, a checker for the
+local uniform bound sup_{B_r}|u| <= sup_{B_r} phi_{2r} + C r ||f^-||_{L^n},
+the growth threshold on f and the data f = -(1 + |x|^rho).
 
 All balls share one center and one spacing, so solutions on different radii
 live on nested sublattices and can be compared node-by-node.
@@ -357,38 +357,3 @@ def rho_threshold_closed_form(s: float, m: float) -> float:
 def radial_power_rhs(rho: float) -> Callable:
     """The data callable f(x) = -(1 + |x|^rho)."""
     return lambda x: -(1.0 + row_norms(x) ** rho)
-
-
-def growth_profile(problem: ProblemSpec, radii: Sequence[int], rho: float,
-                   h: float, tol: float, max_iter: int) -> dict:
-    """Shell maxima of (u^+)^s / |x|^{mu s rho / 2} for f = -(1 + |x|^rho).
-
-    Solves on expanding balls with zero boundary data and tabulates the
-    ratio over unit spherical shells of the largest solution; the verdict
-    reports whether the tail of shell maxima is non-increasing.
-    """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    s, m = problem.s, problem.H.m
-    if not m < s:
-        raise ValueError("growth profile requires s > m")
-    mu = exponent_mu(s, m)
-    expo = mu * s * rho / 2.0
-    prob = ProblemSpec(F=problem.F, H=problem.H, s=s, f=radial_power_rhs(rho))
-    run, = construct_entire(prob, int(max(radii)), [lambda x: 0.0], tol, h,
-                            max_iter)
-    u = run.fields[-1]
-    grid = u.grid
-    dist = row_norms(grid.interior_nodes - grid.center[None, :])
-    uplus = np.clip(u.interior_values, 0.0, None)
-    rows = []
-    for j in range(1, int(max(radii))):
-        mask = (dist >= j) & (dist < j + 1)
-        if not mask.any():
-            continue
-        ratio = float((uplus[mask] ** s / dist[mask] ** expo).max())
-        rows.append({"shell": j, "ratio": ratio})
-    tail = [row["ratio"] for row in rows[-3:]]
-    bounded = all(tail[i + 1] <= tail[i] * 1.05 for i in range(len(tail) - 1))
-    return {"rows": rows, "exponent": expo, "bounded_tail": bounded,
-            "flagged": run.flagged}

@@ -17,7 +17,7 @@ from .core import row_norms, squared_row_norms
 
 MARGIN_TOL = 1e-9
 _PMAX = 1e3  # sampling range for gradient magnitudes (log-uniform)
-_DIM = 2  # dimension of the points, matrices and gradients the checkers draw
+_DIM = 2  # dimension of the points and gradients the checkers draw
 
 
 class MetadataError(ValueError):
@@ -231,18 +231,16 @@ def laplacian_operator() -> OperatorF:
                      stencil=_axis_stencil(1.0))
 
 
-def weighted_trace_operator(weights: Sequence[float],
-                            declared: Optional[EllipticityPair] = None) -> OperatorF:
+def weighted_trace_operator(weights: Sequence[float]) -> OperatorF:
     """F(x, X) = sum_i w_i X_ii. Elliptic with pair (min w, max w)."""
     w = np.asarray(weights, dtype=float)
-    if declared is None:
-        declared = EllipticityPair(float(w.min()), float(w.max()))
+    ell = EllipticityPair(float(w.min()), float(w.max()))
 
     def ev(x, X):
         diag = np.diagonal(np.asarray(X, dtype=float), axis1=-2, axis2=-1)
         # not diag @ w: matmul rounds a batch of one matrix another way
         return np.einsum("...i,i->...", diag, w)
-    return OperatorF(evaluator=ev, ellipticity=declared, stencil=_axis_stencil(w))
+    return OperatorF(evaluator=ev, ellipticity=ell, stencil=_axis_stencil(w))
 
 
 _CHUNK = 200_000
@@ -276,34 +274,6 @@ def _chunked_sweep(samples: int, draw: Callable,
                 worst = float(margins[k])
                 witness = {key: val[k].tolist() for key, val in block.items()}
     return worst, witness
-
-
-def check_uniform_ellipticity(F: OperatorF, samples: int, rng=None) -> CheckReport:
-    """Randomized check of the Pucci-envelope form of uniform ellipticity:
-    P-(Y-X) <= F(x,Y) - F(x,X) <= P+(Y-X) at the operator's declared pair.
-    """
-    if samples < 1:
-        raise ValueError("samples >= 1 required")
-    rng = np.random.default_rng(rng)
-    ell = F.ellipticity
-
-    def draw(count):
-        x = rng.uniform(-10.0, 10.0, (count, _DIM))
-        X = rng.standard_normal((count, _DIM, _DIM))
-        Y = rng.standard_normal((count, _DIM, _DIM))
-        return {"x": x, "X": 0.5 * (X + np.swapaxes(X, -1, -2)),
-                "Y": 0.5 * (Y + np.swapaxes(Y, -1, -2))}
-
-    def margin(x, X, Y):
-        diff = F(x, Y) - F(x, X)
-        eigs = _batch_eigs(Y - X)
-        upper = pucci_batch(eigs, ell.lam, ell.Lam, "+") - diff
-        lower = diff - pucci_batch(eigs, ell.lam, ell.Lam, "-")
-        return np.minimum(upper, lower)
-
-    worst, witness = _chunked_sweep(samples, draw, margin)
-    return CheckReport(condition="uniform_ellipticity", samples=samples,
-                       worst_margin=worst, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -667,18 +637,6 @@ def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
     worst, witness = _chunked_sweep(samples, draw, margin)
     return CheckReport(condition=condition, samples=samples,
                        worst_margin=worst, witness=witness)
-
-
-def interpolation_check(m: float, samples: int, rng=None) -> CheckReport:
-    """Margin sweep of r^m <= (2-m) r + (m-1) r^2 for m in [1, 2], r >= 0."""
-    if not 1.0 <= m <= 2.0:
-        raise ValueError("m must lie in [1, 2]")
-    rng = np.random.default_rng(rng)
-    r = np.concatenate([10.0 ** rng.uniform(-8.0, 8.0, samples), [0.0, 1.0]])
-    margins = (2.0 - m) * r + (m - 1.0) * r * r - r ** m
-    k = int(np.argmin(margins))
-    return CheckReport(condition="interpolation", samples=len(r),
-                       worst_margin=float(margins[k]), witness={"r": float(r[k])})
 
 
 def empirical_increment_constant(m: float, samples: int, rng=None) -> float:

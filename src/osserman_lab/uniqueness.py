@@ -1,32 +1,23 @@
-"""Oracles and checks around uniqueness: the delta(s) constant of
-|u|^{s-1}u - |v|^{s-1}v > delta(s)(u-v)^s, the closed-form non-uniqueness
-family u = alpha e^{+-sqrt(2) x_i} + 1 for s = m = 2, and the extremal
-inequality satisfied by w_sigma = u - sigma v. The sublinearization
-inequality itself is checked by operators.check_hamiltonian.
+"""Oracles around uniqueness: the delta(s) constant of
+|u|^{s-1}u - |v|^{s-1}v > delta(s)(u-v)^s and the closed-form non-uniqueness
+family u = alpha e^{+-sqrt(2) x_i} + 1 for s = m = 2. The sublinearization
+inequality the uniqueness argument rests on is checked by
+operators.check_hamiltonian.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
-from .core import as_points, evaluate, row_norms
-from .operators import CheckReport, MetadataError, pucci, tilde_gamma
-from .solver import NumericalError, ProblemSpec
+from .core import as_points
+from .operators import CheckReport
+from .solver import NumericalError
 
 SQRT2 = math.sqrt(2.0)
-
-
-class SmoothField(Protocol):
-    """Closed-form field with exact derivatives at (N, n) points: values
-    (N,), gradients (N, n) and Hessians (N, n, n)."""
-
-    def values(self, points) -> np.ndarray: ...
-    def gradients(self, points) -> np.ndarray: ...
-    def hessians(self, points) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -54,19 +45,6 @@ class CounterexampleField:
 
     def values(self, points) -> np.ndarray:
         return self.alpha * self._exp(points) + 1.0
-
-    def gradients(self, points) -> np.ndarray:
-        E = self._exp(points)
-        s = 1.0 if self.sign == "+" else -1.0
-        g = np.zeros((len(E), self.n))
-        g[:, self.axis] = s * SQRT2 * self.alpha * E
-        return g
-
-    def hessians(self, points) -> np.ndarray:
-        E = self._exp(points)
-        mats = np.zeros((len(E), self.n, self.n))
-        mats[:, self.axis, self.axis] = 2.0 * self.alpha * E
-        return mats
 
     def boundary_function(self, negated: bool = False) -> Callable:
         """The field (or its negative) as a data callable on (N, n) points."""
@@ -140,66 +118,3 @@ def delta_s_oracle(s: float, samples: int = 20000) -> float:
     res = minimize_scalar(h, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-13})
     return float(min(res.fun, scan.min()))
-
-
-def _classical_residual(problem: ProblemSpec, field: SmoothField, pts: np.ndarray,
-                        f_vals: np.ndarray) -> np.ndarray:
-    """F + H - |u|^{s-1}u - f of a SmoothField at (N, n) points, given
-    f_vals = f(pts)."""
-    val = field.values(pts)
-    Fv = problem.F(pts, field.hessians(pts))
-    Hv = problem.H(pts, field.gradients(pts))
-    return Fv + Hv - np.abs(val) ** (problem.s - 1.0) * val - f_vals
-
-
-def extremal_difference_check(u: SmoothField, v: SmoothField, sigma: float,
-                              problem: ProblemSpec, points) -> CheckReport:
-    """Pointwise shadow of the sublinearization lemma for smooth fields:
-    at every sampled x where u is a classical subsolution,
-
-        P+(D^2 w) + gamma1|Dw| + (1-sigma)^{1-m} gamma-tilde |Dw|^m
-        - (|u|^{s-1}u - |v_s|^{s-1}v_s) + (sigma - sigma^s)|v|^{s-1}v
-        >= (1-sigma)(f - A)
-
-    with w = u - sigma v, v_s = sigma v. Rejects v unless it solves the
-    problem classically at every sample point.
-    """
-    if not 0.0 < sigma < 1.0:
-        raise ValueError("sigma must lie in (0,1)")
-    H = problem.H
-    if H.convexity is None:
-        raise MetadataError(f"{H.tag} carries no convexity constants")
-    c_lower, A, _ = H.convexity
-    if H.m <= 1.0:
-        raise MetadataError("requires m > 1")
-    tg = tilde_gamma(H.gamma_m, H.m, c_lower)
-    s = problem.s
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    f_vals = evaluate(problem.f, pts)
-
-    vv = v.values(pts)
-    res_v = _classical_residual(problem, v, pts, f_vals)
-    if np.any(np.abs(res_v) > 1e-9 * (1.0 + vv ** 2)):
-        raise ValueError("v is not a classical solution at a sample point")
-    uv = u.values(pts)
-    # the lemma is silent where u is not a subsolution
-    sub = _classical_residual(problem, u, pts, f_vals) >= -1e-9 * (1.0 + uv ** 2)
-    if not sub.any():
-        raise ValueError("u is a subsolution at none of the sample points")
-    pts, uv, vv = pts[sub], uv[sub], vv[sub]
-    wn = row_norms(u.gradients(pts) - sigma * v.gradients(pts))
-    whess = u.hessians(pts) - sigma * v.hessians(pts)
-    lhs = pucci(whess, problem.ellipticity, "+") + H.gamma1 * wn \
-        + (1.0 - sigma) ** (1.0 - H.m) * tg * wn ** H.m \
-        - (_signed_power(uv, s) - _signed_power(sigma * vv, s)) \
-        + (sigma - sigma ** s) * _signed_power(vv, s)
-    rhs = (1.0 - sigma) * (f_vals[sub] - A)
-    margins = lhs - rhs
-    k = int(np.argmin(margins))
-    elementary = (s - 1.0) * (1.0 - sigma) - (sigma - sigma ** s)
-    return CheckReport(condition="extremal_difference", samples=len(pts),
-                       worst_margin=float(margins[k]),
-                       witness={"x": pts[k].tolist(), "lhs": float(lhs[k]),
-                                "rhs": float(rhs[k])},
-                       extra={"elementary_bound_margin": float(elementary),
-                              "sigma": sigma})

@@ -610,6 +610,13 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
     pytest.param("solve", _grid_cfg(center=[0.0, 0.0]), "grid.center",
                  id="solve-center"),
     pytest.param("solve", _grid_cfg(n=3), None, id="solve-n"),
+    # a dimension the grids do not take is rejected before anything is
+    # sized by it
+    pytest.param("verify-barrier", {"barrier": {**BARRIER, "n": 1e300}}, None,
+                 id="barrier-n-huge"),
+    pytest.param("solve", _grid_cfg(n=1e300), None, id="solve-n-huge"),
+    pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
+        "k_max": 1, "h": 0.25, "n": 1e300}}, None, id="entire-n-huge"),
     pytest.param("solve", _grid_cfg(center=[math.nan]), "grid.center",
                  id="solve-center-nan"),
     pytest.param("solve", _grid_cfg(center=[math.inf]), "grid.center",
@@ -672,7 +679,7 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
                  "hamiltonian", id="hamiltonian-c1-nan"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", n=10 ** 400),
                  "hamiltonian.n", id="hamiltonian-n-huge-int"),
-    # the checkers draw their points, matrices and gradients in 2D
+    # the checkers draw their points and gradients in 2D
     pytest.param("check-hamiltonian", _check_cfg(
         tag="two_power", c={"c0": 1.0, "amp": 0.5, "freq": 3.0}, n=1),
                  "hamiltonian.n", id="hamiltonian-n-1"),

@@ -37,6 +37,8 @@ def test_1d_interior_neighbours_are_consecutive(center, R, h):
 def test_2d_grid_interior_count():
     g = build_ball_grid([0.0, 0.0], 1.0, 0.25, 2)
     assert g.n_interior == 45
+    # no center is the origin
+    assert np.array_equal(build_ball_grid(None, 1.0, 0.25, 2).nodes, g.nodes)
 
 
 def test_1d_grid_h_03():

@@ -11,7 +11,7 @@ from osserman_lab.barrier import barrier_constants
 from osserman_lab.core import ScalarField, build_ball_grid, norm, sample_field
 from osserman_lab.entire import (check_local_bound, construct_entire,
                                  continuum_oracle_1d, fit_abp_constant,
-                                 fit_decay_exponent, growth_profile,
+                                 fit_decay_exponent,
                                  local_bound, rho_threshold,
                                  rho_threshold_closed_form, separation_table,
                                  sup_difference)
@@ -256,21 +256,6 @@ def test_rho_threshold():
         rho_threshold(2.0, 2.0)
     with pytest.raises(ValueError):
         rho_threshold_closed_form(2.0, 2.0)
-
-
-def test_growth_profile_below_threshold_is_bounded():
-    prob = _problem(s=3.0, m=2.0, c1=0.0, cm=1.0)
-    out = growth_profile(prob, [1, 2, 3, 4], rho=0.5, h=0.1, tol=1e-7,
-                         max_iter=500_000)
-    # mu s rho / 2 = 2 * 3 * 0.5 / 2
-    assert out["exponent"] == pytest.approx(1.5)
-    assert out["bounded_tail"]
-    assert not out["flagged"]
-    ratios = [row["ratio"] for row in out["rows"]]
-    assert len(ratios) == 3
-    assert all(b < a for a, b in zip(ratios, ratios[1:]))
-    with pytest.raises(ValueError):
-        growth_profile(prob, [1, 2], rho=-1.0, h=0.1, tol=1e-7, max_iter=100)
 
 
 def _cubic_problem(H):

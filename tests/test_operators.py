@@ -9,9 +9,8 @@ from osserman_lab import operators
 from osserman_lab.operators import (CONDITIONS, Coeff, EllipticityPair,
                                     HamiltonianH, MetadataError,
                                     check_hamiltonian,
-                                    check_uniform_ellipticity,
                                     empirical_increment_constant,
-                                    hamiltonian_library, interpolation_check,
+                                    hamiltonian_library,
                                     laplacian_operator, negate_hamiltonian,
                                     pucci, pucci_bruteforce,
                                     pucci_bruteforce_sweep,
@@ -90,13 +89,6 @@ def test_bruteforce_sweep_matches_scalar():
         assert val <= pucci(np.array([[a, b], [b, c]]), ELL, "+") + 1e-10
 
 
-def test_uniform_ellipticity_pucci_and_laplacian():
-    for F in (pucci_operator(ELL, "+"), pucci_operator(ELL, "-"),
-              laplacian_operator()):
-        rep = check_uniform_ellipticity(F, samples=20_000, rng=0)
-        assert rep.passed, (F.ellipticity, rep.worst_margin)
-
-
 # library F -> how its discrete value picks among the frames' values
 # (axes first, then in 2D the diagonals): P+ the max, P- the min, and a
 # linear F the axis frame
@@ -135,11 +127,20 @@ def test_stencil_is_monotone_and_matches_F_on_the_active_frame(tag, n, lam,
                                    atol=1e-12 * (1.0 + np.abs(d2).max()))
 
 
-def test_uniform_ellipticity_detects_wrong_pair():
-    F = weighted_trace_operator([1.0, 3.0], declared=EllipticityPair(2.0, 2.0))
-    rep = check_uniform_ellipticity(F, samples=20_000, rng=0)
-    assert not rep.passed
-    assert rep.worst_margin < -1e-3
+def test_uniform_ellipticity_pucci_and_laplacian():
+    # every library F lies in the Pucci envelope of its own pair:
+    # P-(Y-X) <= F(x,Y) - F(x,X) <= P+(Y-X), up to rounding
+    rng = np.random.default_rng(0)
+    for tag, (make, _) in _LIBRARY_F.items():
+        for n in (1, 2):
+            F = make(ELL, n)
+            x = rng.uniform(-10.0, 10.0, (300, n))
+            X = rng.standard_normal((300, n, n))
+            Y = rng.standard_normal((300, n, n))
+            X, Y = X + np.swapaxes(X, 1, 2), Y + np.swapaxes(Y, 1, 2)
+            diff, ell = F(x, Y) - F(x, X), F.ellipticity
+            assert np.all(diff <= pucci(Y - X, ell, "+") + 1e-12), (tag, n)
+            assert np.all(diff >= pucci(Y - X, ell, "-") - 1e-12), (tag, n)
 
 
 def test_weighted_trace_default_pair():
@@ -147,8 +148,6 @@ def test_weighted_trace_default_pair():
     assert F.ellipticity == EllipticityPair(1.0, 3.0)
     X = np.diag([2.0, -1.0])[None, :, :]
     assert F(np.zeros((1, 2)), X)[0] == pytest.approx(2.0 - 3.0)
-    rep = check_uniform_ellipticity(F, samples=20_000, rng=0)
-    assert rep.passed
 
 
 def test_coeff_bounds():
@@ -350,20 +349,13 @@ def test_nan_margins_fail_every_condition():
 
 
 def _sweeps():
-    """Every library tag x claimed condition, and uniform ellipticity for
-    every library F, as (id, call) pairs."""
+    """Every library tag x claimed condition, as (id, call) pairs."""
     for i, (tag, params) in enumerate(LIBRARY_CASES):
         H = hamiltonian_library(tag, **params)
         for condition in H.claims:
             yield (f"{tag}-params{i}-{condition}",
                    lambda samples, H=H, c=condition:
                    check_hamiltonian(H, c, samples, rng=5))
-    for name, F in (("pucci_plus", pucci_operator(ELL, "+")),
-                    ("pucci_minus", pucci_operator(ELL, "-")),
-                    ("laplacian", laplacian_operator()),
-                    ("weighted_trace", weighted_trace_operator([1.0, 3.0]))):
-        yield (f"ellipticity-{name}",
-               lambda samples, F=F: check_uniform_ellipticity(F, samples, rng=5))
 
 
 _SWEEPS = dict(_sweeps())
@@ -394,17 +386,6 @@ def test_tilde_gamma_value():
         tilde_gamma(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         tilde_gamma(1.0, 2.0, 0.0)
-
-
-def test_interpolation_inequality():
-    rep = interpolation_check(1.5, samples=100_000, rng=0)
-    assert rep.passed
-    # hand value at r = 2: bound (2-m)r + (m-1)r^2 = 3 vs r^1.5
-    assert (2.0 - 1.5) * 2.0 + 0.5 * 4.0 - 2.0 ** 1.5 == pytest.approx(3.0 - 2.0 ** 1.5)
-    for m in (1.0, 2.0):
-        assert interpolation_check(m, samples=10_000, rng=1).passed
-    with pytest.raises(ValueError):
-        interpolation_check(2.5, samples=100)
 
 
 def test_empirical_increment_constant():
