@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .barrier import barrier_constants, verify_barrier_inequality
 from .config import (ConfigError, _section, build_boundary, build_grid,
-                     build_problem, build_hamiltonian, check_dimension, count,
-                     load_config, number, positive)
+                     build_hamiltonian, build_problem, count, dimension,
+                     exceeding, load_config, node_budget, number)
 from .core import GridError, build_ball_grid, origin
 from .entire import construct_entire, fit_decay_exponent, separation_table
 from .operators import CONDITIONS, MetadataError, check_hamiltonian
@@ -88,12 +88,13 @@ def _cmd_verify_barrier(cfg, seed: int):
     sec = _section(cfg, "barrier")
     constants = {key: number(sec, key, "barrier")
                  for key in ("s", "m", "Lam", "gamma1", "gamma", "delta", "R")}
-    constants["n"] = count(sec, "n", "barrier", 1)
+    constants["n"] = dimension(cfg)
     params = {**constants, "h": number(sec, "h", "barrier")}
     try:
         spec = barrier_constants(**constants)
     except ValueError as exc:
         raise ConfigError("barrier", str(exc))
+    node_budget("barrier", params["R"], params["h"], params["n"])
     grid = build_ball_grid(None, 0.999 * params["R"], params["h"], params["n"])
     report = verify_barrier_inequality(spec, grid)
     res = report.extra["residuals"]
@@ -111,11 +112,9 @@ def _cmd_solve(cfg, seed: int):
     """Dirichlet solve on a ball."""
     problem = build_problem(cfg)
     grid = build_grid(cfg)
-    data = {"boundary": _section(cfg, "boundary", default=_ZERO_DATA)}
-    boundary = build_boundary(data["boundary"])
-    check_dimension(cfg, grid.n, data)
+    boundary = build_boundary(_section(cfg, "boundary", default=_ZERO_DATA), grid.n)
     sec = _section(cfg, "solve", default={})
-    tol = positive(sec, "tol", "solve", default=1e-8)
+    tol = exceeding(sec, "tol", "solve", 0.0, default=1e-8)
     max_iter = count(sec, "max_iter", "solve", 1, default=200000)
     field, report = solve_dirichlet(problem, grid, boundary, tol, max_iter)
     header = ["node"] + [f"x{a}" for a in range(grid.n)] + ["value"]
@@ -130,18 +129,17 @@ def _cmd_entire(cfg, seed: int):
     """Expanding-ball construction; with boundary2 also the two-solution
     separation experiment."""
     problem = build_problem(cfg)
+    n = dimension(cfg)
     sec = _section(cfg, "entire")
     k_max = count(sec, "k_max", "entire", 1)
-    n = count(sec, "n", "entire", 1, default=1)
-    data = {"entire.boundary": _section(sec, "boundary", "entire", _ZERO_DATA)}
-    if "boundary2" in sec:
-        data["entire.boundary2"] = _section(sec, "boundary2", "entire")
-    boundaries = [build_boundary(b, path) for path, b in data.items()]
-    check_dimension(cfg, n, data)
+    keys = ("boundary", "boundary2") if "boundary2" in sec else ("boundary",)
+    boundaries = [build_boundary(_section(sec, key, "entire", _ZERO_DATA), n,
+                                 f"entire.{key}") for key in keys]
     h = number(sec, "h", "entire")
-    tol = positive(sec, "tol", "entire", default=1e-8)
+    tol = exceeding(sec, "tol", "entire", 0.0, default=1e-8)
     max_iter = count(sec, "max_iter", "entire", 1, default=2000000)
-    radius = positive(sec, "separation_radius", "entire", default=1.0)
+    radius = exceeding(sec, "separation_radius", "entire", 0.0, default=1.0)
+    node_budget("entire", k_max, h, n, grids=k_max)
     runs = construct_entire(problem, k_max, boundaries, tol, h, max_iter,
                             center=origin(n))
     flagged = any(run.flagged for run in runs)
@@ -174,14 +172,11 @@ def _cmd_entire(cfg, seed: int):
 def _cmd_check_hamiltonian(cfg, seed: int):
     """Structure-condition sweep of the top-level hamiltonian."""
     sec = _section(cfg, "check")
-    hamiltonian = _section(cfg, "hamiltonian")
-    H = build_hamiltonian(hamiltonian, "hamiltonian")
-    if hamiltonian.get("n", 2) != 2:
-        raise ConfigError("hamiltonian.n", "must be 2: the checkers sample in 2D")
+    # the checkers draw their points and gradients in 2D
+    H = build_hamiltonian(_section(cfg, "hamiltonian"), 2, "hamiltonian")
     if "condition" in sec and sec["condition"] not in CONDITIONS:
-        raise ConfigError("check.condition",
-                          f"unknown condition {sec['condition']!r}")
-    samples = count(sec, "samples", "check", 1, default=1000000)
+        raise ConfigError("check.condition", f"unknown condition {sec['condition']!r}")
+    samples = count(sec, "samples", "check", 1, default=1000000, most=10**7)
     conditions = [sec["condition"]] if "condition" in sec else list(H.claims)
     rng = np.random.default_rng(seed)
     reports = [check_hamiltonian(H, cond, samples, rng=rng) for cond in conditions]
@@ -196,11 +191,9 @@ def _cmd_check_hamiltonian(cfg, seed: int):
 def _cmd_oracle(cfg, seed: int):
     """The delta(s) infimum oracle."""
     sec = _section(cfg, "oracle")
-    s = number(sec, "s", "oracle")
-    if s <= 1.0:
-        raise ConfigError("oracle.s", "s must exceed 1")
+    s = exceeding(sec, "s", "oracle", 1.0)
     params = {"s": s, "samples": count(sec, "samples", "oracle", 10,
-                                       default=20000)}
+                                       default=20000, most=10**6)}
     value = delta_s_oracle(s, params["samples"])
     candidate = 2.0 ** (1.0 - s)
     summary = {"parameters": params, "passed": True, "delta_s": value,
@@ -266,11 +259,9 @@ def main(argv=None) -> int:
                               "directory")
         echo, results, tables = _DISPATCH[args.command](
             load_config(args.config), args.seed)
-    except ConfigError as exc:
-        print(f"config error at {exc.key}: {exc.message}", file=sys.stderr)
-        return 2
-    except (GridError, MetadataError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, GridError, MetadataError) as exc:
+        where = " at" if isinstance(exc, ConfigError) else ":"  # "key: message"
+        print(f"config error{where} {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Callable
 
 import numpy as np
 
-from .core import build_ball_grid
+from .core import build_ball_grid, origin
 from .entire import radial_power_rhs
 from .operators import (EllipticityPair, HamiltonianH, OperatorF,
                         hamiltonian_library, laplacian_operator,
@@ -22,11 +23,9 @@ from .uniqueness import CounterexampleField
 
 
 class ConfigError(ValueError):
-    """Schema violation; carries the offending key path."""
+    """Schema violation at a key path; reads "key: message"."""
 
     def __init__(self, key: str, message: str):
-        self.key = key
-        self.message = message
         super().__init__(f"{key}: {message}")
 
 
@@ -34,10 +33,8 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("<file>", f"cannot read config ({exc})")
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<file>", f"not valid JSON ({exc})")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise ConfigError("<file>", f"cannot read a JSON config ({exc})")
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     return cfg
@@ -64,41 +61,37 @@ def _section(parent: dict, key: str, path: str = "", default=None) -> dict:
 def _finite(val) -> bool:
     """A JSON number that is a finite float: no bool, NaN or infinity, and
     no integer too large for a float."""
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        return False
-    try:
-        return math.isfinite(val)
-    except OverflowError:
-        return False
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
 
 
 def number(section: dict, key: str, path: str, default=None):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required key")
+    if key not in section and default is not None:
         return default
-    val = section[key]
-    if not _finite(val):
+    if not _finite(_require(section, key, path)):
         raise ConfigError(f"{path}.{key}", "must be a finite number")
-    return float(val)
+    return float(section[key])
 
 
-def count(section: dict, key: str, path: str, least: int, default=None) -> int:
-    """An integer config value of at least ``least``, read like ``number``;
-    an integral float such as 2.0 is accepted."""
+def count(section: dict, key: str, path: str, least: int, default=None,
+          most=math.inf) -> int:
+    """An integer config value from ``least`` to ``most``, read like
+    ``number``; an integral float such as 2.0 is accepted."""
     value = number(section, key, path, default)
     if value != int(value):
         raise ConfigError(f"{path}.{key}", "must be an integer")
     if value < least:
         raise ConfigError(f"{path}.{key}", f"must be at least {least}")
+    if value > most:
+        raise ConfigError(f"{path}.{key}", f"must be at most {most:,}")
     return int(value)
 
 
-def positive(section: dict, key: str, path: str, default=None) -> float:
-    """A positive config value, read like ``number``."""
+def exceeding(section: dict, key: str, path: str, bound: float, default=None) -> float:
+    """A config value greater than ``bound``, read like ``number``."""
     value = number(section, key, path, default)
-    if value <= 0.0:
-        raise ConfigError(f"{path}.{key}", "must be positive")
+    if value <= bound:
+        raise ConfigError(f"{path}.{key}", f"must exceed {bound:g}")
     return value
 
 
@@ -110,11 +103,36 @@ def _switch(section: dict, key: str, path: str) -> bool:
     return val
 
 
-def build_operator(section: dict, path: str = "problem.operator") -> OperatorF:
+def dimension(cfg: dict) -> int:
+    """The run's space dimension n: the ``n`` of the ``grid``, ``entire``
+    (default 1) or ``barrier`` section, which must agree, or 2 (the checkers')
+    without them. ``core.origin`` checks it before anything is sized by it."""
+    dims = {key: count(_section(cfg, key), "n", key, 1,
+                       default=1 if key == "entire" else None)
+            for key in ("grid", "entire", "barrier") if key in cfg}
+    for key, n in dims.items():
+        origin(n)
+        if n != next(iter(dims.values())):
+            raise ConfigError(f"{key}.n", "must be the n of the other sections")
+    return next(iter(dims.values()), 2)
+
+
+_MAX_NODES = 1_000_000  # the largest run, tools/bench_entire_2d.py's, counts 819,200
+
+
+def node_budget(path: str, R: float, h: float, n: int, grids: int = 1) -> None:
+    """Reject, at ``path``, ``grids`` ball grids of radius up to R, spacing h,
+    counted (2R/h)^n nodes each, past _MAX_NODES; bad R or h pass through."""
+    side = 2.0 * R / h if R > 0 and h > 0 else 0.0
+    if grids * min(side, 1e9) ** n > _MAX_NODES:  # a float power past 1e308 raises
+        raise ConfigError(path, f"radius {R:.3g} at spacing {h:.3g} needs over "
+                          f"{_MAX_NODES:,} grid nodes")
+
+
+def build_operator(section: dict, n: int, path: str = "problem.operator") -> OperatorF:
     tag = _require(section, "tag", path)
     if tag in ("pucci_plus", "pucci_minus"):
-        lam = number(section, "lam", path)
-        Lam = number(section, "Lam", path)
+        lam, Lam = number(section, "lam", path), number(section, "Lam", path)
         if not 0 < lam <= Lam:
             raise ConfigError(f"{path}.lam", "need 0 < lam <= Lam")
         return pucci_operator(EllipticityPair(lam, Lam),
@@ -123,26 +141,36 @@ def build_operator(section: dict, path: str = "problem.operator") -> OperatorF:
         return laplacian_operator()
     if tag == "weighted_trace":
         weights = _require(section, "weights", path)
-        if not isinstance(weights, list) or not weights \
+        if not isinstance(weights, list) or len(weights) != n \
                 or not all(_finite(w) and w > 0 for w in weights):
-            raise ConfigError(f"{path}.weights",
-                              "must be a list of positive finite numbers")
+            raise ConfigError(f"{path}.weights", f"must be a list of {n} "
+                              "positive finite numbers, one per axis")
         return weighted_trace_operator(weights)
     raise ConfigError(f"{path}.tag", f"unknown operator tag {tag!r}")
 
 
-def build_hamiltonian(section: dict, path: str = "problem.hamiltonian") -> HamiltonianH:
+def _numbers(value) -> bool:
+    """Whether every scalar of a JSON value, at any depth, is ``_finite``."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    return all(map(_numbers, value)) if isinstance(value, list) else _finite(value)
+
+
+def build_hamiltonian(section: dict, n: int,
+                      path: str = "problem.hamiltonian") -> HamiltonianH:
     tag = _require(section, "tag", path)
     params = {k: v for k, v in section.items() if k not in ("tag", "negate")}
     try:  # finds a NaN or infinity at any depth: coefficients, matrices
         json.dumps(params, allow_nan=False)
     except ValueError:
         raise ConfigError(path, "numbers must be finite")
-    if "n" in params:
-        params["n"] = count(section, "n", path, 1)
+    count(section, "n", path, n, default=n, most=n)  # the run's dimension
+    for key, value in params.items():
+        if not _numbers(value):
+            raise ConfigError(f"{path}.{key}", "must hold only finite numbers")
     try:
-        H = hamiltonian_library(tag, **params)
-    except (ValueError, TypeError, OverflowError) as exc:
+        H = hamiltonian_library(tag, **{**params, "n": n})
+    except (ValueError, TypeError, ArithmeticError) as exc:
         raise ConfigError(path, str(exc))
     return negate_hamiltonian(H) if _switch(section, "negate", path) else H
 
@@ -167,7 +195,7 @@ def build_f(section: dict, path: str = "problem.f") -> Callable:
     raise ConfigError(f"{path}.tag", f"unknown rhs tag {tag!r}")
 
 
-def build_boundary(section: dict, path: str = "boundary") -> Callable:
+def build_boundary(section: dict, n: int, path: str = "boundary") -> Callable:
     """Dirichlet data g as a data callable on (N, n) points."""
     tag = _require(section, "tag", path)
     if tag == "constant":
@@ -177,7 +205,7 @@ def build_boundary(section: dict, path: str = "boundary") -> Callable:
         alpha = number(section, "alpha", path)
         sign = section.get("sign", "+")
         axis = count(section, "axis", path, 0, default=0)
-        n = count(section, "n", path, 1, default=1)
+        count(section, "n", path, n, default=n, most=n)  # the run's dimension
         try:
             fld = CounterexampleField(alpha=alpha, sign=sign, axis=axis, n=n)
         except ValueError as exc:
@@ -188,47 +216,26 @@ def build_boundary(section: dict, path: str = "boundary") -> Callable:
     raise ConfigError(f"{path}.tag", f"unknown boundary tag {tag!r}")
 
 
-def check_dimension(cfg: dict, n: int, boundaries: dict) -> None:
-    """Reject weighted_trace weights that are not one per axis of the
-    dimension-n grids, a sup_inf Hamiltonian whose matrices are not n x n,
-    and exp_family boundary data of another dimension. ``cfg`` must have
-    passed build_problem, and each section of ``boundaries`` (key path ->
-    section) build_boundary."""
-    section = cfg["problem"]["operator"]
-    if section["tag"] == "weighted_trace" and len(section["weights"]) != n:
-        raise ConfigError("problem.operator.weights",
-                          f"need {n} weights, one per axis, got "
-                          f"{len(section['weights'])}")
-    section = cfg["problem"]["hamiltonian"]
-    dim = count(section, "n", "problem.hamiltonian", 1, default=2)
-    if section["tag"] == "sup_inf" and dim != n:
-        raise ConfigError("problem.hamiltonian.n",
-                          f"must be the grid dimension {n}")
-    for path, data in boundaries.items():
-        if data["tag"] == "exp_family" and int(data.get("n", 1)) != n:
-            raise ConfigError(f"{path}.n", f"must be the grid dimension {n}")
-
-
 def build_problem(cfg: dict) -> ProblemSpec:
+    n = dimension(cfg)
     section = _section(cfg, "problem")
-    s = number(section, "s", "problem")
-    if s <= 1.0:
-        raise ConfigError("problem.s", "s must exceed 1")
-    F = build_operator(_section(section, "operator", "problem"))
-    H = build_hamiltonian(_section(section, "hamiltonian", "problem"))
+    s = exceeding(section, "s", "problem", 1.0)
+    F = build_operator(_section(section, "operator", "problem"), n)
+    H = build_hamiltonian(_section(section, "hamiltonian", "problem"), n)
     f = build_f(_section(section, "f", "problem", {"tag": "zero"}))
     return ProblemSpec(F=F, H=H, s=s, f=f)
 
 
 def build_grid(cfg: dict):
     """The ball grid of the ``grid`` section; ``build_ball_grid`` rejects a
-    dimension, radius or spacing it cannot use with a GridError."""
+    radius or spacing it cannot use with a GridError."""
+    n = dimension(cfg)
     section = _section(cfg, "grid")
-    n = count(section, "n", "grid", 1)
     center = section.get("center")  # None: the origin
     if "center" in section and (not isinstance(center, list)
                                 or len(center) != n
                                 or not all(map(_finite, center))):
         raise ConfigError("grid.center", f"must be a list of {n} finite numbers")
-    return build_ball_grid(center, number(section, "radius", "grid"),
-                           number(section, "h", "grid"), n)
+    R, h = number(section, "radius", "grid"), number(section, "h", "grid")
+    node_budget("grid", R, h, n)
+    return build_ball_grid(center, R, h, n)

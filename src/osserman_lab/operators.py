@@ -405,8 +405,9 @@ def _prototype(*, c1=0.0, cm=1.0, m=2.0, n=2) -> HamiltonianH:
 def _two_power(*, c=1.0, a=0.5, m=2.0, l=1.5, sigma0=0.5, n=2) -> HamiltonianH:
     c, a, m, l, sigma0, n = (_as_coeff(c), _as_coeff(a), float(m), float(l),
                              float(sigma0), int(n))
-    if not (1.0 < m <= 2.0 and 1.0 <= l < m):
-        raise ValueError("two_power needs 1 < m <= 2 and 1 <= l < m")
+    if not (1.0 < m <= 2.0 and 1.0 <= l < m and 0.0 < sigma0 < 1.0):
+        raise ValueError("two_power needs 1 < m <= 2, 1 <= l < m and "
+                         "0 < sigma0 < 1")
     if c.inf <= 0:
         raise ValueError("two_power needs inf c > 0")
     ev, grad = _power_law(((c, m), (a, l)))
@@ -585,6 +586,11 @@ def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
         raise MetadataError("sublinearization requires m > 1")
     rng = np.random.default_rng(rng)
     m, g1, gm = H.m, H.gamma1, H.gamma_m
+    if condition == "sublinearization":
+        try:
+            tg = tilde_gamma(gm, m, H.convexity[0])
+        except OverflowError:
+            raise MetadataError(f"tilde gamma overflows at gamma_m = {gm:.3g}")
 
     def draw(count):
         x = rng.uniform(-10.0, 10.0, (count, _DIM))
@@ -623,8 +629,7 @@ def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
         return (1.0 - sigma) * (-c_lower * row_norms(p) ** m + A) - quantity
 
     def sublinearization(x, p, q, sigma):
-        c_lower, A, _ = H.convexity
-        tg = tilde_gamma(gm, m, c_lower)
+        A = H.convexity[1]
         quantity = H(x, p + q) - sigma * H(x, _divide_rows(p, sigma))
         qn = row_norms(q)
         bound = tg * (1.0 - sigma) ** (1.0 - m) * qn ** m + g1 * qn \

@@ -246,8 +246,9 @@ def test_criterion_7_boundary_independence(entire_runs):
     assert summary["fitted_decay_exponent"] == fit_decay_exponent(radii, seps)
     cfg = ENTIRE_CFG["entire"]
     oracle = continuum_separation_table(
-        build_problem(ENTIRE_CFG), cfg["k_max"], build_boundary(cfg["boundary"]),
-        build_boundary(cfg["boundary2"]), cfg["h"])
+        build_problem(ENTIRE_CFG), cfg["k_max"],
+        build_boundary(cfg["boundary"], cfg["n"]),
+        build_boundary(cfg["boundary2"], cfg["n"]), cfg["h"])
     assert [row["k"] for row in oracle] == radii
     ok, detail = criterion_7_verdict(
         radii, seps, [row["separation"] for row in oracle])

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -328,9 +330,9 @@ def test_removed_flags_and_option_prefixes_exit_2_and_write_nothing(tmp_path,
 
 
 def _every_command_cfg(tmp_path):
-    """A config that every command runs on."""
+    """A config that every command runs on: one dimension, 1, throughout."""
     return _write_cfg(tmp_path, "cfg.json", {
-        "barrier": BARRIER, "oracle": {"s": 2.0, "samples": 50},
+        "barrier": {**BARRIER, "n": 1}, "oracle": {"s": 2.0, "samples": 50},
         "hamiltonian": NO_CONVEXITY_H, "check": {"samples": 10},
         **SOLVE_CFG, "entire": {"k_max": 1, "h": 0.25}})
 
@@ -692,7 +694,7 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
                  "hamiltonian", id="sup_inf-3x3"),
     pytest.param("solve", _sup_inf_cfg(n=1), "problem.hamiltonian",
                  id="solve-1d-sup_inf-2x2"),
-    pytest.param("solve", _sup_inf_cfg(), "problem.hamiltonian.n",
+    pytest.param("solve", _sup_inf_cfg(), "problem.hamiltonian",
                  id="solve-1d-sup_inf-n"),
     # the Hamiltonian's dimension n is an integer of at least 1
     pytest.param("solve", _hamiltonian_n_cfg(1.5), "problem.hamiltonian.n",
@@ -750,6 +752,44 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
     pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
         "k_max": 1, "h": 0.25, "boundary": "tag"}}, "entire.boundary",
                  id="entire-boundary-text"),
+    # a run that could not allocate its arrays or would not finish
+    pytest.param("oracle", {"oracle": {"s": 2.0, "samples": 1e300}},
+                 "oracle.samples", id="oracle-samples-huge"),
+    pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H,
+                                       "check": {"samples": 1e300}},
+                 "check.samples", id="check-samples-huge"),
+    pytest.param("verify-barrier", {"barrier": {**BARRIER, "h": 1e-300}},
+                 "barrier", id="barrier-h-tiny"),
+    pytest.param("verify-barrier", {"barrier": {**BARRIER, "R": 100.0}},
+                 "barrier", id="barrier-R-100"),
+    pytest.param("solve", _grid_cfg(radius=1e300), "grid",
+                 id="solve-radius-huge"),
+    pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
+        "k_max": 1e300, "h": 0.25}}, "entire", id="entire-k_max-huge"),
+    pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
+        "k_max": 2, "h": 1e-300}}, "entire", id="entire-h-tiny"),
+    # tilde gamma = gamma_m + ... gamma_m^m overflows a float
+    pytest.param("check-hamiltonian", _check_cfg(
+        tag="prototype", c1=0.0, cm=1e300, m=2.0), None, id="check-cm-huge"),
+    # Hamiltonian leaves are JSON numbers: no bool or text cast to a float
+    pytest.param("check-hamiltonian", _check_cfg(tag="prototype", m=True),
+                 "hamiltonian.m", id="hamiltonian-m-bool"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="prototype", m="2"),
+                 "hamiltonian.m", id="hamiltonian-m-text"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="prototype", c1="0.5"),
+                 "hamiltonian.c1", id="hamiltonian-c1-text"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="prototype", cm=True),
+                 "hamiltonian.cm", id="hamiltonian-cm-bool"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="two_power", sigma0="0.5"),
+                 "hamiltonian.sigma0", id="hamiltonian-sigma0-text"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="two_power", sigma0=0),
+                 "hamiltonian", id="hamiltonian-sigma0-0"),
+    pytest.param("check-hamiltonian", _check_cfg(
+        tag="sup_inf", matrices=[[[[2.0, 0.0], [0.0, True]]]]),
+                 "hamiltonian.matrices", id="sup_inf-bool"),
+    # one dimension per run
+    pytest.param("solve", {**_grid_cfg(), "barrier": BARRIER}, "barrier.n",
+                 id="solve-two-dimensions"),
 ])
 def test_rejected_config_values_exit_2_and_write_nothing(tmp_path, capsys,
                                                           command, cfg, key):
@@ -780,3 +820,95 @@ def test_weighted_trace_needs_one_weight_per_axis(tmp_path, capsys, command,
     good = _write_cfg(tmp_path, "good.json", {"problem": problem, **section})
     assert main([command, "--config", good, "--out", str(tmp_path / "good"),
                  "--quiet"]) == 0
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    out = str(tmp_path / "out")
+    assert main(["oracle", "--config", str(cfg), "--out", out]) == 2
+    assert "config error at <file>:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+# One small valid config per command; every leaf of each is mutated in turn.
+_FUZZ_BASES = {
+    "verify-barrier": {"barrier": {**BARRIER, "h": 0.1}},
+    "solve": {
+        "problem": {"s": 2.0,
+                    "operator": {"tag": "pucci_plus", "lam": 1.0, "Lam": 1.0},
+                    "hamiltonian": {"tag": "prototype", "c1": 0.5, "cm": 1.0,
+                                    "m": 2.0, "n": 1},
+                    "f": {"tag": "radial_power", "rho": 0.5}},
+        "grid": {"n": 1, "radius": 1.0, "h": 0.1, "center": [0.0]},
+        "boundary": {"tag": "exp_family", "alpha": 1.0, "axis": 0,
+                     "negated": False},
+        "solve": {"tol": 1e-8, "max_iter": 50}},
+    "entire": {
+        "problem": {"s": 3.0,
+                    "operator": {"tag": "weighted_trace", "weights": [1.0]},
+                    "hamiltonian": {"tag": "sup_inf", "matrices": [[[[1.0]]]],
+                                    "m": 2.0},
+                    "f": {"tag": "constant", "value": 0.0}},
+        "entire": {"k_max": 2, "h": 0.25, "n": 1, "tol": 1e-8, "max_iter": 50,
+                   "separation_radius": 1.0,
+                   "boundary": {"tag": "constant", "value": 0.0},
+                   "boundary2": {"tag": "constant", "value": 1.0}}},
+    "check-hamiltonian": {"hamiltonian": {"tag": "two_power", "c": 1.0,
+                                          "a": 0.5, "m": 2.0, "l": 1.5,
+                                          "sigma0": 0.5},
+                          "check": {"samples": 100}},
+    "oracle": {"oracle": {"s": 2.0, "samples": 50}},
+}
+_FUZZ_VALUES = [0, -1, -0.5, 0.5, 1.5, 2.5, 3, 100, 1e300, -1e300, 1e-300,
+                True, "x", None, [], {}, [1.0]]
+
+
+def _leaf_paths(value, path=()):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaf_paths(item, path + (key,))
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from _leaf_paths(item, path + (i,))
+    else:
+        yield path
+
+
+def _mutated(cfg, *changes):
+    cfg = json.loads(json.dumps(cfg))
+    for path, value in changes:
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return cfg
+
+
+_FUZZ_CASES = [(command, path) for command, base in _FUZZ_BASES.items()
+               for path in _leaf_paths(base)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=st.sampled_from(_FUZZ_CASES), value=st.sampled_from(_FUZZ_VALUES))
+# runs that could not allocate or overflowed in a checker
+@example(case=("oracle", ("oracle", "samples")), value=1e300)
+@example(case=("verify-barrier", ("barrier", "h")), value=1e-300)
+@example(case=("verify-barrier", ("barrier", "R")), value=100)
+@example(case=("solve", ("grid", "radius")), value=1e300)
+@example(case=("check-hamiltonian", ("hamiltonian", "c")), value=1e300)
+@example(case=("check-hamiltonian", ("hamiltonian", "sigma0")), value=0)
+# a huge n must not be echoed digit by digit
+@example(case=("solve", ("grid", "n")), value=1e300)
+def test_one_leaf_mutations_exit_0_1_or_2(tmp_path_factory, case, value):
+    command, path = case
+    cfg = _mutated(_FUZZ_BASES[command], (path, value))
+    tmp = tmp_path_factory.mktemp("fuzz")
+    out = str(tmp / "out")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([command, "--config", _write_cfg(tmp, "cfg.json", cfg),
+                   "--out", out, "--quiet"])
+    assert rc in (0, 1, 2)
+    assert rc != 2 or not os.path.exists(out)
+    assert all(len(line) <= 160 for line in err.getvalue().splitlines())

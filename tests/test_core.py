@@ -300,6 +300,10 @@ def _exp_family(x, sign):
 _EXP_FAMILY = {"tag": "exp_family", "alpha": 0.5, "sign": "-", "axis": 1, "n": 2}
 
 
+def _boundary_2d(section):
+    return build_boundary(section, 2)
+
+
 @pytest.mark.parametrize("build, section, closed", [
     (build_f, {"tag": "zero"}, lambda x: 0.0),
     (build_f, {"tag": "constant", "value": -2.5}, lambda x: -2.5),
@@ -307,11 +311,11 @@ _EXP_FAMILY = {"tag": "exp_family", "alpha": 0.5, "sign": "-", "axis": 1, "n": 2
      lambda x: -(1.0 + math.hypot(*x) ** 1.5)),
     (build_f, {"tag": "mms_cos"},
      lambda x: -math.cos(x[0]) + math.sin(x[0]) ** 2 - math.cos(x[0]) ** 3),
-    (build_boundary, {"tag": "constant", "value": 3.0}, lambda x: 3.0),
-    (build_boundary, _EXP_FAMILY, lambda x: _exp_family(x, 1.0)),
-    (build_boundary, {**_EXP_FAMILY, "negated": True},
+    (_boundary_2d, {"tag": "constant", "value": 3.0}, lambda x: 3.0),
+    (_boundary_2d, _EXP_FAMILY, lambda x: _exp_family(x, 1.0)),
+    (_boundary_2d, {**_EXP_FAMILY, "negated": True},
      lambda x: _exp_family(x, -1.0)),
-    (build_boundary, {"tag": "cos"}, lambda x: math.cos(x[0])),
+    (_boundary_2d, {"tag": "cos"}, lambda x: math.cos(x[0])),
 ], ids=["f-zero", "f-constant", "f-radial_power", "f-mms_cos", "g-constant",
         "g-exp_family", "g-exp_family-negated", "g-cos"])
 def test_config_data_callables_match_closed_form(build, section, closed):
