@@ -5,8 +5,8 @@ Subcommands: verify-barrier, solve, entire, check-hamiltonian, oracle.
 experiment behind the uniqueness result. Every command reads its inputs
 from the ``--config`` file alone. Each command computes its
 results and writes nothing; ``main`` then writes its CSV data files, a
-JSON summary (with the package version, resolved parameters and seed) and
-an echo of the resolved config into the output directory, so a run that
+JSON summary (with the package version, parameters and seed) and an echo
+of the config into the output directory, so a run that
 stops with an error leaves no files.
 Identical config + seed reproduce the outputs byte for byte. Exit codes:
 0 all checks pass, 1 check failure or numerical error, 2 config/schema
@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__
 from .barrier import barrier_constants, verify_barrier_inequality
-from .config import (ConfigError, _section, build_boundary, build_grid,
-                     build_hamiltonian, build_problem, count, dimension,
-                     exceeding, load_config, node_budget, number)
+from .config import (OBJECT, REAL, ConfigError, above, build_boundary,
+                     build_grid, build_hamiltonian, build_problem, dimension,
+                     integer, load_config, node_budget, one_of, read)
 from .core import GridError, build_ball_grid, origin
 from .entire import construct_entire, fit_decay_exponent, separation_table
 from .operators import CONDITIONS, MetadataError, check_hamiltonian
@@ -73,9 +73,10 @@ def _write_json(path: str, obj: dict):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes (cfg, seed), reads its own sections of the config
-# and computes (echo, summary, tables), writing nothing. echo is the resolved
-# config for config.json; summary holds the results for summary.json, whose
+# subcommands: each takes (cfg, seed), reads each of its own sections of the
+# config once (config.read) and computes (echo, summary, tables), writing
+# nothing. echo is config.json: the resolved section (verify-barrier, oracle)
+# or the config as given; summary holds the results for summary.json, whose
 # "parameters" default to the echo; tables maps each CSV file name to
 # (header, columns).
 # ---------------------------------------------------------------------------
@@ -85,13 +86,12 @@ _ZERO_DATA = {"tag": "constant", "value": 0.0}  # the default boundary data
 
 def _cmd_verify_barrier(cfg, seed: int):
     """Sweep the barrier inequality."""
-    sec = _section(cfg, "barrier")
-    constants = {key: number(sec, key, "barrier")
-                 for key in ("s", "m", "Lam", "gamma1", "gamma", "delta", "R")}
-    constants["n"] = dimension(cfg)
-    params = {**constants, "h": number(sec, "h", "barrier")}
+    params = read(cfg.get("barrier"), "barrier", n=integer(1), lam=(REAL, None),
+                  **dict.fromkeys("s m Lam gamma1 gamma delta R h".split(), REAL))
+    del params["lam"]  # accepted and unused: the barrier's P+ uses only Lam
+    params["n"] = dimension(cfg)
     try:
-        spec = barrier_constants(**constants)
+        spec = barrier_constants(**{k: v for k, v in params.items() if k != "h"})
     except ValueError as exc:
         raise ConfigError("barrier", str(exc))
     node_budget("barrier", params["R"], params["h"], params["n"])
@@ -112,11 +112,10 @@ def _cmd_solve(cfg, seed: int):
     """Dirichlet solve on a ball."""
     problem = build_problem(cfg)
     grid = build_grid(cfg)
-    boundary = build_boundary(_section(cfg, "boundary", default=_ZERO_DATA), grid.n)
-    sec = _section(cfg, "solve", default={})
-    tol = exceeding(sec, "tol", "solve", 0.0, default=1e-8)
-    max_iter = count(sec, "max_iter", "solve", 1, default=200000)
-    field, report = solve_dirichlet(problem, grid, boundary, tol, max_iter)
+    boundary = build_boundary(cfg.get("boundary", _ZERO_DATA), grid.n)
+    sec = read(cfg.get("solve", {}), "solve", tol=(above(0.0), 1e-8),
+               max_iter=(integer(1), 200000))
+    field, report = solve_dirichlet(problem, grid, boundary, **sec)
     header = ["node"] + [f"x{a}" for a in range(grid.n)] + ["value"]
     summary = {"passed": report.converged, "iterations": report.iterations,
                "final_residual": report.final_residual,
@@ -130,18 +129,15 @@ def _cmd_entire(cfg, seed: int):
     separation experiment."""
     problem = build_problem(cfg)
     n = dimension(cfg)
-    sec = _section(cfg, "entire")
-    k_max = count(sec, "k_max", "entire", 1)
-    keys = ("boundary", "boundary2") if "boundary2" in sec else ("boundary",)
-    boundaries = [build_boundary(_section(sec, key, "entire", _ZERO_DATA), n,
-                                 f"entire.{key}") for key in keys]
-    h = number(sec, "h", "entire")
-    tol = exceeding(sec, "tol", "entire", 0.0, default=1e-8)
-    max_iter = count(sec, "max_iter", "entire", 1, default=2000000)
-    radius = exceeding(sec, "separation_radius", "entire", 0.0, default=1.0)
-    node_budget("entire", k_max, h, n, grids=k_max)
-    runs = construct_entire(problem, k_max, boundaries, tol, h, max_iter,
-                            center=origin(n))
+    sec = read(cfg.get("entire"), "entire", k_max=integer(1), h=REAL,
+               n=(integer(1), 1), tol=(above(0.0), 1e-8),
+               max_iter=(integer(1), 2000000), separation_radius=(above(0.0), 1.0),
+               boundary=(OBJECT, _ZERO_DATA), boundary2=(OBJECT, None))
+    boundaries = [build_boundary(sec[key], n, f"entire.{key}")
+                  for key in ("boundary", "boundary2") if sec[key] is not None]
+    node_budget("entire", sec["k_max"], sec["h"], n, grids=sec["k_max"])
+    runs = construct_entire(problem, sec["k_max"], boundaries, sec["tol"],
+                            sec["h"], sec["max_iter"], center=origin(n))
     flagged = any(run.flagged for run in runs)
     # one row per boundary data and radius k: that solve's Newton report;
     # wall times stay out, so reruns still write identical files
@@ -157,7 +153,7 @@ def _cmd_entire(cfg, seed: int):
         header, [[r[key] for r in runs[0].stabilization] for key in header])}
     if len(runs) == 2:
         # sup_{B_r}|u_k - v_k| per radius k, r the separation_radius
-        table = separation_table(*runs, radius)
+        table = separation_table(*runs, sec["separation_radius"])
         radii = [row["k"] for row in table]
         seps = [row["separation"] for row in table]
         summary["separation"] = {"radii": radii, "values": seps}
@@ -171,15 +167,13 @@ def _cmd_entire(cfg, seed: int):
 
 def _cmd_check_hamiltonian(cfg, seed: int):
     """Structure-condition sweep of the top-level hamiltonian."""
-    sec = _section(cfg, "check")
+    sec = read(cfg.get("check"), "check", condition=(one_of(CONDITIONS), None),
+               samples=(integer(1, 10**7), 1000000))
     # the checkers draw their points and gradients in 2D
-    H = build_hamiltonian(_section(cfg, "hamiltonian"), 2, "hamiltonian")
-    if "condition" in sec and sec["condition"] not in CONDITIONS:
-        raise ConfigError("check.condition", f"unknown condition {sec['condition']!r}")
-    samples = count(sec, "samples", "check", 1, default=1000000, most=10**7)
-    conditions = [sec["condition"]] if "condition" in sec else list(H.claims)
+    H = build_hamiltonian(cfg.get("hamiltonian"), 2, "hamiltonian")
+    conditions = [sec["condition"]] if sec["condition"] else list(H.claims)
     rng = np.random.default_rng(seed)
-    reports = [check_hamiltonian(H, cond, samples, rng=rng) for cond in conditions]
+    reports = [check_hamiltonian(H, c, sec["samples"], rng=rng) for c in conditions]
     summary = {"passed": all(r.passed for r in reports),
                "margins": {c: r.worst_margin for c, r in zip(conditions, reports)}}
     return cfg, summary, {"margins.csv": (
@@ -190,12 +184,10 @@ def _cmd_check_hamiltonian(cfg, seed: int):
 
 def _cmd_oracle(cfg, seed: int):
     """The delta(s) infimum oracle."""
-    sec = _section(cfg, "oracle")
-    s = exceeding(sec, "s", "oracle", 1.0)
-    params = {"s": s, "samples": count(sec, "samples", "oracle", 10,
-                                       default=20000, most=10**6)}
-    value = delta_s_oracle(s, params["samples"])
-    candidate = 2.0 ** (1.0 - s)
+    params = read(cfg.get("oracle"), "oracle", s=above(1.0),
+                  samples=(integer(10, 10**6), 20000))
+    value = delta_s_oracle(**params)
+    candidate = 2.0 ** (1.0 - params["s"])
     summary = {"parameters": params, "passed": True, "delta_s": value,
                "candidate": candidate, "abs_difference": abs(value - candidate)}
     return {"oracle": params}, summary, {}

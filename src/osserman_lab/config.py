@@ -1,10 +1,11 @@
-"""Config-file schema for the experiment runner: validation plus builders
-turning the declarative sections into operators, Hamiltonians, problems,
-grids, boundary data and right-hand sides.
+"""Config-file schema for the experiment runner: ``read`` checks a section
+against the keys it declares, and builders turn the checked sections into
+operators, Hamiltonians, problems, grids, boundary data and right-hand sides.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import sys
@@ -14,8 +15,8 @@ import numpy as np
 
 from .core import build_ball_grid, origin
 from .entire import radial_power_rhs
-from .operators import (EllipticityPair, HamiltonianH, OperatorF,
-                        hamiltonian_library, laplacian_operator,
+from .operators import (HAMILTONIANS, EllipticityPair, HamiltonianH,
+                        OperatorF, hamiltonian_library, laplacian_operator,
                         negate_hamiltonian, pucci_operator,
                         weighted_trace_operator)
 from .solver import ProblemSpec
@@ -29,35 +30,6 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {message}")
 
 
-def load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
-        raise ConfigError("<file>", f"cannot read a JSON config ({exc})")
-    if not isinstance(cfg, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    return cfg
-
-
-def _require(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigError(f"{path}.{key}", "missing required key")
-    return section[key]
-
-
-def _section(parent: dict, key: str, path: str = "", default=None) -> dict:
-    """The JSON object at ``parent[key]``, or ``default`` (if given) when
-    the key is absent; ``path`` is ``parent``'s key path, empty at the root."""
-    where = f"{path}.{key}" if path else key
-    if key not in parent and default is not None:
-        return default
-    if not isinstance(parent.get(key), dict):
-        raise ConfigError(where, "must be an object" if key in parent
-                          else "missing required section")
-    return parent[key]
-
-
 def _finite(val) -> bool:
     """A JSON number that is a finite float: no bool, NaN or infinity, and
     no integer too large for a float."""
@@ -65,51 +37,113 @@ def _finite(val) -> bool:
             and abs(val) <= sys.float_info.max)
 
 
-def number(section: dict, key: str, path: str, default=None):
-    if key not in section and default is not None:
-        return default
-    if not _finite(_require(section, key, path)):
-        raise ConfigError(f"{path}.{key}", "must be a finite number")
-    return float(section[key])
+def _numbers(value) -> bool:
+    """Whether every scalar of a JSON value, at any depth, is ``_finite``."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    return all(map(_numbers, value)) if isinstance(value, list) else _finite(value)
 
 
-def count(section: dict, key: str, path: str, least: int, default=None,
-          most=math.inf) -> int:
-    """An integer config value from ``least`` to ``most``, read like
-    ``number``; an integral float such as 2.0 is accepted."""
-    value = number(section, key, path, default)
-    if value != int(value):
-        raise ConfigError(f"{path}.{key}", "must be an integer")
-    if value < least:
-        raise ConfigError(f"{path}.{key}", f"must be at least {least}")
-    if value > most:
-        raise ConfigError(f"{path}.{key}", f"must be at most {most:,}")
-    return int(value)
+def _kind(test: Callable, message: str, cast: Callable = None) -> Callable:
+    """A kind of config value, a function of a value and its key path: it
+    returns the value, through ``cast``, if ``test`` holds for it, and else
+    raises a ConfigError with ``message``, which never repeats the value."""
+    def check(value, where: str):
+        if not test(value):
+            raise ConfigError(where, message)
+        return value if cast is None else cast(value)
+    return check
 
 
-def exceeding(section: dict, key: str, path: str, bound: float, default=None) -> float:
-    """A config value greater than ``bound``, read like ``number``."""
-    value = number(section, key, path, default)
-    if value <= bound:
-        raise ConfigError(f"{path}.{key}", f"must exceed {bound:g}")
-    return value
+def above(bound: float) -> Callable:
+    """Kind: a finite number greater than ``bound``, read as a float."""
+    return _kind(lambda v: _finite(v) and v > bound,
+                 f"must be a finite number above {bound:g}", float)
 
 
-def _switch(section: dict, key: str, path: str) -> bool:
-    """An optional JSON boolean, false when absent."""
-    val = section.get(key, False)
-    if not isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}", "must be true or false")
-    return val
+def integer(least: int, most=math.inf) -> Callable:
+    """Kind: an integer from ``least`` to ``most``, or an integral float."""
+    return _kind(lambda v: _finite(v) and v == int(v) and least <= v <= most,
+                 f"must be an integer in [{least}, {most:,}]", int)
+
+
+def _list(n: int, positive: bool = False) -> Callable:
+    """Kind: a list of n finite numbers, positive ones if ``positive``."""
+    return _kind(lambda v: isinstance(v, list) and len(v) == n
+                 and all(_finite(x) and (x > 0 or not positive) for x in v),
+                 f"must be a list of {n} {'positive ' * positive}finite numbers")
+
+
+def one_of(options: tuple) -> Callable:
+    """Kind: one of the strings ``options``."""
+    return _kind(options.__contains__, "must be one of " + ", ".join(options))
+
+
+REAL = _kind(_finite, "must be a finite number", float)
+SWITCH = _kind(lambda v: isinstance(v, bool), "must be true or false")
+OBJECT = _kind(lambda v: isinstance(v, dict), "must be an object")
+GIVEN = _kind(lambda v: v is not None, "must not be null")  # else it reads as absent
+
+
+def _checked(section: dict, path: str, key: str, kind):
+    """``section[key]`` checked by ``kind``, or the default of a (kind,
+    default) pair when the key is absent; ``path`` is the section's."""
+    kind, *default = kind if isinstance(kind, tuple) else (kind,)
+    if key in section:  # the root's keys are sections, named alone
+        return kind(section[key], key if path == "<root>" else f"{path}.{key}")
+    if not default:
+        raise ConfigError(f"{path}.{key}", "missing required key")
+    return default[0]
+
+
+def read(section, path: str, tags: dict = None, **keys) -> dict:
+    """The checked values of the config section at key path ``path``.
+
+    ``keys`` maps each key the section may hold to its kind, or to (kind,
+    default) for an optional key; ``tags`` maps each tag the section's
+    ``tag`` may name to that tag's own keys, which join ``keys``. A key the
+    section does not declare, or a missing required one, is a config error."""
+    if not isinstance(section, dict):
+        raise ConfigError(path, "must be an object" if section is not None
+                          else "missing required section")
+    if tags is not None:
+        tag = _checked(section, path, "tag", GIVEN)
+        if not isinstance(tag, str) or tag not in tags:
+            raise ConfigError(f"{path}.tag", f"unknown tag {tag!r}")
+        keys = {"tag": GIVEN, **keys, **tags[tag]}
+    for key in section:
+        if key not in keys:
+            raise ConfigError(path, f"unknown key {key!r}")
+    return {key: _checked(section, path, key, kind) for key, kind in keys.items()}
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice in it is an error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError(f"duplicate key {max(obj, key=[k for k, _ in pairs].count)!r}")
+    return obj
+
+
+def load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh, object_pairs_hook=_object)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise ConfigError("<file>", f"cannot read a JSON config ({exc})")
+    # every command's top-level sections; a config may hold any of them
+    sections = "barrier problem grid boundary solve entire hamiltonian check oracle"
+    read(cfg, "<root>", **dict.fromkeys(sections.split(), (GIVEN, None)))
+    return cfg
 
 
 def dimension(cfg: dict) -> int:
     """The run's space dimension n: the ``n`` of the ``grid``, ``entire``
     (default 1) or ``barrier`` section, which must agree, or 2 (the checkers')
     without them. ``core.origin`` checks it before anything is sized by it."""
-    dims = {key: count(_section(cfg, key), "n", key, 1,
-                       default=1 if key == "entire" else None)
-            for key in ("grid", "entire", "barrier") if key in cfg}
+    kinds = {"grid": integer(1), "entire": (integer(1), 1), "barrier": integer(1)}
+    dims = {key: _checked(OBJECT(cfg[key], key), key, "n", kind)
+            for key, kind in kinds.items() if key in cfg}
     for key, n in dims.items():
         origin(n)
         if n != next(iter(dims.values())):
@@ -130,112 +164,86 @@ def node_budget(path: str, R: float, h: float, n: int, grids: int = 1) -> None:
 
 
 def build_operator(section: dict, n: int, path: str = "problem.operator") -> OperatorF:
-    tag = _require(section, "tag", path)
-    if tag in ("pucci_plus", "pucci_minus"):
-        lam, Lam = number(section, "lam", path), number(section, "Lam", path)
-        if not 0 < lam <= Lam:
-            raise ConfigError(f"{path}.lam", "need 0 < lam <= Lam")
-        return pucci_operator(EllipticityPair(lam, Lam),
-                              "+" if tag == "pucci_plus" else "-")
-    if tag == "laplacian":
+    pucci = {"lam": REAL, "Lam": REAL}
+    v = read(section, path, {"pucci_plus": pucci, "pucci_minus": pucci, "laplacian": {},
+                             "weighted_trace": {"weights": _list(n, True)}})
+    if v["tag"] == "laplacian":
         return laplacian_operator()
-    if tag == "weighted_trace":
-        weights = _require(section, "weights", path)
-        if not isinstance(weights, list) or len(weights) != n \
-                or not all(_finite(w) and w > 0 for w in weights):
-            raise ConfigError(f"{path}.weights", f"must be a list of {n} "
-                              "positive finite numbers, one per axis")
-        return weighted_trace_operator(weights)
-    raise ConfigError(f"{path}.tag", f"unknown operator tag {tag!r}")
+    if v["tag"] == "weighted_trace":
+        return weighted_trace_operator(v["weights"])
+    if not 0 < v["lam"] <= v["Lam"]:
+        raise ConfigError(f"{path}.lam", "need 0 < lam <= Lam")
+    return pucci_operator(EllipticityPair(v["lam"], v["Lam"]),
+                          "+" if v["tag"] == "pucci_plus" else "-")
 
 
-def _numbers(value) -> bool:
-    """Whether every scalar of a JSON value, at any depth, is ``_finite``."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    return all(map(_numbers, value)) if isinstance(value, list) else _finite(value)
+_LEAVES = _kind(_numbers, "must hold only finite numbers",
+                lambda v: float(v) if _finite(v) else v)
+# each tag's keys and defaults: its constructor's keyword parameters but n
+_HAMILTONIAN_KEYS = {
+    tag: {p.name: _LEAVES if p.default is p.empty else (_LEAVES, p.default)
+          for p in inspect.signature(make).parameters.values() if p.name != "n"}
+    for tag, make in HAMILTONIANS.items()}
 
 
 def build_hamiltonian(section: dict, n: int,
                       path: str = "problem.hamiltonian") -> HamiltonianH:
-    tag = _require(section, "tag", path)
-    params = {k: v for k, v in section.items() if k not in ("tag", "negate")}
-    try:  # finds a NaN or infinity at any depth: coefficients, matrices
-        json.dumps(params, allow_nan=False)
-    except ValueError:
-        raise ConfigError(path, "numbers must be finite")
-    count(section, "n", path, n, default=n, most=n)  # the run's dimension
-    for key, value in params.items():
-        if not _numbers(value):
-            raise ConfigError(f"{path}.{key}", "must hold only finite numbers")
+    """The library Hamiltonian of ``section``; n is the run's dimension."""
+    v = read(section, path, _HAMILTONIAN_KEYS, negate=(SWITCH, False),
+             n=(integer(n, n), n))
+    negate = v.pop("negate")
     try:
-        H = hamiltonian_library(tag, **{**params, "n": n})
+        H = hamiltonian_library(**v)
     except (ValueError, TypeError, ArithmeticError) as exc:
         raise ConfigError(path, str(exc))
-    return negate_hamiltonian(H) if _switch(section, "negate", path) else H
+    return negate_hamiltonian(H) if negate else H
 
 
 def build_f(section: dict, path: str = "problem.f") -> Callable:
     """The right-hand side f as a data callable on (N, n) points."""
-    tag = _require(section, "tag", path)
-    if tag == "zero":
-        return lambda x: 0.0
-    if tag == "constant":
-        value = number(section, "value", path)
-        return lambda x: value
-    if tag == "radial_power":
-        rho = number(section, "rho", path)
-        if rho < 0:
-            raise ConfigError(f"{path}.rho", "rho must be nonnegative")
-        return radial_power_rhs(rho)
-    if tag == "mms_cos":
+    rho = _kind(lambda v: _finite(v) and v >= 0, "must be a finite number >= 0", float)
+    v = read(section, path, {"zero": {}, "constant": {"value": REAL},
+                             "radial_power": {"rho": rho}, "mms_cos": {}})
+    if v["tag"] == "radial_power":
+        return radial_power_rhs(v["rho"])
+    if v["tag"] == "mms_cos":
         # rhs manufactured so u*(x) = cos(x_0) solves Lap u + |Du|^2 - |u|^2 u = f
         return lambda x: (-np.cos(x[:, 0]) + np.sin(x[:, 0]) ** 2
                           - np.cos(x[:, 0]) ** 3)
-    raise ConfigError(f"{path}.tag", f"unknown rhs tag {tag!r}")
+    return lambda x: v.get("value", 0.0)
 
 
 def build_boundary(section: dict, n: int, path: str = "boundary") -> Callable:
     """Dirichlet data g as a data callable on (N, n) points."""
-    tag = _require(section, "tag", path)
-    if tag == "constant":
-        value = number(section, "value", path)
-        return lambda x: value
-    if tag == "exp_family":
-        alpha = number(section, "alpha", path)
-        sign = section.get("sign", "+")
-        axis = count(section, "axis", path, 0, default=0)
-        count(section, "n", path, n, default=n, most=n)  # the run's dimension
-        try:
-            fld = CounterexampleField(alpha=alpha, sign=sign, axis=axis, n=n)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc))
-        return fld.boundary_function(negated=_switch(section, "negated", path))
-    if tag == "cos":
+    exp_family = {"alpha": REAL, "sign": (GIVEN, "+"), "axis": (integer(0), 0),
+                  "n": (integer(n, n), n), "negated": (SWITCH, False)}
+    v = read(section, path, {"constant": {"value": REAL}, "cos": {},
+                             "exp_family": exp_family})
+    if v["tag"] == "constant":
+        return lambda x: v["value"]
+    if v["tag"] == "cos":
         return lambda x: np.cos(x[:, 0])
-    raise ConfigError(f"{path}.tag", f"unknown boundary tag {tag!r}")
+    try:
+        fld = CounterexampleField(alpha=v["alpha"], sign=v["sign"],
+                                  axis=v["axis"], n=v["n"])
+    except ValueError as exc:
+        raise ConfigError(path, str(exc))
+    return fld.boundary_function(negated=v["negated"])
 
 
 def build_problem(cfg: dict) -> ProblemSpec:
     n = dimension(cfg)
-    section = _section(cfg, "problem")
-    s = exceeding(section, "s", "problem", 1.0)
-    F = build_operator(_section(section, "operator", "problem"), n)
-    H = build_hamiltonian(_section(section, "hamiltonian", "problem"), n)
-    f = build_f(_section(section, "f", "problem", {"tag": "zero"}))
-    return ProblemSpec(F=F, H=H, s=s, f=f)
+    v = read(cfg.get("problem"), "problem", s=above(1.0), operator=OBJECT,
+             hamiltonian=OBJECT, f=(OBJECT, {"tag": "zero"}))
+    return ProblemSpec(F=build_operator(v["operator"], n), s=v["s"],
+                       H=build_hamiltonian(v["hamiltonian"], n), f=build_f(v["f"]))
 
 
 def build_grid(cfg: dict):
     """The ball grid of the ``grid`` section; ``build_ball_grid`` rejects a
     radius or spacing it cannot use with a GridError."""
     n = dimension(cfg)
-    section = _section(cfg, "grid")
-    center = section.get("center")  # None: the origin
-    if "center" in section and (not isinstance(center, list)
-                                or len(center) != n
-                                or not all(map(_finite, center))):
-        raise ConfigError("grid.center", f"must be a list of {n} finite numbers")
-    R, h = number(section, "radius", "grid"), number(section, "h", "grid")
-    node_budget("grid", R, h, n)
-    return build_ball_grid(center, R, h, n)
+    v = read(cfg.get("grid"), "grid", n=integer(1), radius=REAL, h=REAL,
+             center=(_list(n), None))  # None: the origin
+    node_budget("grid", v["radius"], v["h"], n)
+    return build_ball_grid(v["center"], v["radius"], v["h"], n)

@@ -372,12 +372,11 @@ def _power_law(terms: tuple) -> tuple[Callable, Callable]:
 
 
 # One constructor per library tag. Its keyword parameters are the tag's
-# config keys plus n, the dimension in the x-shift modulus constant (and
-# the size of sup_inf's matrices), so an unknown or missing key raises
-# TypeError.
+# config keys, with their defaults, plus n, the dimension in the x-shift
+# modulus constant (and the size of sup_inf's matrices); the config reader
+# takes the keys from here and hands over checked values.
 
 def _zero(*, m=2.0, n=2) -> HamiltonianH:
-    m = float(m)
     if not (m == 1.0 or 1.0 < m <= 2.0):
         raise ValueError("zero needs m = 1 or m in (1, 2]")
     ev, grad = _power_law(())
@@ -387,7 +386,7 @@ def _zero(*, m=2.0, n=2) -> HamiltonianH:
 
 
 def _prototype(*, c1=0.0, cm=1.0, m=2.0, n=2) -> HamiltonianH:
-    c1, cm, m, n = _as_coeff(c1), _as_coeff(cm), float(m), int(n)
+    c1, cm = _as_coeff(c1), _as_coeff(cm)
     if not (m == 1.0 or 1.0 < m <= 2.0):
         raise ValueError("prototype needs m = 1 or m in (1, 2]")
     ev, grad = _power_law(((c1, 1.0), (cm, m)))
@@ -403,8 +402,7 @@ def _prototype(*, c1=0.0, cm=1.0, m=2.0, n=2) -> HamiltonianH:
 
 
 def _two_power(*, c=1.0, a=0.5, m=2.0, l=1.5, sigma0=0.5, n=2) -> HamiltonianH:
-    c, a, m, l, sigma0, n = (_as_coeff(c), _as_coeff(a), float(m), float(l),
-                             float(sigma0), int(n))
+    c, a = _as_coeff(c), _as_coeff(a)
     if not (1.0 < m <= 2.0 and 1.0 <= l < m and 0.0 < sigma0 < 1.0):
         raise ValueError("two_power needs 1 < m <= 2, 1 <= l < m and "
                          "0 < sigma0 < 1")
@@ -422,7 +420,7 @@ def _two_power(*, c=1.0, a=0.5, m=2.0, l=1.5, sigma0=0.5, n=2) -> HamiltonianH:
 
 
 def _rational_factor(*, c=1.0, n=2) -> HamiltonianH:
-    c, n = _as_coeff(c), int(n)
+    c = _as_coeff(c)
     if c.inf <= 0:
         raise ValueError("rational_factor needs inf c > 0")
 
@@ -447,7 +445,6 @@ def _rational_factor(*, c=1.0, n=2) -> HamiltonianH:
 
 
 def _sup_inf(*, matrices, m=2.0, n=2) -> HamiltonianH:
-    m, n = float(m), int(n)
     if not 1.0 < m <= 2.0:
         raise ValueError("sup_inf needs m in (1, 2]")
     sizes = [len(grp) for grp in matrices]
@@ -493,15 +490,15 @@ def _sup_inf(*, matrices, m=2.0, n=2) -> HamiltonianH:
         claims=CONDITIONS)
 
 
-_LIBRARY = {"zero": _zero, "prototype": _prototype, "two_power": _two_power,
-            "rational_factor": _rational_factor, "sup_inf": _sup_inf}
+HAMILTONIANS = {"zero": _zero, "prototype": _prototype, "two_power": _two_power,
+                "rational_factor": _rational_factor, "sup_inf": _sup_inf}
 
 
 def hamiltonian_library(tag: str, **params) -> HamiltonianH:
     """Construct a library Hamiltonian with its derived structure constants."""
-    if tag not in _LIBRARY:
+    if tag not in HAMILTONIANS:
         raise ValueError(f"unknown Hamiltonian tag {tag!r}")
-    return _LIBRARY[tag](**params)
+    return HAMILTONIANS[tag](**params)
 
 
 def negate_hamiltonian(H: HamiltonianH) -> HamiltonianH:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -378,6 +379,27 @@ def test_bad_json_and_bad_tag_are_schema_errors(tmp_path, capsys):
     assert "nope" in err
 
 
+with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as _fh:
+    _README_CONFIGS = re.findall(r"```json\n(.*?)```", _fh.read(), re.S)
+
+
+_README_COMMANDS = {"barrier": "verify-barrier", "oracle": "oracle",
+                    "entire": "entire"}
+
+
+@pytest.mark.parametrize("text", _README_CONFIGS, ids=[
+    next(key for key in json.loads(text) if key in _README_COMMANDS)
+    for text in _README_CONFIGS])
+def test_readme_configs_run(tmp_path, text):
+    # each documented config, run by the command of the section it holds
+    command = next(_README_COMMANDS[key] for key in json.loads(text)
+                   if key in _README_COMMANDS)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 0
+
+
 def test_oracle_delta_s(tmp_path):
     cfg = _write_cfg(tmp_path, "cfg.json", {"oracle": {"s": 2.0}})
     out = str(tmp_path / "out")
@@ -671,14 +693,14 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
     pytest.param("check-hamiltonian", _check_cfg(tag="two_power", sigma_0=0.9),
                  "hamiltonian", id="hamiltonian-unknown-key"),
     pytest.param("check-hamiltonian", _check_cfg(tag="sup_inf"),
-                 "hamiltonian", id="hamiltonian-missing-key"),
+                 "hamiltonian.matrices", id="hamiltonian-missing-key"),
     pytest.param("check-hamiltonian", _check_cfg(
         tag="prototype", c1=0.0, cm=1.0, m=2.0, negate="false"),
                  "hamiltonian.negate", id="hamiltonian-negate-text"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", n=math.inf),
-                 "hamiltonian", id="hamiltonian-n-inf"),
+                 "hamiltonian.n", id="hamiltonian-n-inf"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", c1=math.nan),
-                 "hamiltonian", id="hamiltonian-c1-nan"),
+                 "hamiltonian.c1", id="hamiltonian-c1-nan"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", n=10 ** 400),
                  "hamiltonian.n", id="hamiltonian-n-huge-int"),
     # the checkers draw their points and gradients in 2D
@@ -790,14 +812,46 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
     # one dimension per run
     pytest.param("solve", {**_grid_cfg(), "barrier": BARRIER}, "barrier.n",
                  id="solve-two-dimensions"),
+    # a key its section does not declare, and a top-level key that is no
+    # command's section
+    pytest.param("solve", {**_grid_cfg(), "solve": {"tolerance": 1e-3}},
+                 "solve", id="solve-tolerance"),
+    pytest.param("solve", _grid_cfg(radus=2.0), "grid", id="grid-radus"),
+    pytest.param("solve", {**_grid_cfg(), "problem": {**SOLVE_CFG["problem"],
+                                                      "S": 3.0}},
+                 "problem", id="problem-S"),
+    pytest.param("solve", {**_grid_cfg(), "problem": {
+        **SOLVE_CFG["problem"], "operator": {"tag": "laplacian", "lam": 1.0}}},
+                 "problem.operator", id="laplacian-lam"),
+    pytest.param("solve", {**_grid_cfg(), "problem": {
+        **SOLVE_CFG["problem"], "f": {"tag": "zero", "value": 1.0}}},
+                 "problem.f", id="f-zero-value"),
+    pytest.param("solve", {**_grid_cfg(), "boundary": {
+        "tag": "constant", "value": 0.0, "valu": 1.0}}, "boundary",
+                 id="boundary-valu"),
+    pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
+        "k_max": 1, "h": 0.25, "kmax": 2}}, "entire", id="entire-kmax"),
+    pytest.param("check-hamiltonian", {"hamiltonian": NO_CONVEXITY_H, "check": {
+        "samples": 10, "sample": 100}}, "check", id="check-sample"),
+    pytest.param("oracle", {"oracle": {"s": 2.0, "sample": 50}}, "oracle",
+                 id="oracle-sample"),
+    pytest.param("oracle", {"oracle": {"s": 2.0}, "solver": {}}, "<root>",
+                 id="root-solver"),
+    # a key given twice in one object (the JSON text, not a dict)
+    pytest.param("solve", json.dumps({**_grid_cfg(), "solve": {"tol": 0.5}})
+                 .replace('"tol": 0.5', '"tol": 0.5, "tol": 1e-9'),
+                 "<file>", id="solve-tol-twice"),
 ])
 def test_rejected_config_values_exit_2_and_write_nothing(tmp_path, capsys,
                                                           command, cfg, key):
     # key: the config key a ConfigError names; None for the library's
-    # GridError/MetadataError, which carry no key
+    # GridError/MetadataError, which carry no key. A str cfg is the
+    # config's JSON text.
     out = str(tmp_path / "out")
-    assert main([command, "--config", _write_cfg(tmp_path, "cfg.json", cfg),
-                 "--out", out, "--quiet"]) == 2
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", out,
+                 "--quiet"]) == 2
     err = capsys.readouterr().err
     assert (f"config error at {key}:" if key else "config error") in err
     assert not os.path.exists(out)
@@ -885,8 +939,17 @@ def _mutated(cfg, *changes):
     return cfg
 
 
+def _object_paths(value, path=()):
+    if isinstance(value, dict):
+        yield path
+        for key, item in value.items():
+            yield from _object_paths(item, path + (key,))
+
+
+# every leaf is replaced, and every object gains a key it does not declare
 _FUZZ_CASES = [(command, path) for command, base in _FUZZ_BASES.items()
-               for path in _leaf_paths(base)]
+               for path in [*_leaf_paths(base),
+                            *(obj + ("extra",) for obj in _object_paths(base))]]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -900,6 +963,8 @@ _FUZZ_CASES = [(command, path) for command, base in _FUZZ_BASES.items()
 @example(case=("check-hamiltonian", ("hamiltonian", "sigma0")), value=0)
 # a huge n must not be echoed digit by digit
 @example(case=("solve", ("grid", "n")), value=1e300)
+@example(case=("solve", ("extra",)), value={})
+@example(case=("entire", ("entire", "boundary2", "extra")), value=0)
 def test_one_leaf_mutations_exit_0_1_or_2(tmp_path_factory, case, value):
     command, path = case
     cfg = _mutated(_FUZZ_BASES[command], (path, value))
@@ -912,3 +977,7 @@ def test_one_leaf_mutations_exit_0_1_or_2(tmp_path_factory, case, value):
     assert rc in (0, 1, 2)
     assert rc != 2 or not os.path.exists(out)
     assert all(len(line) <= 160 for line in err.getvalue().splitlines())
+    if path[-1] == "extra":  # an added key is an error at its object
+        where = ".".join(path[:-1]) or "<root>"
+        assert rc == 2
+        assert f"config error at {where}: unknown key 'extra'" in err.getvalue()
