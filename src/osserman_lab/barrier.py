@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BallGrid, as_points, row_norms
-from .operators import CheckReport, pucci_batch, tilde_gamma  # tilde_gamma is re-exported
+from .operators import CheckReport, pucci_batch
 
 
 def exponent_mu(s: float, m: float) -> float:

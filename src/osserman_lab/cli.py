@@ -117,9 +117,7 @@ def _cmd_solve(cfg, seed: int):
                max_iter=(integer(1), 200000))
     field, report = solve_dirichlet(problem, grid, boundary, **sec)
     header = ["node"] + [f"x{a}" for a in range(grid.n)] + ["value"]
-    summary = {"passed": report.converged, "iterations": report.iterations,
-               "final_residual": report.final_residual,
-               "backtracks": report.backtracks, "converged": report.converged}
+    summary = {"passed": report.converged, **report.row()}
     return cfg, summary, {"field.csv": (
         header, [np.arange(len(grid.nodes)), *grid.nodes.T, field.values])}
 
@@ -139,13 +137,8 @@ def _cmd_entire(cfg, seed: int):
     runs = construct_entire(problem, sec["k_max"], boundaries, sec["tol"],
                             sec["h"], sec["max_iter"], center=origin(n))
     flagged = any(run.flagged for run in runs)
-    # one row per boundary data and radius k: that solve's Newton report;
-    # wall times stay out, so reruns still write identical files
-    solves = [{"boundary": b, "k": k, "iterations": rep.iterations,
-               "backtracks": rep.backtracks,
-               "final_residual": rep.final_residual,
-               "converged": rep.converged}
-              for b, run in enumerate(runs)
+    # one row per boundary data and radius k: that solve's Newton report
+    solves = [{"boundary": b, "k": k, **rep.row()} for b, run in enumerate(runs)
               for k, rep in zip(run.radii, run.reports)]
     header = ["k", "k_next", "j", "sup_diff"]
     summary = {"passed": not flagged, "flagged": flagged, "solves": solves}

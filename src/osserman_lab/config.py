@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import build_ball_grid, origin
 from .entire import radial_power_rhs
-from .operators import (HAMILTONIANS, EllipticityPair, HamiltonianH,
+from .operators import (HAMILTONIANS, Coeff, EllipticityPair, HamiltonianH,
                         OperatorF, hamiltonian_library, laplacian_operator,
                         negate_hamiltonian, pucci_operator,
                         weighted_trace_operator)
@@ -38,10 +38,8 @@ def _finite(val) -> bool:
 
 
 def _numbers(value) -> bool:
-    """Whether every scalar of a JSON value, at any depth, is ``_finite``."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    return all(map(_numbers, value)) if isinstance(value, list) else _finite(value)
+    """Whether a JSON value is a list of finite numbers or of such lists."""
+    return isinstance(value, list) and all(_finite(v) or _numbers(v) for v in value)
 
 
 def _kind(test: Callable, message: str, cast: Callable = None) -> Callable:
@@ -177,13 +175,21 @@ def build_operator(section: dict, n: int, path: str = "problem.operator") -> Ope
                           "+" if v["tag"] == "pucci_plus" else "-")
 
 
-_LEAVES = _kind(_numbers, "must hold only finite numbers",
-                lambda v: float(v) if _finite(v) else v)
-# each tag's keys and defaults: its constructor's keyword parameters but n
-_HAMILTONIAN_KEYS = {
-    tag: {p.name: _LEAVES if p.default is p.empty else (_LEAVES, p.default)
-          for p in inspect.signature(make).parameters.values() if p.name != "n"}
-    for tag, make in HAMILTONIANS.items()}
+def _parameters(make: Callable) -> dict:
+    """The keyword parameters of ``make`` but n as config keys, each with the
+    kind its annotation names and its default if it has one. A coefficient
+    is a finite number (its c0) or an object of ``Coeff``'s keys."""
+    number = _kind(_finite, "must be a finite number or an object", float)
+    kinds = {float: REAL, list: _kind(_numbers, "must be a list of finite numbers"),
+             Coeff: lambda v, where: (read(v, where, **_parameters(Coeff))
+                                      if isinstance(v, dict) else number(v, where))}
+    return {p.name: kinds[p.annotation] if p.default is p.empty
+            else (kinds[p.annotation], p.default)
+            for p in inspect.signature(make, eval_str=True).parameters.values()
+            if p.name != "n"}
+
+
+_HAMILTONIAN_KEYS = {tag: _parameters(make) for tag, make in HAMILTONIANS.items()}
 
 
 def build_hamiltonian(section: dict, n: int,
@@ -228,7 +234,7 @@ def build_boundary(section: dict, n: int, path: str = "boundary") -> Callable:
                                   axis=v["axis"], n=v["n"])
     except ValueError as exc:
         raise ConfigError(path, str(exc))
-    return fld.boundary_function(negated=v["negated"])
+    return (lambda x: -fld.values(x)) if v["negated"] else fld.values
 
 
 def build_problem(cfg: dict) -> ProblemSpec:

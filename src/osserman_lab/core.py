@@ -301,11 +301,6 @@ def blend(plan: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray
     return vals
 
 
-def interpolate(field: ScalarField, points) -> np.ndarray:
-    """The n-linear interpolant of ``field`` at (N, n) ``points``, shape (N,)."""
-    return blend(interpolation_plan(field.grid, points), field.values)
-
-
 def second_differences(grid: BallGrid, values: np.ndarray) -> np.ndarray:
     """Second differences of nodal ``values`` along every stencil direction
     pair at all interior nodes, shape (n_interior, n_pairs): the axes first,

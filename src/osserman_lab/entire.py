@@ -33,10 +33,6 @@ class EntireRun:
     stabilization: tuple   # rows {k, k_next, j, sup_diff}
 
     @property
-    def center(self) -> np.ndarray:
-        return self.fields[0].grid.center
-
-    @property
     def radii(self) -> tuple:
         return tuple(range(1, len(self.fields) + 1))
 
@@ -90,7 +86,7 @@ def sup_difference(a: ScalarField, b: ScalarField, radius: float,
 
 def construct_entire(problem: ProblemSpec, k_max: int, boundaries: Sequence,
                      tol: float, h: float, max_iter: int,
-                     center=None) -> tuple[EntireRun, ...]:
+                     center) -> tuple[EntireRun, ...]:
     """One EntireRun per data callable in ``boundaries``: the Dirichlet
     problem on B_k for k = 1..k_max, each solve warm-started from the same
     data's solution on B_{k-1}, and the stabilization table
@@ -99,7 +95,7 @@ def construct_entire(problem: ProblemSpec, k_max: int, boundaries: Sequence,
     plan per B_{k-1} -> B_k and one lattice match per (B_k, B_{k+1})."""
     if k_max < 1:
         raise ValueError("k_max >= 1 required")
-    center = np.array(0.0 if center is None else center, float, ndmin=1)
+    center = np.array(center, float, ndmin=1)
     grids, runs = [], [([], []) for _ in boundaries]  # fields, reports
     for k in range(1, k_max + 1):
         live = [(g, run) for g, run in zip(boundaries, runs)
@@ -310,8 +306,8 @@ def check_local_bound(run: EntireRun, r: float, center, C_emp: float,
     center = np.atleast_1d(np.asarray(center, dtype=float))
     problem = run.problem
     H = problem.H
-    ell = problem.ellipticity
-    off = float(np.linalg.norm(center - run.center))
+    ell = problem.F.ellipticity
+    off = float(np.linalg.norm(center - run.fields[0].grid.center))
     covered = [(k, f) for k, f in zip(run.radii, run.fields)
                if k >= off + 2.0 * r - 1e-12]
     if not covered:

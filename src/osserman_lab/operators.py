@@ -77,15 +77,14 @@ class HamiltonianH:
     convexity = (c_lower, A, sigma0) when H satisfies the convexity-type
     bound H(x,p) - sigma H(x, p/sigma) <= (1-sigma)(-c_lower|p|^m + A).
     ``gradient(x, p)`` is dH/dp in closed form, shape (N, n), and 0 at
-    p = 0; the solver's Newton Jacobian needs it. Every library H carries
-    one.
+    p = 0; the solver's Newton Jacobian needs it.
     """
 
     evaluator: Callable
     m: float
     gamma1: float
     gamma_m: float
-    gradient: Optional[Callable] = None
+    gradient: Callable
     convexity: Optional[tuple] = None   # (c_lower, A, sigma0)
     modulus_coeff: float = 0.0
     tag: str = "custom"
@@ -374,9 +373,10 @@ def _power_law(terms: tuple) -> tuple[Callable, Callable]:
 # One constructor per library tag. Its keyword parameters are the tag's
 # config keys, with their defaults, plus n, the dimension in the x-shift
 # modulus constant (and the size of sup_inf's matrices); the config reader
-# takes the keys from here and hands over checked values.
+# takes the keys and each key's kind (its annotation) from here and hands
+# over checked values.
 
-def _zero(*, m=2.0, n=2) -> HamiltonianH:
+def _zero(*, m: float = 2.0, n: int = 2) -> HamiltonianH:
     if not (m == 1.0 or 1.0 < m <= 2.0):
         raise ValueError("zero needs m = 1 or m in (1, 2]")
     ev, grad = _power_law(())
@@ -385,7 +385,8 @@ def _zero(*, m=2.0, n=2) -> HamiltonianH:
                         claims=CONDITIONS if m > 1 else CONDITIONS[:3])
 
 
-def _prototype(*, c1=0.0, cm=1.0, m=2.0, n=2) -> HamiltonianH:
+def _prototype(*, c1: Coeff = 0.0, cm: Coeff = 1.0, m: float = 2.0,
+               n: int = 2) -> HamiltonianH:
     c1, cm = _as_coeff(c1), _as_coeff(cm)
     if not (m == 1.0 or 1.0 < m <= 2.0):
         raise ValueError("prototype needs m = 1 or m in (1, 2]")
@@ -401,7 +402,8 @@ def _prototype(*, c1=0.0, cm=1.0, m=2.0, n=2) -> HamiltonianH:
                         tag="prototype", claims=claims)
 
 
-def _two_power(*, c=1.0, a=0.5, m=2.0, l=1.5, sigma0=0.5, n=2) -> HamiltonianH:
+def _two_power(*, c: Coeff = 1.0, a: Coeff = 0.5, m: float = 2.0,
+               l: float = 1.5, sigma0: float = 0.5, n: int = 2) -> HamiltonianH:
     c, a = _as_coeff(c), _as_coeff(a)
     if not (1.0 < m <= 2.0 and 1.0 <= l < m and 0.0 < sigma0 < 1.0):
         raise ValueError("two_power needs 1 < m <= 2, 1 <= l < m and "
@@ -419,7 +421,7 @@ def _two_power(*, c=1.0, a=0.5, m=2.0, l=1.5, sigma0=0.5, n=2) -> HamiltonianH:
                         tag="two_power", claims=CONDITIONS)
 
 
-def _rational_factor(*, c=1.0, n=2) -> HamiltonianH:
+def _rational_factor(*, c: Coeff = 1.0, n: int = 2) -> HamiltonianH:
     c = _as_coeff(c)
     if c.inf <= 0:
         raise ValueError("rational_factor needs inf c > 0")
@@ -444,7 +446,7 @@ def _rational_factor(*, c=1.0, n=2) -> HamiltonianH:
         claims=CONDITIONS)
 
 
-def _sup_inf(*, matrices, m=2.0, n=2) -> HamiltonianH:
+def _sup_inf(*, matrices: list, m: float = 2.0, n: int = 2) -> HamiltonianH:
     if not 1.0 < m <= 2.0:
         raise ValueError("sup_inf needs m in (1, 2]")
     sizes = [len(grp) for grp in matrices]
@@ -509,7 +511,7 @@ def negate_hamiltonian(H: HamiltonianH) -> HamiltonianH:
     def grad(x, p):
         return -H.gradient(x, p)
     return HamiltonianH(evaluator=ev, m=H.m, gamma1=H.gamma1, gamma_m=H.gamma_m,
-                        gradient=None if H.gradient is None else grad,
+                        gradient=grad,
                         convexity=H.convexity, modulus_coeff=H.modulus_coeff,
                         tag="negated_" + H.tag, claims=CONDITIONS[:2])
 

@@ -65,8 +65,7 @@ class NumericalError(RuntimeError):
 @dataclass(frozen=True)
 class ProblemSpec:
     """Equation data for F(x,D^2 u) + H(x,Du) - |u|^{s-1}u = f, with f a
-    data callable on (N, n) points (see ``core.evaluate``). H must carry
-    its gradient: the Newton Jacobian is built from it."""
+    data callable on (N, n) points (see ``core.evaluate``)."""
 
     F: OperatorF
     H: HamiltonianH
@@ -76,12 +75,6 @@ class ProblemSpec:
     def __post_init__(self):
         if self.s <= 1.0:
             raise ValueError("zero-order exponent s must exceed 1")
-        if self.H.gradient is None:
-            raise ValueError(f"Hamiltonian {self.H.tag!r} carries no gradient")
-
-    @property
-    def ellipticity(self):
-        return self.F.ellipticity
 
 
 @dataclass(frozen=True)
@@ -95,6 +88,11 @@ class SolveReport:
     residual_history: np.ndarray
     backtracks: int
     converged: bool
+
+    def row(self) -> dict:
+        """One solve's row in a run's summary: every field but the residual
+        history. Wall times stay out, so reruns still write identical files."""
+        return {k: v for k, v in vars(self).items() if k != "residual_history"}
 
 
 class _Policy(NamedTuple):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -45,12 +44,6 @@ class CounterexampleField:
 
     def values(self, points) -> np.ndarray:
         return self.alpha * self._exp(points) + 1.0
-
-    def boundary_function(self, negated: bool = False) -> Callable:
-        """The field (or its negative) as a data callable on (N, n) points."""
-        if negated:
-            return lambda x: -self.values(x)
-        return self.values
 
 
 def counterexample_residual(field: CounterexampleField, points,

@@ -19,8 +19,7 @@ import os
 import numpy as np
 import pytest
 
-from osserman_lab.barrier import (barrier_constants, tilde_gamma,
-                                  uniqueness_scaling,
+from osserman_lab.barrier import (barrier_constants, uniqueness_scaling,
                                   verify_barrier_inequality)
 from osserman_lab.cli import main
 from osserman_lab.config import build_boundary, build_problem
@@ -31,7 +30,7 @@ from osserman_lab.entire import (continuum_separation_table,
 from osserman_lab.operators import (EllipticityPair, check_hamiltonian,
                                     hamiltonian_library, laplacian_operator,
                                     pucci, pucci_bruteforce_sweep,
-                                    pucci_operator)
+                                    pucci_operator, tilde_gamma)
 from osserman_lab.solver import ProblemSpec, mms_convergence, solve_dirichlet
 from osserman_lab.uniqueness import (CounterexampleField,
                                      counterexample_residual, delta_s_oracle)
@@ -284,7 +283,7 @@ def test_criterion_8_sharpness_control():
         vals = []
         for k in range(1, 9):
             g = build_ball_grid(0.0, float(k), h, 1)
-            sol, rep = solve_dirichlet(problem, g, fld.boundary_function(),
+            sol, rep = solve_dirichlet(problem, g, fld.values,
                                        tol, 5_000_000,
                                        initial=fld.values(g.interior_nodes))
             assert rep.converged, (alpha, k)

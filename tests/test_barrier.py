@@ -6,7 +6,7 @@ import pytest
 
 from osserman_lab.barrier import (barrier_constants, barrier_eval,
                                   barrier_residuals, exponent_mu,
-                                  tilde_gamma, uniqueness_scaling,
+                                  uniqueness_scaling,
                                   verify_barrier_inequality)
 from osserman_lab.core import build_ball_grid, fd_derivatives, row_norms, sample_field
 from osserman_lab.operators import EllipticityPair, pucci
@@ -167,17 +167,6 @@ def test_inequality_fails_for_too_small_constant():
     assert rep.extra["max_residual"] > 0.0
     with pytest.raises(ValueError):
         verify_barrier_inequality(spec, build_ball_grid([0.0, 0.0], 1.0, 0.05, 2))
-
-
-def test_tilde_gamma():
-    assert tilde_gamma(1.0, 2.0, 1.0) == pytest.approx(1.25)
-    assert tilde_gamma(0.0, 1.5, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        tilde_gamma(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        tilde_gamma(-1.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        tilde_gamma(1.0, 2.0, 0.0)
 
 
 def test_uniqueness_scaling_worked_example():

@@ -82,6 +82,19 @@ def test_1d_solve_loads_no_scipy_sparse(tmp_path):
     assert _read_summary(out)["iterations"] > 0
 
 
+def test_readme_quick_start_runs():
+    # the README's one python block, run as a reader would paste it
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme) as fh:
+        code, = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("True") for line in lines)
+
+
 def test_write_csv_matches_per_cell_formatting(tmp_path):
     floats = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                        0.1, -1.0 / 3.0, np.inf, 2.0 ** 60])
@@ -809,6 +822,14 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
     pytest.param("check-hamiltonian", _check_cfg(
         tag="sup_inf", matrices=[[[[2.0, 0.0], [0.0, True]]]]),
                  "hamiltonian.matrices", id="sup_inf-bool"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="prototype", m=[1]),
+                 "hamiltonian.m", id="hamiltonian-m-list"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="prototype", c1=[]),
+                 "hamiltonian.c1", id="hamiltonian-c1-list"),
+    # a coefficient object's keys are c0, amp and freq
+    pytest.param("check-hamiltonian", _check_cfg(
+        tag="prototype", c1={"c0": 0, "ampl": 1}),
+                 "hamiltonian.c1", id="hamiltonian-c1-ampl"),
     # one dimension per run
     pytest.param("solve", {**_grid_cfg(), "barrier": BARRIER}, "barrier.n",
                  id="solve-two-dimensions"),

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from osserman_lab.config import build_boundary, build_f
-from osserman_lab.core import (BallGrid, GridError, ScalarField,
+from osserman_lab.core import (BallGrid, GridError, ScalarField, blend,
                                build_ball_grid, dissection_order, evaluate,
-                               fd_derivatives, interpolate, norm, row_norms,
-                               sample_field)
+                               fd_derivatives, interpolation_plan, norm,
+                               row_norms, sample_field)
 from osserman_lab.operators import _batch_eigs
 
 
@@ -222,14 +222,15 @@ def test_interpolate_is_exact_on_multilinear_fields(n, center, R, h, coef,
     radii = R * rng.uniform(0.0, 1.0, 200) ** (1.0 / n)
     pts = np.vstack([center[None, :] + radii[:, None] * dirs,
                      g.interior_nodes])
-    got = interpolate(sample_field(g, multilinear), pts)
+    got = blend(interpolation_plan(g, pts), sample_field(g, multilinear).values)
     assert np.abs(got - multilinear(pts)).max() <= 1e-12
 
     constant = ScalarField(grid=g, values=np.full(len(g.nodes), a))
-    assert np.all(interpolate(constant, pts) == a)
+    assert np.all(blend(interpolation_plan(g, pts), constant.values) == a)
 
     with pytest.raises(ValueError):
-        interpolate(constant, center[None, :] + (R + 3.0 * h) * dirs[:1])
+        blend(interpolation_plan(g, center[None, :] + (R + 3.0 * h) * dirs[:1]),
+              constant.values)
 
 
 @pytest.mark.parametrize("point", [[1e300], [-1e300], [0.0, 1e300],
@@ -240,7 +241,7 @@ def test_interpolate_far_point_raises_without_integer_overflow(point):
                          lambda x: 1.0)
     with np.errstate(all="raise"):
         with pytest.raises(ValueError, match="corner outside"):
-            interpolate(field, [point])
+            blend(interpolation_plan(field.grid, [point]), field.values)
 
 
 # Entries of like size (where the summation order shows in the last bit),

@@ -27,9 +27,15 @@ def _problem(s=3.0, m=1.0, c1=1.0, cm=0.0, f=lambda x: 0.0):
     return ProblemSpec(F=laplacian_operator(), H=H, s=s, f=f)
 
 
+def test_construct_entire_needs_a_center():
+    # the center sets the grids' dimension, so there is no default for it
+    with pytest.raises(TypeError, match="center"):
+        construct_entire(_problem(), 1, [lambda x: 0.0], 1e-8, 0.25, 10)
+
+
 def test_zero_data_run_is_exactly_zero():
     run, = construct_entire(_problem(), 3, [lambda x: 0.0], tol=1e-10,
-                            h=0.25, max_iter=1000)
+                            h=0.25, max_iter=1000, center=[0.0])
     assert run.radii == (1, 2, 3)
     assert not run.flagged
     for f in run.fields:
@@ -42,9 +48,9 @@ def test_zero_data_run_is_exactly_zero():
 
 def test_construct_entire_rejects_bad_kmax_and_flags_nonconvergence():
     with pytest.raises(ValueError):
-        construct_entire(_problem(), 0, [lambda x: 0.0], 1e-8, 0.25, 10)
+        construct_entire(_problem(), 0, [lambda x: 0.0], 1e-8, 0.25, 10, [0.0])
     run, = construct_entire(_problem(), 3, [lambda x: 50.0], tol=1e-12,
-                            h=0.25, max_iter=2)
+                            h=0.25, max_iter=2, center=[0.0])
     assert run.flagged
     assert len(run.fields) == 1  # stopped at the first non-convergent ball
 
@@ -86,11 +92,12 @@ def test_joint_ladder_gives_each_boundary_its_one_boundary_run(n, k_max, h):
 def test_joint_ladder_goes_on_after_one_boundary_stops():
     data = [lambda x: 50.0, lambda x: 0.0]
     joint = construct_entire(_problem(), 3, data, tol=1e-12, h=0.25,
-                             max_iter=2)
+                             max_iter=2, center=[0.0])
     assert [len(run.fields) for run in joint] == [1, 3]
     for run, g in zip(joint, data):
         _same_run(run, construct_entire(_problem(), 3, [g], tol=1e-12,
-                                        h=0.25, max_iter=2)[0])
+                                        h=0.25, max_iter=2,
+                                        center=[0.0])[0])
 
 
 def test_sup_difference_requires_matching_lattices():
@@ -147,7 +154,7 @@ def test_decay_exponent_matches_barrier_exponent_for_m1():
     # s=3, m=1: mu = 2/(s-1) = 1 agrees with the true far-field decay, so
     # sup_{B_1} u_k ~ C/k and the tail fit lands near 1.
     run, = construct_entire(_problem(), 6, [lambda x: 100.0], tol=1e-7,
-                            h=0.1, max_iter=500_000)
+                            h=0.1, max_iter=500_000, center=[0.0])
     assert not run.flagged
     vals = [norm(f, kind="sup", center=[0.0], radius=1.0) for f in run.fields]
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -158,7 +165,8 @@ def test_decay_exponent_matches_barrier_exponent_for_m1():
 def test_separation_decays_for_s_greater_than_m():
     prob = _problem()
     ra, rb = construct_entire(prob, 4, [lambda x: 0.0, lambda x: 100.0],
-                              tol=1e-7, h=0.1, max_iter=500_000)
+                              tol=1e-7, h=0.1, max_iter=500_000,
+                              center=[0.0])
     seps = [row["separation"] for row in separation_table(ra, rb)]
     assert len(seps) == 4
     assert all(b < a for a, b in zip(seps, seps[1:]))
@@ -170,8 +178,9 @@ def test_separation_persists_for_s_equal_m():
     # different entire solutions, so the separation does not vanish
     prob = _problem(s=2.0, m=2.0, c1=0.0, cm=0.5, f=lambda x: -1.0)
     ra, rb = construct_entire(
-        prob, 3, [CounterexampleField(alpha=a).boundary_function()
-                  for a in (0.0, 1.0)], tol=1e-7, h=0.1, max_iter=2_000_000)
+        prob, 3, [CounterexampleField(alpha=a).values
+                  for a in (0.0, 1.0)], tol=1e-7, h=0.1, max_iter=2_000_000,
+        center=[0.0])
     seps = [row["separation"] for row in separation_table(ra, rb)]
     assert min(seps) > 0.9
     # alpha = 0 solves u = 1 exactly, so its stabilization table is zero
@@ -231,7 +240,7 @@ def test_abp_fit_and_local_bound_check():
                          max_iter=100, n=1)
 
     run, = construct_entire(prob, 2, [lambda x: 100.0], tol=1e-8, h=0.05,
-                            max_iter=400_000)
+                            max_iter=400_000, center=[0.0])
     rep = check_local_bound(run, 0.4, [0.0], C_emp=C)
     assert rep.passed
     assert rep.worst_margin > 0.0

@@ -325,6 +325,7 @@ def test_nan_margins_fail_every_condition():
     def ev(x, p):
         return np.full(np.shape(p)[:-1], np.nan if len(p) > 1 else 0.0)
     H = HamiltonianH(evaluator=ev, m=2.0, gamma1=1.0, gamma_m=1.0,
+                     gradient=lambda x, p: np.zeros_like(p),
                      convexity=(1.0, 1.0, 0.5))
     for condition in CONDITIONS:
         rep = check_hamiltonian(H, condition, samples=200_001, rng=0)
@@ -341,6 +342,7 @@ def test_nan_margins_fail_every_condition():
     def ev_one(x, p):
         return np.where((x == x_nan).all(axis=1), np.nan, 0.0)
     H = HamiltonianH(evaluator=ev_one, m=2.0, gamma1=1.0, gamma_m=1.0,
+                     gradient=lambda x, p: np.zeros_like(p),
                      convexity=(1.0, 1.0, 0.5))
     for condition in CONDITIONS:
         rep = check_hamiltonian(H, condition, samples=200_001, rng=0)
@@ -384,6 +386,8 @@ def test_tilde_gamma_value():
     assert tilde_gamma(0.0, 1.5, 0.0) == 0.0
     with pytest.raises(ValueError):
         tilde_gamma(1.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        tilde_gamma(-1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         tilde_gamma(1.0, 2.0, 0.0)
 

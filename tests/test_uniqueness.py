@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from osserman_lab.config import build_boundary
 from osserman_lab.uniqueness import (CounterexampleField,
                                      counterexample_residual, delta_s_oracle)
 
@@ -47,8 +48,8 @@ def test_counterexample_hand_values():
     # residual of u at 0: 2 + 2/2 - 2*2 + 1 = 0 exactly
     rep = counterexample_residual(u, np.zeros((1, 1)), "u")
     assert rep.witness["residual"] == pytest.approx(0.0, abs=1e-14)
-    g = u.boundary_function()
-    gneg = u.boundary_function(negated=True)
+    g = u.values
+    gneg = build_boundary({"tag": "exp_family", "alpha": 1.0, "negated": True}, 1)
     pts = np.array([[1.0], [0.0]])
     assert g(pts) == pytest.approx([math.exp(SQRT2) + 1.0, 2.0])
     assert gneg(pts) == pytest.approx([-(math.exp(SQRT2) + 1.0), -2.0])

@@ -46,9 +46,10 @@ def run_child(script: str, args: list, checkout: str = ROOT,
 
 
 def load_checkout(checkout: str, name: str):
-    """Import ``checkout``'s ``src/osserman_lab`` as the package ``name``
-    and return it. The package imports its own modules only relatively, so
-    each checkout's copy finds its own ``name.solver``, ``name.core``, ..."""
+    """Import ``checkout``'s ``src/osserman_lab`` as the package ``name``,
+    then its ``cli``, which imports every other module, and return the
+    package. The package imports its own modules only relatively, so each
+    checkout's copy finds its own ``name.solver``, ``name.core``, ..."""
     package = os.path.join(checkout, "src", "osserman_lab")
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(package, "__init__.py"),
@@ -56,6 +57,7 @@ def load_checkout(checkout: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    importlib.import_module(name + ".cli")
     return module
 
 
