@@ -30,38 +30,46 @@ from .config import (OBJECT, REAL, ConfigError, above, build_boundary,
                      integer, load_config, node_budget, one_of, read)
 from .core import GridError, build_ball_grid, origin
 from .entire import construct_entire, fit_decay_exponent, separation_table
-from .operators import CONDITIONS, MetadataError, check_hamiltonian
+from .operators import (CONDITIONS, MetadataError, check_hamiltonian,
+                        sample_workspace)
 from .solver import NumericalError, solve_dirichlet
 from .uniqueness import delta_s_oracle
 
 
-def _write_csv(path: str, header, columns):
-    """Write one CSV table given column by column.
+_CSV_ROWS = 4096  # rows joined and written at a time
 
-    Each column is turned into text once, by its dtype: floats as "%.17g",
+
+def _column_cells(col):
+    """A function of a row range (lo, hi) that returns the text of a
+    column's cells in it, by the column's dtype: floats as "%.17g",
     booleans as true/false, anything else (integers, text) by ``str``. A
-    float column formats each distinct bit pattern once (lattice
-    coordinates and radial values repeat), then gathers its cells; the
-    bits keep -0.0 apart from 0.0. The rows are then joined as text.
-    """
-    cells = []
-    for col in columns:
-        col = np.asarray(col)
-        if col.dtype.kind == "b":
-            cells.append(np.where(col, "true", "false").tolist())
-        elif col.dtype.kind == "f":
-            # return_index makes np.unique argsort stably: its default
-            # quicksort pages in ~0.3 MiB of code a solve never runs
-            bits, _, inverse = np.unique(col.view(f"i{col.itemsize}"),
-                                         return_index=True,
-                                         return_inverse=True)
-            text = ["%.17g" % v for v in bits.view(col.dtype).tolist()]
-            cells.append(np.array(text, dtype=object)[inverse].tolist())
-        else:
-            cells.append(list(map(str, col.tolist())))
-    lines = [",".join(header), *map(",".join, zip(*cells))]
+    float column formats each distinct bit pattern once, here (lattice
+    coordinates and radial values repeat), and gathers its cells by range;
+    the bits keep -0.0 apart from 0.0."""
+    col = np.asarray(col)
+    if col.dtype.kind == "b":
+        return lambda lo, hi: np.where(col[lo:hi], "true", "false").tolist()
+    if col.dtype.kind == "f":
+        # return_index makes np.unique argsort stably: its default
+        # quicksort pages in ~0.3 MiB of code a solve never runs
+        bits, _, inverse = np.unique(col.view(f"i{col.itemsize}"),
+                                     return_index=True, return_inverse=True)
+        text = np.array(["%.17g" % v for v in bits.view(col.dtype).tolist()],
+                        dtype=object)
+        return lambda lo, hi: text[inverse[lo:hi]].tolist()
+    return lambda lo, hi: list(map(str, col[lo:hi].tolist()))
+
+
+def _write_csv(path: str, header, columns):
+    """Write one CSV table given column by column, `_CSV_ROWS` rows at a
+    time, so that no more than a block's cells are text at once."""
+    rows = min(map(len, columns), default=0)
+    cells = [_column_cells(col) for col in columns]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, rows, _CSV_ROWS):
+            block = zip(*(cell(lo, lo + _CSV_ROWS) for cell in cells))
+            fh.write("\n".join(map(",".join, block)) + "\n")
 
 
 def _write_json(path: str, obj: dict):
@@ -165,8 +173,11 @@ def _cmd_check_hamiltonian(cfg, seed: int):
     # the checkers draw their points and gradients in 2D
     H = build_hamiltonian(cfg.get("hamiltonian"), 2, "hamiltonian")
     conditions = [sec["condition"]] if sec["condition"] else list(H.claims)
+    # one generator and one set of sample buffers for every condition
     rng = np.random.default_rng(seed)
-    reports = [check_hamiltonian(H, c, sec["samples"], rng=rng) for c in conditions]
+    workspace = sample_workspace(sec["samples"])
+    reports = [check_hamiltonian(H, c, sec["samples"], rng, workspace=workspace)
+               for c in conditions]
     summary = {"passed": all(r.passed for r in reports),
                "margins": {c: r.worst_margin for c, r in zip(conditions, reports)}}
     return cfg, summary, {"margins.csv": (

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import build_ball_grid, origin
+from .core import GridError, build_ball_grid, origin
 from .entire import radial_power_rhs
 from .operators import (HAMILTONIANS, Coeff, EllipticityPair, HamiltonianH,
                         OperatorF, hamiltonian_library, laplacian_operator,
@@ -37,9 +37,16 @@ def _finite(val) -> bool:
             and abs(val) <= sys.float_info.max)
 
 
-def _numbers(value) -> bool:
-    """Whether a JSON value is a list of finite numbers or of such lists."""
-    return isinstance(value, list) and all(_finite(v) or _numbers(v) for v in value)
+def _matrix_groups(value) -> bool:
+    """Whether a JSON value is a nonempty list of nonempty groups, each a
+    list of square matrices of finite numbers given as lists of rows."""
+    def square(S):
+        return isinstance(S, list) and all(
+            isinstance(row, list) and len(row) == len(S)
+            and all(_finite(v) for v in row) for row in S)
+    return isinstance(value, list) and len(value) > 0 and all(
+        isinstance(grp, list) and len(grp) > 0 and all(map(square, grp))
+        for grp in value)
 
 
 def _kind(test: Callable, message: str, cast: Callable = None) -> Callable:
@@ -143,7 +150,10 @@ def dimension(cfg: dict) -> int:
     dims = {key: _checked(OBJECT(cfg[key], key), key, "n", kind)
             for key, kind in kinds.items() if key in cfg}
     for key, n in dims.items():
-        origin(n)
+        try:
+            origin(n)
+        except GridError as exc:
+            raise ConfigError(f"{key}.n", str(exc))
         if n != next(iter(dims.values())):
             raise ConfigError(f"{key}.n", "must be the n of the other sections")
     return next(iter(dims.values()), 2)
@@ -180,7 +190,9 @@ def _parameters(make: Callable) -> dict:
     kind its annotation names and its default if it has one. A coefficient
     is a finite number (its c0) or an object of ``Coeff``'s keys."""
     number = _kind(_finite, "must be a finite number or an object", float)
-    kinds = {float: REAL, list: _kind(_numbers, "must be a list of finite numbers"),
+    groups = ("must be a nonempty list of nonempty groups of square matrices "
+              "of finite numbers")
+    kinds = {float: REAL, list: _kind(_matrix_groups, groups),
              Coeff: lambda v, where: (read(v, where, **_parameters(Coeff))
                                       if isinstance(v, dict) else number(v, where))}
     return {p.name: kinds[p.annotation] if p.default is p.empty

@@ -243,22 +243,23 @@ def weighted_trace_operator(weights: Sequence[float]) -> OperatorF:
 
 
 _CHUNK = 200_000
-_BLOCK = 4_096
+_BLOCK = 16_384
 
 
 def _chunked_sweep(samples: int, draw: Callable,
                    margin: Callable) -> tuple[float, dict]:
     """Smallest margin over `samples` random draws, and its witness.
 
-    ``draw(count)`` makes the next `count` samples, at most 200,000 at a
-    time, as a dict mapping names to arrays with one row per sample.
+    ``draw(count)`` makes the next `count` samples, at most `_CHUNK` at a
+    time, as a dict mapping names to arrays with one row per sample; the
+    arrays may be buffers the next ``draw`` overwrites.
     ``margin(**block)`` returns the margins of a block of at most `_BLOCK`
     consecutive rows of those arrays, so its temporaries stay small enough
-    to live in cache. The witness holds each array's row for the sample of
-    the smallest margin. Chunks and blocks run in order, so one RNG gives
-    one result whatever the block size: the first smallest margin wins,
-    and the first NaN margin is the smallest and stays so. A chunk with no
-    rows has no blocks.
+    to live in cache. The witness holds each array's row, as a list, for
+    the sample of the smallest margin. Chunks and blocks run in order, so
+    one RNG gives one result whatever the block size: the first smallest
+    margin wins, and the first NaN margin is the smallest and stays so. A
+    chunk with no rows has no blocks.
     """
     worst = np.inf
     witness: dict = {}
@@ -520,26 +521,76 @@ def negate_hamiltonian(H: HamiltonianH) -> HamiltonianH:
 # Structure-condition checkers
 # ---------------------------------------------------------------------------
 
-def _sample_vectors(rng, count: int, rmax: float = _PMAX) -> np.ndarray:
-    """Random vectors with log-uniform magnitude in [1e-6, rmax], plus a
-    sprinkle of exact zeros.
+def sample_workspace(samples: int) -> dict:
+    """Empty sample buffers for sweeps of `samples` samples, each of rows =
+    min(samples, `_CHUNK`) rows: the vectors x, p, q and y, two scratch
+    columns s and u and a mask. A sweep's chunk of `count` rows is drawn
+    into the first `count` rows of each (`_chunk`).
 
-    The vectors are scaled in place one coordinate column at a time (a row
-    of the (dim, count) transpose), so numpy's loops run over `count`
-    values rather than over rows of length dim; the floats are those of
-    scaling whole rows.
+    The floats are views of one array. Freed as one block, its memory
+    stays with the allocator for the next run (glibc raises its mmap
+    threshold to the size of a freed mapped block) instead of being
+    unmapped and page-faulted in again, as separate arrays of a chunk's
+    rows would be.
     """
-    u = rng.standard_normal((count, _DIM))
-    norms = row_norms(u)
-    np.maximum(norms, 1e-300, out=norms)
-    scale = rng.uniform(-6.0, np.log10(rmax), count)
-    np.power(10.0, scale, out=scale)
-    zero = rng.random(count) < 0.01
-    for col in u.T:
-        col /= norms
-        col *= scale
+    rows = min(samples, _CHUNK)
+    flat = np.empty((4 * _DIM + 2) * rows)
+    vectors, scratch = np.split(flat, [4 * _DIM * rows])
+    x, p, q, y = vectors.reshape(4, rows, _DIM)
+    s, u = scratch.reshape(2, rows)
+    return {"x": x, "p": p, "q": q, "y": y, "s": s, "u": u,
+            "zero": np.empty(rows, dtype=bool)}
+
+
+def _chunk(workspace: dict, count: int) -> dict:
+    """The first `count` rows of every buffer of `workspace`, as views."""
+    return {key: buf[:count] for key, buf in workspace.items()}
+
+
+def _uniform(rng, out: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``rng.uniform(low, high)`` drawn into `out`: the same floats,
+    low + (high - low) u, and the same generator state."""
+    rng.random(out=out)
+    out *= high - low
+    out += low
+    return out
+
+
+def _sample_vectors(rng, out: np.ndarray, ws: dict,
+                    rmax: float = _PMAX) -> np.ndarray:
+    """Fill `out` with random vectors with log-uniform magnitude in
+    [1e-6, rmax], plus a sprinkle of exact zeros, using the scratch s, u
+    and zero of the chunk `ws`.
+
+    Each direction is divided by its norm, then scaled by its magnitude,
+    in place one coordinate column at a time (a row of the (dim, count)
+    transpose), so numpy's loops run over `count` values rather than over
+    rows of length dim; the norms are those of `row_norms` and the floats
+    those of scaling whole rows.
+    """
+    s, u, zero = ws["s"], ws["u"], ws["zero"]
+    rng.standard_normal(out=out)
+    np.multiply(out[:, 0], out[:, 0], out=s)
+    for col in out.T[1:]:
+        s += np.multiply(col, col, out=u)
+    np.sqrt(s, out=s)
+    np.maximum(s, 1e-300, out=s)
+    for col in out.T:
+        col /= s
+    np.power(10.0, _uniform(rng, s, -6.0, np.log10(rmax)), out=s)
+    np.less(rng.random(out=u), 0.01, out=zero)
+    for col in out.T:
+        col *= s
         np.copyto(col, 0.0, where=zero)
-    return u
+    return out
+
+
+def _skip_vectors(rng, out: np.ndarray, ws: dict) -> None:
+    """Advance `rng` past the draws of one `_sample_vectors` call into
+    `out` (direction, magnitude, zero mask) without scaling anything."""
+    rng.standard_normal(out=out)
+    rng.random(out=ws["u"])
+    rng.random(out=ws["u"])
 
 
 def _divide_rows(v: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -550,10 +601,13 @@ def _divide_rows(v: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_sigma(rng, count: int, sigma0: float) -> np.ndarray:
-    """sigma in (sigma0, 1), emphasizing the sigma -> 1 end."""
-    u = rng.uniform(0.0, 8.0, count)
-    return 1.0 - (1.0 - sigma0) * 10.0 ** (-u)
+def _sample_sigma(rng, out: np.ndarray, sigma0: float) -> np.ndarray:
+    """Fill `out` with sigma in (sigma0, 1), emphasizing the sigma -> 1
+    end: 1 - (1 - sigma0) 10^-u with u uniform in [0, 8)."""
+    np.negative(_uniform(rng, out, 0.0, 8.0), out=out)
+    np.power(10.0, out, out=out)
+    out *= 1.0 - sigma0
+    return np.subtract(1.0, out, out=out)
 
 
 def tilde_gamma(gamma_m: float, m: float, c_lower: float) -> float:
@@ -570,9 +624,14 @@ def tilde_gamma(gamma_m: float, m: float, c_lower: float) -> float:
 
 
 def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
-                      rng=None) -> CheckReport:
+                      rng=None, *, workspace: dict = None) -> CheckReport:
     """Randomized margin sweep for one structure condition.
 
+    Every chunk of samples is drawn into ``workspace``, the buffers
+    `sample_workspace(samples)` makes, or into a new set of them. A
+    ``check-hamiltonian`` run makes one set and passes it to each of its
+    conditions in turn, sharing one generator: each sweep then draws what
+    a call with its own buffers would draw from the same generator state.
     Margins are (bound - quantity); negative below -1e-9 flags a violation.
     """
     if condition not in CONDITIONS:
@@ -583,31 +642,39 @@ def check_hamiltonian(H: HamiltonianH, condition: str, samples: int,
         raise MetadataError(f"{H.tag} carries no convexity constants")
     if condition == "sublinearization" and H.m <= 1.0:
         raise MetadataError("sublinearization requires m > 1")
-    rng = np.random.default_rng(rng)
     m, g1, gm = H.m, H.gamma1, H.gamma_m
     if condition == "sublinearization":
         try:
             tg = tilde_gamma(gm, m, H.convexity[0])
         except OverflowError:
             raise MetadataError(f"tilde gamma overflows at gamma_m = {gm:.3g}")
+    if workspace is None:
+        workspace = sample_workspace(samples)
+    if len(workspace["x"]) < min(samples, _CHUNK):
+        raise ValueError("workspace holds fewer rows than a chunk")
+    rng = np.random.default_rng(rng)
 
     def draw(count):
-        x = rng.uniform(-10.0, 10.0, (count, _DIM))
-        p = _sample_vectors(rng, count)
-        q = _sample_vectors(rng, count)
+        # every condition draws x, p and q first, so a seed keeps giving
+        # the samples (and, in a shared RNG, the later conditions' samples)
+        # it always gave; sigma comes last, into the scratch s the vectors
+        # are done with
+        ws = _chunk(workspace, count)
+        x = _uniform(rng, ws["x"], -10.0, 10.0)
+        p = _sample_vectors(rng, ws["p"], ws)
+        if condition == "convexity_type":
+            _skip_vectors(rng, ws["q"], ws)  # q is drawn and not used
+            return {"x": x, "p": p,
+                    "sigma": _sample_sigma(rng, ws["s"], H.convexity[2])}
+        q = _sample_vectors(rng, ws["q"], ws)
         if condition == "lipschitz_structure":
             return {"x": x, "p": p, "q": q}
         if condition == "shift_modulus":
-            y = _sample_vectors(rng, count, rmax=10.0)
+            y = _sample_vectors(rng, ws["y"], ws, rmax=10.0)
             y += x
             return {"x": x, "y": y, "p": p, "q": q}
-        sigma = _sample_sigma(rng, count, H.convexity[2])
-        if condition == "convexity_type":
-            # q is drawn and not used: every condition draws x, p, q first,
-            # so a seed keeps giving the samples (and, in a shared RNG, the
-            # later conditions' samples) it always gave
-            return {"x": x, "p": p, "sigma": sigma}
-        return {"x": x, "p": p, "q": q, "sigma": sigma}
+        return {"x": x, "p": p, "q": q,
+                "sigma": _sample_sigma(rng, ws["s"], H.convexity[2])}
 
     def growth(pn, qn):
         return g1 + gm * (pn ** (m - 1.0) + qn ** (m - 1.0))
@@ -647,10 +714,12 @@ def empirical_increment_constant(m: float, samples: int, rng=None) -> float:
     """Empirical C(m) with |p+q|^m - |p|^m <= C (|p|^{m-1}+|q|^{m-1}) |q|,
     found by maximizing the ratio over random pairs."""
     rng = np.random.default_rng(rng)
+    workspace = sample_workspace(samples)
 
     def draw(count):
-        p = _sample_vectors(rng, count)
-        q = _sample_vectors(rng, count)
+        ws = _chunk(workspace, count)
+        p = _sample_vectors(rng, ws["p"], ws)
+        q = _sample_vectors(rng, ws["q"], ws)
         ok = row_norms(q) > 0  # no ratio where q = 0
         return {"p": p[ok], "q": q[ok]}
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import osserman_lab
 from osserman_lab.barrier import barrier_constants, verify_barrier_inequality
+from osserman_lab import cli
 from osserman_lab.cli import _write_csv, main
 from osserman_lab.core import build_ball_grid
 
@@ -119,6 +120,20 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
     assert path.read_bytes() == want.encode()
     _write_csv(str(path), ["k", "v"], [[], []])
     assert path.read_bytes() == b"k,v\n"
+
+
+@pytest.mark.parametrize("block", [1, 4, 9, 10])
+def test_write_csv_in_row_blocks_matches_per_cell_formatting(tmp_path,
+                                                            monkeypatch, block):
+    # 9 rows in blocks of 1, 4 (the last of one row), 9 and 10 rows
+    monkeypatch.setattr(cli, "_CSV_ROWS", block)
+    columns = [np.arange(9), np.array([0.5, -0.0, 0.0, 0.5, 1e-300, 0.5, 2.0,
+                                       -0.0, 3.0]),
+               np.arange(9) % 2 == 0, [f"r{i}" for i in range(9)]]
+    header = ["node", "value", "even", "name"]
+    path = tmp_path / "t.csv"
+    _write_csv(str(path), header, columns)
+    assert path.read_bytes() == _expected_csv(header, columns)
 
 
 def _float_pool(dtype) -> np.ndarray:
@@ -643,17 +658,17 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
     pytest.param("verify-barrier", {"barrier": {**BARRIER, "h": 0.6}}, None,
                  id="barrier-h"),
     pytest.param("verify-barrier", {"barrier": {**BARRIER, "n": 3, "h": 0.1}},
-                 None, id="barrier-n"),
+                 "barrier.n", id="barrier-n"),
     pytest.param("solve", _grid_cfg(center=[0.0, 0.0]), "grid.center",
                  id="solve-center"),
-    pytest.param("solve", _grid_cfg(n=3), None, id="solve-n"),
+    pytest.param("solve", _grid_cfg(n=3), "grid.n", id="solve-n"),
     # a dimension the grids do not take is rejected before anything is
     # sized by it
-    pytest.param("verify-barrier", {"barrier": {**BARRIER, "n": 1e300}}, None,
-                 id="barrier-n-huge"),
-    pytest.param("solve", _grid_cfg(n=1e300), None, id="solve-n-huge"),
+    pytest.param("verify-barrier", {"barrier": {**BARRIER, "n": 1e300}},
+                 "barrier.n", id="barrier-n-huge"),
+    pytest.param("solve", _grid_cfg(n=1e300), "grid.n", id="solve-n-huge"),
     pytest.param("entire", {"problem": SEPARATION_PROBLEM, "entire": {
-        "k_max": 1, "h": 0.25, "n": 1e300}}, None, id="entire-n-huge"),
+        "k_max": 1, "h": 0.25, "n": 1e300}}, "entire.n", id="entire-n-huge"),
     pytest.param("solve", _grid_cfg(center=[math.nan]), "grid.center",
                  id="solve-center-nan"),
     pytest.param("solve", _grid_cfg(center=[math.inf]), "grid.center",
@@ -822,6 +837,15 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
     pytest.param("check-hamiltonian", _check_cfg(
         tag="sup_inf", matrices=[[[[2.0, 0.0], [0.0, True]]]]),
                  "hamiltonian.matrices", id="sup_inf-bool"),
+    # sup_inf matrices are groups of square matrices, checked before any
+    # group is measured
+    pytest.param("check-hamiltonian", _check_cfg(tag="sup_inf", matrices=[1, 2]),
+                 "hamiltonian.matrices", id="sup_inf-numbers"),
+    pytest.param("check-hamiltonian", _check_cfg(
+        tag="sup_inf", matrices=[[[1.0, 2.0]]]),
+                 "hamiltonian.matrices", id="sup_inf-row"),
+    pytest.param("check-hamiltonian", _check_cfg(tag="sup_inf", matrices=[[]]),
+                 "hamiltonian.matrices", id="sup_inf-empty-group"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", m=[1]),
                  "hamiltonian.m", id="hamiltonian-m-list"),
     pytest.param("check-hamiltonian", _check_cfg(tag="prototype", c1=[]),

@@ -14,7 +14,8 @@ from osserman_lab.operators import (CONDITIONS, Coeff, EllipticityPair,
                                     laplacian_operator, negate_hamiltonian,
                                     pucci, pucci_bruteforce,
                                     pucci_bruteforce_sweep,
-                                    pucci_operator, tilde_gamma,
+                                    pucci_operator, sample_workspace,
+                                    tilde_gamma,
                                     weighted_trace_operator)
 
 ELL = EllipticityPair(1.0, 2.0)
@@ -378,6 +379,69 @@ def test_block_size_does_not_change_the_sweep(monkeypatch, sweep):
             rep = _SWEEPS[sweep](samples)
             reports.append(repr((rep.worst_margin, rep.witness)))
         assert reports == reports[:1] * len(blocks), (chunk, blocks)
+
+
+def _run(H, conditions, samples, seed):
+    """The conditions swept as a check-hamiltonian run: one generator and
+    one set of sample buffers."""
+    rng = np.random.default_rng(seed)
+    workspace = sample_workspace(samples)
+    return rng, [check_hamiltonian(H, c, samples, rng, workspace=workspace)
+                 for c in conditions]
+
+
+@pytest.mark.parametrize("tag,params", LIBRARY_CASES)
+def test_one_run_equals_one_call_per_condition(tag, params):
+    # a run draws every condition into one set of buffers; its reports and
+    # the generator's final state are those of one call per condition with
+    # buffers of its own, each from the state the previous call left
+    # (20,000 samples: two blocks)
+    H = hamiltonian_library(tag, **params)
+    run_rng, run = _run(H, H.claims, 20_000, 8)
+    call_rng = np.random.default_rng(8)
+    calls = [check_hamiltonian(H, c, 20_000, rng=call_rng) for c in H.claims]
+    assert repr([(r.condition, r.worst_margin, r.witness) for r in run]) \
+        == repr([(r.condition, r.worst_margin, r.witness) for r in calls])
+    assert run_rng.bit_generator.state == call_rng.bit_generator.state
+
+
+def test_witness_outlives_the_buffers_of_later_sweeps():
+    # the second sweep of one condition draws other samples into the same
+    # buffers; the first sweep's witness is still the one it found
+    H = hamiltonian_library("prototype", c1=1.0, cm=1.0, m=2.0)
+    _, (first, second) = _run(H, ["lipschitz_structure"] * 2, 1_000, 9)
+    alone = check_hamiltonian(H, "lipschitz_structure", 1_000, rng=9)
+    assert repr((first.worst_margin, first.witness)) \
+        == repr((alone.worst_margin, alone.witness))
+    assert first.witness != second.witness
+
+
+@pytest.mark.parametrize("samples, conditions, chunks", [
+    (1, CONDITIONS, [1]),
+    (operators._CHUNK + 1, ["lipschitz_structure"], [operators._CHUNK, 1]),
+])
+def test_one_workspace_of_one_chunk_per_run(monkeypatch, samples, conditions,
+                                            chunks):
+    drawn = []
+    chunk = operators._chunk
+
+    def spy_chunk(buffers, count):
+        drawn.append(chunk(buffers, count))
+        return drawn[-1]
+    monkeypatch.setattr(operators, "_chunk", spy_chunk)
+    workspace = sample_workspace(samples)
+    assert {len(buf) for buf in workspace.values()} == {chunks[0]}
+    rng = np.random.default_rng(0)
+    for c in conditions:
+        check_hamiltonian(hamiltonian_library("two_power"), c, samples, rng,
+                          workspace=workspace)
+    assert [len(views["x"]) for views in drawn] == chunks * len(conditions)
+    assert all(np.shares_memory(view, workspace[key])
+               for views in drawn for key, view in views.items())
+    with pytest.raises(ValueError):
+        check_hamiltonian(hamiltonian_library("two_power"), conditions[0],
+                          samples + chunks[0], rng,
+                          workspace=sample_workspace(chunks[-1]))
 
 
 def test_tilde_gamma_value():

@@ -37,6 +37,10 @@ def test_bench_checkers_pairs_a_checkout_with_itself():
     report = _run("bench_checkers.py")
     assert report["identical"] == [True]
     for tag in ("prototype", "two_power", "rational_factor"):
+        cli = report[tag].pop("cli")
+        assert len(cli["ms"]) == len(cli["minflt"]) == 2
+        assert cli["lower_than_first_in"][0] in ("0 of 1", "1 of 1")
+        assert all(mb > 0 for mb in cli["peak_rss_mb"])
         assert report[tag]
         for row in report[tag].values():
             first, second = row["worst_margin"]

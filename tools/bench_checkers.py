@@ -8,15 +8,16 @@ workload (``prototype``, ``two_power`` and ``rational_factor`` with their
 default constants) every claimed condition is swept at 100,000 samples.
 One process imports every checkout's package (default: this script's
 checkout) under a name of its own (``harness.load_checkout``). Each
-checkout first runs the conditions as the CLI does, sharing one generator
-seeded with 1, and records the generator state each condition starts
-from. Then, per condition, one call per checkout runs that condition from
-its recorded state, and ``harness.paired`` times these calls in
-``--sweeps`` sweeps, the checkouts' order alternating from sweep to sweep.
+checkout first runs the conditions one call per condition, sharing one
+generator seeded with 1 (the samples a ``check-hamiltonian`` run draws),
+and records the generator state each condition starts from. Then, per
+condition, one call per checkout runs that condition from its recorded
+state, and ``harness.paired`` times these calls in ``--sweeps`` sweeps,
+the checkouts' order alternating from sweep to sweep.
 
 Per condition the report holds, for each checkout:
 
-- ``worst_margin``: the worst margin of its CLI-order run;
+- ``worst_margin``: the worst margin of its run;
 - ``ms``: the median milliseconds of one ``check_hamiltonian`` call and,
   after the first checkout, ``lower_than_first_in``: the sweeps in which
   it was lower than the first ("k of N");
@@ -28,10 +29,17 @@ sweep gets below while the seeds fix its draws. It runs no checkout code,
 so it is timed once; it must leave the generator in the state each
 checkout's sweep left it in.
 
+Per tag, the row ``cli`` times the whole command as the CLI runs it:
+``cli._cmd_check_hamiltonian`` on the config ``{"hamiltonian": {"tag":
+TAG}, "check": {"samples": 100000}}`` with seed 1, paired the same way.
+It holds ``ms``, ``lower_than_first_in`` and ``minflt`` per checkout, and
+``peak_rss_mb``: the peak resident memory of a fresh process that imports
+the checkout's ``cli`` and runs the command once.
+
 The one line of standard output is a JSON object: the checkouts in the
 order given, the report of every condition and, per later checkout,
-whether every condition's worst margin and witness equal the first
-checkout's exactly.
+whether every condition's worst margin and witness, and every command's
+summary and tables, equal the first checkout's exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import json
 import os
 import sys
 
-from harness import ROOT, load_checkout, paired
+from harness import ROOT, load_checkout, paired, peak_rss_mb, run_child
 
 TAGS = ("prototype", "two_power", "rational_factor")
 SAMPLES = 100_000
@@ -81,10 +89,30 @@ def _from_state(state: dict, run, *args):
     return call
 
 
+def _cli_config(tag: str) -> dict:
+    return {"hamiltonian": {"tag": tag}, "check": {"samples": SAMPLES}}
+
+
+def _cli_row(labs, srcs, tag: str, sweeps: int) -> tuple[dict, list]:
+    """The ``cli`` row of ``tag`` and each checkout's (summary, tables)."""
+    calls = [lambda lab=lab: lab.cli._cmd_check_hamiltonian(_cli_config(tag),
+                                                            SEED)
+             for lab in labs]
+    results = [call()[1:] for call in calls]
+    rows = paired(calls, sweeps)
+    return {"ms": [1e3 * row["median_s"] for row in rows],
+            "lower_than_first_in": [row["lower_than_first_in"]
+                                    for row in rows[1:]],
+            "minflt": [row["minflt"] for row in rows],
+            "peak_rss_mb": [run_child(__file__, ["--peak-rss-of", tag],
+                                      src)["peak_rss_mb"] for src in srcs]
+            }, results
+
+
 def _cli_order(lab, tag: str):
-    """Run every claimed condition of ``tag`` as the CLI does; return the
-    Hamiltonian and, per condition, the generator state before and after
-    it and its report."""
+    """Run every claimed condition of ``tag`` in the CLI's order, one call
+    per condition sharing one generator; return the Hamiltonian and, per
+    condition, the generator state before and after it and its report."""
     import numpy as np
 
     H = lab.operators.hamiltonian_library(tag)
@@ -103,7 +131,13 @@ def main(argv=None) -> int:
                         help="checkout roots to run, each with a src/ directory")
     parser.add_argument("--sweeps", type=int, default=10,
                         help="timed sweeps per condition, checkouts alternating")
+    parser.add_argument("--peak-rss-of", metavar="TAG", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.peak_rss_of:  # the fresh process of one peak_rss_mb reading
+        from osserman_lab import cli
+        cli._cmd_check_hamiltonian(_cli_config(args.peak_rss_of), SEED)
+        print(json.dumps({"peak_rss_mb": peak_rss_mb()}))
+        return 0
     if args.sweeps < 1:
         parser.error("--sweeps must be at least 1")
 
@@ -137,6 +171,9 @@ def main(argv=None) -> int:
                                         for row in rows[1:]],
                 "minflt": [row["minflt"] for row in rows],
                 "rng_ms": 1e3 * floor["median_s"]}
+        entry["cli"], results = _cli_row(labs, srcs, tag, args.sweeps)
+        for i, result in enumerate(results[1:]):
+            identical[i] &= repr(result) == repr(results[0])
         report[tag] = entry
     report["identical"] = identical
     print(json.dumps(report))
