@@ -179,10 +179,11 @@ def build_operator(section: dict, n: int, path: str = "problem.operator") -> Ope
         return laplacian_operator()
     if v["tag"] == "weighted_trace":
         return weighted_trace_operator(v["weights"])
-    if not 0 < v["lam"] <= v["Lam"]:
-        raise ConfigError(f"{path}.lam", "need 0 < lam <= Lam")
-    return pucci_operator(EllipticityPair(v["lam"], v["Lam"]),
-                          "+" if v["tag"] == "pucci_plus" else "-")
+    try:
+        pair = EllipticityPair(v["lam"], v["Lam"])
+    except ValueError as exc:
+        raise ConfigError(f"{path}.lam", str(exc))
+    return pucci_operator(pair, "+" if v["tag"] == "pucci_plus" else "-")
 
 
 def _parameters(make: Callable) -> dict:

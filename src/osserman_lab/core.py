@@ -327,30 +327,3 @@ def fd_derivatives(field: ScalarField):
     uxy = 0.5 * (d2[:, 2] - d2[:, 3])
     hess = np.stack([d2[:, 0], uxy, uxy, d2[:, 1]], axis=-1).reshape(-1, 2, 2)
     return grad, hess
-
-
-def norm(field: ScalarField, kind: str = "sup", p: float | None = None,
-         center=None, radius: float | None = None) -> float:
-    """Discrete sup or L^p norm over interior nodes of a subdomain ball.
-
-    L^p uses the Riemann weight h^n per node. The default subdomain is the
-    whole grid ball; any other must lie inside it, up to 1e-12.
-    """
-    g = field.grid
-    center = g.center if center is None else \
-        np.atleast_1d(np.asarray(center, dtype=float))
-    if radius is None:
-        radius = g.radius
-    if radius + float(np.linalg.norm(center - g.center)) > g.radius + 1e-12:
-        raise ValueError("subdomain must lie inside the grid ball")
-    mask = row_norms(g.interior_nodes - center[None, :]) < radius
-    if not mask.any():
-        raise ValueError("empty subdomain")
-    vals = np.abs(field.interior_values[mask])
-    if kind == "sup":
-        return float(vals.max())
-    if kind == "lp":
-        if p is None or p < 1:
-            raise ValueError("Lp norm requires p >= 1")
-        return float((np.sum(vals ** p) * g.h ** g.n) ** (1.0 / p))
-    raise ValueError(f"unknown norm kind {kind!r}")

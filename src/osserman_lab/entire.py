@@ -1,6 +1,5 @@
-"""Expanding-ball construction of entire solutions, a checker for the
-local uniform bound sup_{B_r}|u| <= sup_{B_r} phi_{2r} + C r ||f^-||_{L^n},
-the growth threshold on f and the data f = -(1 + |x|^rho).
+"""Expanding-ball construction of entire solutions, the growth threshold on
+f and the data f = -(1 + |x|^rho).
 
 All balls share one center and one spacing, so solutions on different radii
 live on nested sublattices and can be compared node-by-node.
@@ -13,21 +12,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .barrier import barrier_constants, exponent_mu
+from .barrier import exponent_mu
 from .core import (BallGrid, ScalarField, blend, build_ball_grid, evaluate,
-                   interpolation_plan, norm, row_norms, sample_field)
-from .operators import CheckReport
+                   interpolation_plan, row_norms)
 from .solver import ProblemSpec, solve_dirichlet
 
 TAIL_DISCARD = 2  # leading radii fit_decay_exponent drops before its tail fit
-ABP_SAFETY = 2.0  # factor on the calibration maximum in fit_abp_constant
-DELTA_HAT = 1.0   # ABP smallness: ||f^-||_{L^n(B_2r)} * diam(B_2r) < DELTA_HAT
-R_MAX = 0.5       # largest radius the local bound is stated for
 
 
 @dataclass(frozen=True)
 class EntireRun:
-    problem: ProblemSpec
     fields: tuple          # ScalarField per radius k = 1, 2, ...
     reports: tuple         # SolveReport per radius
     stabilization: tuple   # rows {k, k_next, j, sup_diff}
@@ -67,18 +61,14 @@ def _lattice_match(ga: BallGrid, gb: BallGrid):
     return ia, ib[ia]
 
 
-def sup_difference(a: ScalarField, b: ScalarField, radius: float,
-                   center=None) -> float:
-    """sup |a - b| over interior lattice nodes with |x - center| < radius,
-    matched through the shared integer lattice."""
+def sup_difference(a: ScalarField, b: ScalarField, radius: float) -> float:
+    """sup |a - b| over interior lattice nodes within radius of the grids'
+    shared center, matched through the shared integer lattice."""
     ga, gb = a.grid, b.grid
     if abs(ga.h - gb.h) > 1e-15 or np.any(np.abs(ga.center - gb.center) > 1e-15):
         raise ValueError("fields must share spacing and center")
-    if center is None:
-        center = ga.center
-    center = np.atleast_1d(np.asarray(center, dtype=float))
     ia, ib = _lattice_match(ga, gb)
-    near = row_norms(ga.nodes[ia] - center[None, :]) < radius
+    near = row_norms(ga.nodes[ia] - ga.center[None, :]) < radius
     if not near.any():
         raise ValueError("no shared nodes in the requested ball")
     return float(np.abs(a.values[ia][near] - b.values[ib][near]).max())
@@ -120,8 +110,8 @@ def construct_entire(problem: ProblemSpec, k_max: int, boundaries: Sequence,
                 rows += [{"k": k, "k_next": k + 1, "j": j,
                           "sup_diff": float(diff[dist < j].max())}
                          for j in range(1, k)]
-    return tuple(EntireRun(problem=problem, fields=tuple(fields),
-                           reports=tuple(reports), stabilization=tuple(rows))
+    return tuple(EntireRun(fields=tuple(fields), reports=tuple(reports),
+                           stabilization=tuple(rows))
                  for (fields, reports), rows in zip(runs, tables))
 
 
@@ -238,96 +228,6 @@ def continuum_separation_table(problem: ProblemSpec, k_max: int, boundary_a,
         ub = continuum_oracle_1d(problem, k, boundary_b)(nodes)
         rows.append({"k": k, "separation": float(np.abs(ua - ub).max())})
     return rows
-
-
-def _negative_part_norm(f_field: ScalarField, center, radius: float) -> float:
-    neg = ScalarField(grid=f_field.grid,
-                      values=np.clip(-f_field.values, 0.0, None))
-    return norm(neg, kind="lp", p=f_field.grid.n, center=center, radius=radius)
-
-
-def local_bound(r: float, center, f_field: ScalarField, params: dict,
-                C_emp: float = 0.0, c0_scale: float = 1.0) -> float:
-    """The Lemma-style bound sup_{B_r} phi_{2r} + C_emp r ||f^-||_{L^n(B_2r)}.
-
-    The barrier part uses gamma = 2^{m-1} gamma_m, delta = 1, R = 2r, giving
-    sup_{|x|=r} phi_{2r} = C_{2r} (2/3)^mu r^{-mu}. c0_scale rescales the
-    barrier term (falsification knob). params needs s, m, n, Lam, gamma1,
-    gamma_m. Requires r <= R_MAX and ||f^-|| * diam(B_2r) < DELTA_HAT.
-    """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if r > R_MAX:
-        raise ValueError(f"r={r} exceeds the smallness threshold r_max={R_MAX}")
-    s, m, n = params["s"], params["m"], params["n"]
-    spec = barrier_constants(s=s, m=m, n=n, Lam=params["Lam"],
-                             gamma1=params["gamma1"],
-                             gamma=2.0 ** (m - 1.0) * params["gamma_m"],
-                             delta=1.0, R=2.0 * r)
-    fn_norm = _negative_part_norm(f_field, center, 2.0 * r)
-    if fn_norm * 4.0 * r >= DELTA_HAT:
-        raise ValueError("ABP smallness violated: ||f^-|| * diam >= delta_hat")
-    barrier_term = c0_scale * spec.C_R * (2.0 / 3.0) ** spec.mu * r ** (-spec.mu)
-    return barrier_term + C_emp * r * fn_norm
-
-
-def fit_abp_constant(problem_factory: Callable, const_values: Sequence[float],
-                     r: float, h: float, tol: float, max_iter: int,
-                     n: int = 1) -> float:
-    """Empirical ABP constant from a calibration set of f = -const problems.
-
-    problem_factory(f) must return a ProblemSpec sharing F, H, s. For each
-    constant c > 0 the Dirichlet problem on B_2r with zero boundary is
-    solved and sup_{B_r} u^+ / (r ||f^-||) recorded; the fit is ABP_SAFETY
-    times the calibration maximum.
-    """
-    center = np.zeros(n)
-    grid = build_ball_grid(center, 2.0 * r, h, n)
-    best = 0.0
-    for c in const_values:
-        if c <= 0:
-            raise ValueError("calibration constants must be positive")
-        problem = problem_factory(lambda x, c=c: -c)
-        sol, rep = solve_dirichlet(problem, grid, lambda x: 0.0, tol, max_iter)
-        if not rep.converged:
-            raise ValueError("calibration solve did not converge")
-        plus = ScalarField(grid=grid, values=np.clip(sol.values, 0.0, None))
-        sup_plus = norm(plus, kind="sup", center=center, radius=r)
-        fn = norm(ScalarField(grid=grid, values=np.full(len(grid.nodes), c)),
-                  kind="lp", p=n, center=center, radius=2.0 * r)
-        best = max(best, sup_plus / (r * fn))
-    return ABP_SAFETY * best
-
-
-def check_local_bound(run: EntireRun, r: float, center, C_emp: float,
-                      c0_scale: float = 1.0) -> CheckReport:
-    """Margin = local_bound - sup_{B_r(center)}|u_k| for every solution in
-    the run whose ball covers B_2r(center)."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    problem = run.problem
-    H = problem.H
-    ell = problem.F.ellipticity
-    off = float(np.linalg.norm(center - run.fields[0].grid.center))
-    covered = [(k, f) for k, f in zip(run.radii, run.fields)
-               if k >= off + 2.0 * r - 1e-12]
-    if not covered:
-        raise ValueError("no solution in the run covers B_2r(center)")
-    grid = covered[-1][1].grid
-    f_field = sample_field(grid, problem.f)
-    params = {"s": problem.s, "m": H.m, "n": grid.n, "Lam": ell.Lam,
-              "gamma1": H.gamma1, "gamma_m": H.gamma_m}
-    bound = local_bound(r, center, f_field, params, C_emp=C_emp,
-                        c0_scale=c0_scale)
-    worst = np.inf
-    witness: dict = {}
-    for k, f in covered:
-        sup_u = norm(f, kind="sup", center=center, radius=r)
-        margin = bound - sup_u
-        if margin < worst:
-            worst = margin
-            witness = {"k": k, "sup_u": sup_u, "bound": bound}
-    return CheckReport(condition="local_bound", samples=len(covered),
-                       worst_margin=float(worst), witness=witness)
 
 
 def rho_threshold(s: float, m: float) -> float:

@@ -450,12 +450,14 @@ def _rational_factor(*, c: Coeff = 1.0, n: int = 2) -> HamiltonianH:
 def _sup_inf(*, matrices: list, m: float = 2.0, n: int = 2) -> HamiltonianH:
     if not 1.0 < m <= 2.0:
         raise ValueError("sup_inf needs m in (1, 2]")
+    groups = f"sup_inf needs nonempty groups of symmetric {n} x {n} matrices"
+    if not (isinstance(matrices, (list, tuple)) and matrices and all(
+            isinstance(grp, (list, tuple)) and grp for grp in matrices)):
+        raise ValueError(groups)
     sizes = [len(grp) for grp in matrices]
     flat = [np.asarray(S, dtype=float) for grp in matrices for S in grp]
-    if 0 in sizes or not all(S.shape == (n, n) and np.array_equal(S, S.T)
-                             for S in flat):
-        raise ValueError(f"sup_inf needs nonempty groups of symmetric {n} x {n}"
-                         " matrices")
+    if not all(S.shape == (n, n) and np.array_equal(S, S.T) for S in flat):
+        raise ValueError(groups)
     ends = np.cumsum(sizes)
     spans = list(zip(ends - sizes, ends))  # each group's slice of flat
     all_eigs = np.concatenate([np.linalg.eigvalsh(S) for S in flat])

@@ -646,6 +646,12 @@ def _weights_cfg(weights):
             "problem": {**SOLVE_CFG["problem"], "operator": operator}}
 
 
+def _pucci_cfg(lam, Lam):
+    operator = {"tag": "pucci_plus", "lam": lam, "Lam": Lam}
+    return {**_grid_cfg(), "problem": {**SOLVE_CFG["problem"],
+                                       "operator": operator}}
+
+
 def _condition_cfg(condition):
     return {"hamiltonian": NO_CONVEXITY_H,
             "check": {"condition": condition, "samples": 10}}
@@ -765,6 +771,10 @@ EXP_FAMILY = {"tag": "exp_family", "alpha": 1.0}
                  "problem.operator.weights", id="weights-nan"),
     pytest.param("solve", _weights_cfg([math.inf, 1.0]),
                  "problem.operator.weights", id="weights-inf"),
+    pytest.param("solve", _pucci_cfg(2.0, 1.0), "problem.operator.lam",
+                 id="pucci-lam-above-Lam"),
+    pytest.param("solve", _pucci_cfg(0.0, 1.0), "problem.operator.lam",
+                 id="pucci-lam-zero"),
     # integer keys take no fraction (an integral float such as 2.0 is fine)
     pytest.param("solve", _grid_cfg(n=1.5), "grid.n", id="solve-n-fraction"),
     pytest.param("verify-barrier", {"barrier": {**BARRIER, "n": 2.9}},

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from osserman_lab.config import build_boundary, build_f
 from osserman_lab.core import (BallGrid, GridError, ScalarField, blend,
                                build_ball_grid, dissection_order, evaluate,
-                               fd_derivatives, interpolation_plan, norm,
+                               fd_derivatives, interpolation_plan,
                                row_norms, sample_field)
 from osserman_lab.operators import _batch_eigs
 
@@ -383,43 +383,3 @@ def test_fd_second_order_on_cos():
         errs.append(abs(hess[node, 0, 0] + 1.0))
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
-
-
-def test_norm_unit_function_unit_volume():
-    g = build_ball_grid(0.0, 1.0, 0.2, 1)
-    f = sample_field(g, lambda x: 1.0)
-    # nodes {-0.4,...,0.4} inside radius 0.5: five nodes, volume 5*0.2 = 1
-    assert np.isclose(norm(f, kind="lp", p=1, center=0.0, radius=0.5), 1.0)
-
-
-def test_norm_zero_and_sup():
-    g = build_ball_grid(0.0, 1.0, 0.1, 1)
-    z = sample_field(g, lambda x: 0.0)
-    assert norm(z, kind="sup") == 0.0
-    assert norm(z, kind="lp", p=1) == 0.0
-    f = sample_field(g, lambda x: x[:, 0])
-    assert np.isclose(norm(f, kind="sup"), 0.9)
-
-
-def test_norm_monotone_in_subdomain():
-    g = build_ball_grid([0.0, 0.0], 1.0, 0.1, 2)
-    rng = np.random.default_rng(3)
-    f = ScalarField(grid=g, values=rng.standard_normal(len(g.nodes)))
-    prev = 0.0
-    for r in (0.3, 0.5, 0.8, 1.0):
-        val = norm(f, kind="lp", p=2, radius=r)
-        assert val >= prev - 1e-15
-        prev = val
-
-
-def test_norm_errors():
-    g = build_ball_grid(0.0, 1.0, 0.1, 1)
-    f = sample_field(g, lambda x: 1.0)
-    with pytest.raises(ValueError):
-        norm(f, kind="lp", p=0.5)
-    with pytest.raises(ValueError):
-        norm(f, kind="sup", center=0.0, radius=2.0)
-    with pytest.raises(ValueError):
-        norm(f, kind="sup", center=5.0, radius=0.01)
-    with pytest.raises(ValueError):  # radius fits, but the ball pokes out
-        norm(f, kind="sup", center=0.5, radius=0.9)

@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from osserman_lab.barrier import barrier_constants
-from osserman_lab.core import ScalarField, build_ball_grid, norm, sample_field
-from osserman_lab.entire import (check_local_bound, construct_entire,
-                                 continuum_oracle_1d, fit_abp_constant,
-                                 fit_decay_exponent,
-                                 local_bound, rho_threshold,
+from osserman_lab.core import ScalarField, build_ball_grid, sample_field
+from osserman_lab.entire import (construct_entire, continuum_oracle_1d,
+                                 fit_decay_exponent, rho_threshold,
                                  rho_threshold_closed_form, separation_table,
                                  sup_difference)
 from osserman_lab.operators import (EllipticityPair, HamiltonianH, OperatorF,
@@ -111,7 +108,7 @@ def test_sup_difference_requires_matching_lattices():
     with pytest.raises(ValueError):
         sup_difference(a, c, 0.5)
     with pytest.raises(ValueError):
-        sup_difference(a, b, 1e-6, center=[0.55])
+        sup_difference(a, b, 0.0)
 
 
 def _dict_matches(a, b):
@@ -156,7 +153,10 @@ def test_decay_exponent_matches_barrier_exponent_for_m1():
     run, = construct_entire(_problem(), 6, [lambda x: 100.0], tol=1e-7,
                             h=0.1, max_iter=500_000, center=[0.0])
     assert not run.flagged
-    vals = [norm(f, kind="sup", center=[0.0], radius=1.0) for f in run.fields]
+    vals = []
+    for f in run.fields:  # sup_{B_1}|u_k| over the interior nodes
+        near = np.abs(f.grid.interior_nodes[:, 0]) < 1.0
+        vals.append(float(np.abs(f.interior_values[near]).max()))
     assert all(b < a for a, b in zip(vals, vals[1:]))
     expo = fit_decay_exponent(run.radii, vals)
     assert abs(expo - 1.0) < 0.3
@@ -192,63 +192,6 @@ def test_fit_decay_exponent_recovers_power_law():
     assert fit_decay_exponent(r, 3.0 / r ** 2) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ValueError):
         fit_decay_exponent([1.0, 2.0, 3.0], [1.0, 0.5, 0.25])  # 1 tail point
-
-
-def test_local_bound_formula():
-    g = build_ball_grid(0.0, 1.0, 0.1, 1)
-    zero = sample_field(g, lambda x: 0.0)
-    params = {"s": 3.0, "m": 2.0, "n": 1, "Lam": 1.0, "gamma1": 0.0,
-              "gamma_m": 1.0}
-    r = 0.4
-    spec = barrier_constants(s=3.0, m=2.0, n=1, Lam=1.0, gamma1=0.0,
-                             gamma=2.0, delta=1.0, R=2.0 * r)
-    expected = spec.C_R * (2.0 / 3.0) ** spec.mu * r ** (-spec.mu)
-    assert local_bound(r, [0.0], zero, params) == pytest.approx(expected, rel=1e-12)
-    # the f^- term is additive
-    ones = sample_field(g, lambda x: -0.1)
-    with_f = local_bound(r, [0.0], ones, params, C_emp=2.0)
-    fn = norm(ScalarField(grid=g, values=np.full(len(g.nodes), 0.1)),
-              kind="lp", p=1, center=[0.0], radius=2.0 * r)
-    assert with_f == pytest.approx(expected + 2.0 * r * fn, rel=1e-12)
-
-
-def test_local_bound_guards():
-    g = build_ball_grid(0.0, 1.0, 0.1, 1)
-    params = {"s": 3.0, "m": 2.0, "n": 1, "Lam": 1.0, "gamma1": 0.0,
-              "gamma_m": 1.0}
-    zero = sample_field(g, lambda x: 0.0)
-    with pytest.raises(ValueError):
-        local_bound(0.6, [0.0], zero, params)  # r > r_max
-    with pytest.raises(ValueError):
-        local_bound(0.0, [0.0], zero, params)
-    big = sample_field(g, lambda x: -100.0)  # ABP smallness violated
-    with pytest.raises(ValueError):
-        local_bound(0.4, [0.0], big, params)
-
-
-def test_abp_fit_and_local_bound_check():
-    prob = _problem(m=1.0, c1=0.0)
-
-    def factory(f):
-        return ProblemSpec(F=prob.F, H=prob.H, s=prob.s, f=f)
-
-    C = fit_abp_constant(factory, [0.5, 1.0, 2.0], r=0.4, h=0.05, tol=1e-9,
-                         max_iter=200_000, n=1)
-    assert 0.0 < C < 5.0
-    with pytest.raises(ValueError):
-        fit_abp_constant(factory, [-1.0], r=0.4, h=0.05, tol=1e-9,
-                         max_iter=100, n=1)
-
-    run, = construct_entire(prob, 2, [lambda x: 100.0], tol=1e-8, h=0.05,
-                            max_iter=400_000, center=[0.0])
-    rep = check_local_bound(run, 0.4, [0.0], C_emp=C)
-    assert rep.passed
-    assert rep.worst_margin > 0.0
-    # shrinking the barrier constant falsifies the bound
-    rep_bad = check_local_bound(run, 0.4, [0.0], C_emp=C, c0_scale=0.1)
-    assert not rep_bad.passed
-    with pytest.raises(ValueError):
-        check_local_bound(run, 0.4, [10.0], C_emp=C)  # outside every ball
 
 
 def test_rho_threshold():

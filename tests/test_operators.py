@@ -215,6 +215,9 @@ def test_library_rejects_bad_parameters():
         hamiltonian_library("two_power", c={"c0": 0.1, "amp": 0.2})
     with pytest.raises(ValueError):
         hamiltonian_library("sup_inf", matrices=[[np.diag([1.0, -0.5])]])
+    for matrices in ([], [1, 2]):  # no group; groups that are not lists
+        with pytest.raises(ValueError, match="nonempty groups of symmetric"):
+            hamiltonian_library("sup_inf", matrices=matrices)
 
 
 def test_prototype_m1_has_no_convexity_metadata():

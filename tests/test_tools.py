@@ -7,8 +7,12 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
+
+from osserman_lab.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOLS = os.path.join(ROOT, "tools")
 
 
 def _run(script):
@@ -20,9 +24,26 @@ def _run(script):
     return json.loads(out.splitlines()[-1])
 
 
-def test_bench_newton_step_pairs_a_checkout_with_itself():
+def _cli_newton_steps(tmp_path, command, cfg) -> int:
+    """The Newton steps this checkout's CLI reports for ``cfg``: the sum of
+    ``iterations`` over an ``entire`` run's solves, or a ``solve``'s."""
+    config, out = tmp_path / f"{command}.json", tmp_path / command
+    config.write_text(json.dumps(cfg))
+    main([command, "--config", str(config), "--out", str(out), "--quiet"])
+    summary = json.loads((out / "summary.json").read_text())
+    return sum(solve["iterations"] for solve in summary.get("solves", [summary]))
+
+
+def test_bench_newton_step_pairs_a_checkout_with_itself(tmp_path):
+    sys.path.insert(0, TOOLS)
+    try:  # the tool's harness pins the thread variables; keep ours
+        with mock.patch.dict(os.environ):
+            from bench_newton_step import CASES
+    finally:
+        sys.path.remove(TOOLS)
     report = _run("bench_newton_step.py")
-    for case, steps in (("entire-1d", 26), ("solve-2d", 7)):
+    for case, (command, _, cfg) in CASES.items():
+        steps = _cli_newton_steps(tmp_path, command, cfg)
         entry = report[case]
         assert entry["steps"] == [steps, steps]
         assert entry["field_max_diff"] == [0.0]
